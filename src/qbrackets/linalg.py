@@ -3,10 +3,12 @@
 Dimension questions reduce to ranks: each generator contributes the row of
 its q-expansion coefficients, independent rows prove independent elements,
 and kernel vectors of the transposed matrix are candidate linear relations.
-Everything here is exact.  Ranks come from fraction-free integer elimination
-after clearing denominators; kernels from reduced row echelon form over
-Fraction.  Ranks prove lower bounds only, and every table cell says whether
-it is exact or a bound.
+Everything here is exact, and all of it runs on one elimination core,
+IntEchelon: rows are cleared of denominators and reduced fraction-free over
+the integers, which gives ranks, span membership, kernel bases and unique
+solutions; fractions appear only in the final back-substitution.  Ranks
+prove lower bounds only, and every table cell says whether it is exact or a
+bound.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, KeysView, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .brackets import bracket_series_many, canonical_key
 from .config import get_config
@@ -56,65 +59,6 @@ def _cleared_row(row: Sequence[Fraction]) -> List[int]:
     return [int(Fraction(x) * den) for x in row]
 
 
-def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination on integer rows."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        top = m[rank]
-        for i in range(rank + 1, nrows):
-            row = m[i]
-            f = row[col]
-            # every entry is updated, even in rows with f = 0: Bareiss needs
-            # the full rescale for the later exact divisions to come out
-            for j in range(col + 1, ncols):
-                row[j] = (row[j] * pv - f * top[j]) // prev
-            row[col] = 0
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _fraction_echelon(rows: Iterable[Sequence[Fraction]]) -> Dict[int, List[Fraction]]:
-    """Monic row echelon over Fraction, keyed by pivot column."""
-    echelon: Dict[int, List[Fraction]] = {}
-    for row in rows:
-        vec = list(row)
-        while True:
-            lead = next((j for j, x in enumerate(vec) if x), None)
-            if lead is None:
-                break
-            pivot = echelon.get(lead)
-            if pivot is None:
-                inv = 1 / vec[lead]
-                echelon[lead] = [x * inv for x in vec]
-                break
-            f = vec[lead]
-            vec = [x - f * p for x, p in zip(vec, pivot)]
-    return echelon
-
-
-def _reduce_echelon(echelon: Dict[int, List[Fraction]]) -> None:
-    """Clear pivot columns above the pivots: echelon form becomes reduced."""
-    for p in sorted(echelon, reverse=True):
-        row_p = echelon[p]
-        for q in echelon:
-            if q < p and echelon[q][p]:
-                f = echelon[q][p]
-                echelon[q] = [x - f * y for x, y in zip(echelon[q], row_p)]
-
-
 @dataclass(frozen=True)
 class ExactMatrix:
     """A dense matrix of Fractions with exact rank and kernel."""
@@ -137,38 +81,30 @@ class ExactMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     def rank(self) -> int:
-        return _bareiss_rank([_cleared_row(row) for row in self.entries])
+        return _echelon(self.entries).rank
 
     def kernel_basis(self) -> List[Tuple[Fraction, ...]]:
         """Basis of {x : Mx = 0}, one monic vector per free column.
 
         Pivots are chosen at the earliest columns; each basis vector has
         coefficient 1 at its free column, which is also its last nonzero
-        entry.
+        entry, and 0 at the other free columns.
         """
         ncols = self.cols
-        echelon = _fraction_echelon(self.entries)
-        _reduce_echelon(echelon)
-        basis = []
-        for free in range(ncols):
-            if free in echelon:
-                continue
-            vec = [Fraction(0)] * ncols
-            vec[free] = Fraction(1)
-            for p, row in echelon.items():
-                if p < free:
-                    vec[p] = -row[free]
-            basis.append(tuple(vec))
-        return basis
+        ech = _echelon(self.entries)
+        return [tuple(ech.kernel_vector(free, ncols))
+                for free in range(ncols) if free not in ech.pivots]
 
 
 class IntEchelon:
-    """Incremental integer row echelon keeping rows primitive.
+    """Incremental integer row echelon, one primitive row per pivot column.
 
     add() reduces a vector against the stored rows by cross-multiplication
-    (no fractions ever appear) and either absorbs it as a new pivot row or
-    reports it dependent.  Content is stripped after every elimination step
-    so entries stay small.
+    (no fractions ever appear) and either stores it as a new pivot row or
+    reports it dependent.  Content is stripped only when a row is stored:
+    stripping after every elimination step costs more gcds than the smaller
+    entries save.  kernel_vector() back-substitutes through the stored rows;
+    it is the only place where fractions appear.
     """
 
     def __init__(self) -> None:
@@ -177,6 +113,10 @@ class IntEchelon:
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    @property
+    def pivots(self) -> KeysView[int]:
+        return self._rows.keys()
 
     @staticmethod
     def _primitive(vec: List[int], lead: int) -> List[int]:
@@ -203,6 +143,40 @@ class IntEchelon:
             fa, fb = b // g, a // g
             vec = [x * fa - y * fb for x, y in zip(vec, row)]
 
+    def kernel_vector(self, free: int, size: int) -> List[Fraction]:
+        """The x of length size with x[free] = 1, zero at every other column
+        without a pivot, and every stored row orthogonal to it.
+
+        free must not be a pivot column.  Such an x is unique, so it is the
+        kernel basis vector of reduced row echelon form; its last nonzero
+        entry is the 1 at free.
+        """
+        # x = num / den with one common denominator: pure integer arithmetic
+        num = {free: 1}
+        den = 1
+        for p in sorted((p for p in self._rows if p < free), reverse=True):
+            row = self._rows[p]
+            s = sum(row[j] * x for j, x in num.items())
+            if s:
+                g = gcd(s, row[p])
+                scale = row[p] // g
+                if scale != 1:
+                    for j in num:
+                        num[j] *= scale
+                    den *= scale
+                num[p] = -s // g
+        vec = [Fraction(0)] * size
+        for j, x in num.items():
+            vec[j] = Fraction(x, den)
+        return vec
+
+
+def _echelon(rows: Iterable[Sequence[Fraction]]) -> IntEchelon:
+    ech = IntEchelon()
+    for row in rows:
+        ech.add(_cleared_row(row))
+    return ech
+
 
 def solve_unique(rows: Sequence[Sequence[Fraction]],
                  rhs: Sequence[Fraction]) -> List[Fraction]:
@@ -211,7 +185,7 @@ def solve_unique(rows: Sequence[Sequence[Fraction]],
     Raises ArithmeticError when the system is inconsistent or the solution
     is not unique; callers that want least-squares or parametrized solutions
     are in the wrong place, this is for systems expected to pin down one
-    answer.
+    answer.  Overdetermined systems are fine as long as they are consistent.
     """
     rows = [list(r) for r in rows]
     if len(rows) != len(rhs):
@@ -219,15 +193,16 @@ def solve_unique(rows: Sequence[Sequence[Fraction]],
     if not rows:
         raise ArithmeticError("empty system has no unique solution")
     ncols = len(rows[0])
-    echelon = _fraction_echelon(
-        row + [Fraction(b)] for row, b in zip(rows, rhs))
-    if ncols in echelon:
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("rows must all have the same length")
+    # (rows | rhs) (x, -1) = 0: x is minus the kernel vector at column ncols
+    ech = _echelon(row + [b] for row, b in zip(rows, rhs))
+    if ncols in ech.pivots:
         raise ArithmeticError("inconsistent linear system")
-    if len(echelon) < ncols:
+    if ech.rank < ncols:
         raise ArithmeticError(
-            f"underdetermined linear system: rank {len(echelon)} of {ncols}")
-    _reduce_echelon(echelon)
-    return [echelon[j][ncols] for j in range(ncols)]
+            f"underdetermined linear system: rank {ech.rank} of {ncols}")
+    return [-x for x in ech.kernel_vector(ncols, ncols + 1)[:ncols]]
 
 
 # ---------------------------------------------------------------------------
@@ -550,17 +525,8 @@ def relation_in_span(target: Relation | WordSum,
             vec[index[w]] = c
         return vec
 
-    echelon = _fraction_echelon(vector(b) for b in bodies)
-    vec = vector(goal)
-    while True:
-        lead = next((j for j, x in enumerate(vec) if x), None)
-        if lead is None:
-            return True
-        pivot = echelon.get(lead)
-        if pivot is None:
-            return False
-        f = vec[lead]
-        vec = [x - f * p for x, p in zip(vec, pivot)]
+    ech = _echelon(vector(b) for b in bodies)
+    return not ech.add(_cleared_row(vector(goal)))
 
 
 def graded_relation_counts(max_weight: int, max_length: int | None = None,

@@ -177,20 +177,10 @@ def delta_affine_combination(target: WordSum,
     rows = [[rep.expression.coefficient(w) for rep in reps] for w in columns]
     rows.append([Fraction(1)] * len(reps))
     rhs = [target.coefficient(w) for w in columns] + [Fraction(1)]
-    # the system is overdetermined; solve on a square subsystem and verify
-    echelon_rows: List[List[Fraction]] = []
-    picked: List[int] = []
-    for i, row in enumerate(rows):
-        trial = ExactMatrix.from_rows(echelon_rows + [row])
-        if trial.rank() > len(echelon_rows):
-            echelon_rows.append(row)
-            picked.append(i)
-        if len(echelon_rows) == len(reps):
-            break
-    if len(echelon_rows) < len(reps):
-        return None
+    # overdetermined: solve_unique rejects it unless it is consistent with
+    # exactly one solution
     try:
-        weights = solve_unique(echelon_rows, [rhs[i] for i in picked])
+        weights = solve_unique(rows, rhs)
     except ArithmeticError:
         return None
     for row, b in zip(rows, rhs):

@@ -73,6 +73,93 @@ def test_solve_unique_error_modes():
         solve_unique([[Fraction(1), Fraction(1)]], [Fraction(1)])
     with pytest.raises(ValueError):
         solve_unique([[Fraction(1)]], [Fraction(1), Fraction(2)])
+    with pytest.raises(ValueError, match="same length"):
+        solve_unique([[1, 0], [0, 1, 5]], [2, 3])
+    with pytest.raises(ValueError, match="same length"):
+        solve_unique([[1, 0], [0]], [2, 3])
+
+
+def _reference_rref(rows, ncols):
+    """Reduced row echelon form over Fraction by plain Gauss-Jordan:
+    {pivot column: row with 1 at the pivot and 0 at every other pivot}."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    cols = []
+    for col in range(ncols):
+        r = len(cols)
+        i = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for j in range(len(m)):
+            if j != r and m[j][col]:
+                f = m[j][col]
+                m[j] = [x - f * y for x, y in zip(m[j], m[r])]
+        cols.append(col)
+    return dict(zip(cols, m))
+
+
+def _reference_kernel(rows, ncols):
+    pivots = _reference_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for p, row in pivots.items():
+            vec[p] = -row[free]
+        basis.append(tuple(vec))
+    return basis
+
+
+small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def deficient_tall_matrix(draw):
+    """Rows of (nrows x r) times (r x ncols) with r < ncols < nrows, so the
+    rank is below the width and the matrix is taller than wide."""
+    ncols = draw(st.integers(min_value=2, max_value=6))
+    nrows = draw(st.integers(min_value=ncols + 1, max_value=ncols + 4))
+    r = draw(st.integers(min_value=1, max_value=ncols - 1))
+    left = draw(st.lists(st.lists(small_fraction, min_size=r, max_size=r),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(small_fraction, min_size=ncols,
+                                   max_size=ncols), min_size=r, max_size=r))
+    return [[sum((a * right[t][j] for t, a in enumerate(row)), Fraction(0))
+             for j in range(ncols)] for row in left]
+
+
+@given(deficient_tall_matrix())
+@settings(max_examples=60, deadline=None)
+def test_kernel_basis_equals_reduced_echelon_reference(rows):
+    ncols = len(rows[0])
+    m = ExactMatrix.from_rows(rows)
+    basis = m.kernel_basis()
+    assert basis == _reference_kernel(rows, ncols)
+    assert len(basis) == ncols - m.rank() >= 1
+    pivots = _reference_rref(rows, ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    for j, vec in zip(free, basis):
+        assert vec[j] == 1
+        assert all(x == 0 for x in vec[j + 1:])
+
+
+def test_solve_unique_matches_reference():
+    rnd = random.Random(2)
+    for n in list(range(1, 7)) * 4:
+        while True:
+            rows = [[Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
+                     for _ in range(n)] for _ in range(n)]
+            if len(_reference_rref(rows, n)) == n:
+                break
+        rhs = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
+               for _ in range(n)]
+        augmented = [row + [b] for row, b in zip(rows, rhs)]
+        reference = _reference_rref(augmented, n + 1)
+        assert solve_unique(rows, rhs) == [reference[j][n] for j in range(n)]
 
 
 def test_generators_listing():

@@ -81,6 +81,8 @@ def test_delta_representations_span():
     weights = delta_affine_combination(reps[0].expression, reps)
     assert weights is not None
     assert sum(weights) == 1
+    # twice a representation needs weights summing to 2: not affine
+    assert delta_affine_combination(reps[0].expression.scale(2), reps) is None
 
 
 def test_deltal2_exact():
