@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import index
 from typing import Iterable, Sequence
 
 from .numbers import eulerian_polynomial
@@ -175,48 +176,42 @@ def _suffixes_of(comp: Parts) -> list[Parts]:
     return [comp[i:] for i in range(len(comp))]
 
 
-def bracket_series_many(comps: Iterable[Parts], order: int) -> dict[Parts, QSeries]:
-    """bracket_series for a family of compositions, sharing suffix work."""
-    comps = [tuple(c) for c in comps]
+def _validated(comps: Iterable[Sequence[int]], order: int) -> list[Parts]:
+    """The compositions as tuples of ints, after the checks every series
+    entry point makes; () is the empty bracket and is valid.  A part that is
+    not an integer raises TypeError before any work reaches the exact cache."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    out = [tuple(map(index, c)) for c in comps]
+    for comp in out:
+        if any(p < 1 for p in comp):
+            raise ValueError(f"composition parts must be positive: {comp}")
+    return out
+
+
+def _denominator(comp: Parts) -> int:
+    return prod(factorial(s - 1) for s in comp)
+
+
+def _series_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
     # computing a composition makes all of its suffixes free; ask for them too
     wanted = set()
     for c in comps:
         wanted.update(_suffixes_of(c))
     sigma = _sigma_lists(wanted, order)
-    for suffix, values in sigma.items():
-        if suffix not in _SIGMA_CACHE or _SIGMA_CACHE[suffix][0] < order:
-            _SIGMA_CACHE[suffix] = (order, values)
-    result = {}
-    for c in comps:
-        result[c] = _series_from_sigma(c, order)
-    return result
+    return {c: QSeries(order, tuple(sigma[c]), _denominator(c)) if c
+            else QSeries.one(order) for c in comps}
 
 
-def _series_from_sigma(comp: Parts, order: int) -> QSeries:
-    if not comp:
-        return QSeries.one(order)
-    cached = _SIGMA_CACHE[comp]
-    sigma = cached[1]
-    den = 1
-    for s in comp:
-        den *= factorial(s - 1)
-    coeffs = tuple(Fraction(sigma[m], den) for m in range(1, order + 1))
-    return QSeries(order, Fraction(0), coeffs)
+def bracket_series_many(comps: Iterable[Parts], order: int) -> dict[Parts, QSeries]:
+    """bracket_series for a family of compositions, sharing suffix work."""
+    return _series_many(_validated(comps, order), order)
 
 
 def bracket_series(c: Sequence[int], order: int) -> QSeries:
     """The bracket [c] as an exact series through q^order."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
     comp = tuple(c)
-    if not comp:
-        return QSeries.one(order)
-    if any(p < 1 for p in comp):
-        raise ValueError(f"composition parts must be positive: {comp}")
-    cached = _SIGMA_CACHE.get(comp)
-    if cached is None or cached[0] < order:
-        _sigma_lists(set(_suffixes_of(comp)), order)
-    return _series_from_sigma(comp, order)
+    return _series_many(_validated([comp], order), order)[comp]
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +249,8 @@ def _kernel_row(s: int, n_max: int) -> tuple[int, ...]:
 
 def bracket_series_oracle(c: Sequence[int], order: int) -> QSeries:
     """Independent recomputation of bracket_series; see the module docstring."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
     comp = tuple(c)
-    if not comp:
-        return QSeries.one(order)
-    if any(p < 1 for p in comp):
-        raise ValueError(f"composition parts must be positive: {comp}")
-    return _oracle_many([comp], order)[comp]
+    return _oracle_many(_validated([comp], order), order)[comp]
 
 
 def _oracle_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
@@ -276,7 +265,7 @@ def _oracle_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
 
     unit = [1] + [0] * n_max
     root_over = [unit] * (n_max + 1)  # over[n]: chains so far, all elements > n
-    out: dict[Parts, QSeries] = {}
+    out: dict[Parts, QSeries] = {(): QSeries.one(order)} if () in comps else {}
 
     def dfs(node: dict, over: list) -> None:
         for part, sub in node.items():
@@ -306,12 +295,7 @@ def _oracle_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
                     child_over[n] = [0] * (n_max + 1)
             comp = sub.get(None)
             if comp is not None:
-                total = child_over[0]
-                den = 1
-                for s in comp:
-                    den *= factorial(s - 1)
-                coeffs = tuple(Fraction(total[m], den) for m in range(1, n_max + 1))
-                out[comp] = QSeries(n_max, Fraction(0), coeffs)
+                out[comp] = QSeries(n_max, tuple(child_over[0]), _denominator(comp))
             dfs(sub, child_over)
 
     dfs(trie, root_over)
@@ -319,7 +303,7 @@ def _oracle_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
 
 
 def bracket_series_oracle_many(comps: Iterable[Parts], order: int) -> dict[Parts, QSeries]:
-    return _oracle_many([tuple(c) for c in comps], order)
+    return _oracle_many(_validated(comps, order), order)
 
 
 # ---------------------------------------------------------------------------

@@ -236,10 +236,10 @@ def _series_order(order: int | None, n_generators: int, max_length: int,
     return order
 
 
-def _coefficient_rows(comps: Sequence[Parts], order: int) -> Dict[Parts, List[int]]:
+def _coefficient_rows(comps: Sequence[Parts], order: int) -> Dict[Parts, Tuple[int, ...]]:
     """Integer coefficient rows (cleared denominators) for each composition."""
     series = bracket_series_many(comps, order)
-    return {c: _cleared_row(series[c].coeffs) for c in comps}
+    return {c: series[c].nums[1:] for c in comps}
 
 
 def dim_lower_bound(space: str, k: int, l: int, order: int | None = None) -> int:
@@ -468,8 +468,7 @@ def weight_dims_identity(dprime: Mapping[Cell, int],
 
 def _candidate_relations(columns: Sequence[Parts], order: int) -> List[Relation]:
     series = bracket_series_many(columns, order)
-    matrix = ExactMatrix.from_rows(
-        [series[c].coeffs[n] for c in columns] for n in range(order))
+    matrix = ExactMatrix.from_rows(zip(*(series[c].coeffs for c in columns)))
     relations = []
     for vec in matrix.kernel_basis():
         body = WordSum((c, x) for c, x in zip(columns, vec) if x)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .brackets import bracket_series, multiple_divisor_sum
+from .brackets import bracket_series, bracket_series_many, multiple_divisor_sum
 from .linalg import ExactMatrix, solve_unique
 from .numbers import bernoulli
 from .series import QSeries, eta24
@@ -41,13 +41,11 @@ def eisenstein(k: int, order: int) -> EisensteinSeries:
         raise ValueError("Eisenstein weights are the even integers >= 2")
     constant = -bernoulli(k) / (2 * factorial(k))
     tail = bracket_series((k,), order)
-    return EisensteinSeries(k, QSeries(order, constant, tail.coeffs))
+    return EisensteinSeries(k, tail + QSeries.monomial(0, order, constant))
 
 
 def _first_mismatch(diff: QSeries) -> int:
-    if diff.constant:
-        return 0
-    return next(i + 1 for i, c in enumerate(diff.coeffs) if c)
+    return next(n for n, x in enumerate(diff.nums) if x)
 
 
 def verify_quasi_modular_identities(order: int) -> List[dict]:
@@ -96,16 +94,18 @@ def verify_quasi_modular_identities(order: int) -> List[dict]:
 # the discriminant form
 
 
-def tau(n: int, _cache: dict = {}) -> int:
+# tau(1), tau(2), ...: eta24(order).nums[1:], recomputed at twice the
+# requested n when a call asks beyond it
+_TAU: List[int] = []
+
+
+def tau(n: int) -> int:
     """The n-th coefficient of the discriminant form, from the eta product."""
     if n < 1:
         raise ValueError("tau(n) needs n >= 1")
-    order = _cache.get("order", 0)
-    if n > order:
-        order = max(2 * n, 128)
-        _cache["order"] = order
-        _cache["coeffs"] = [int(c) for c in eta24(order).coeffs]
-    return _cache["coeffs"][n - 1]
+    if n > len(_TAU):
+        _TAU[:] = eta24(max(2 * n, 128)).nums[1:]
+    return _TAU[n - 1]
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,10 @@ def delta_representation(a: int, b: int, order: int = 60) -> DeltaRepresentation
     if order < 60:
         raise ValueError("order must be at least 60")
     columns: List[Parts] = [(a,), (b,)] + [(m, 12 - m) for m in range(1, 12)]
-    series = {c: bracket_series(c, order) for c in columns}
+    series = bracket_series_many(columns, order)
     delta = eta24(order)
-    rows = [[series[c].coeffs[n] for c in columns] for n in range(order)]
-    solution = solve_unique(rows, delta.coeffs)
+    rows = list(zip(*(series[c].coeffs for c in columns)))
+    solution = solve_unique(rows, delta.nums[1:])
 
     expression = WordSum((c, x) for c, x in zip(columns, solution) if x)
     rep = DeltaRepresentation((a, b), expression, order)
@@ -238,8 +238,8 @@ def tau_congruence(order: int) -> dict:
     """Check tau(n) = sigma_11(n) mod 691 for 1 <= n <= order."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    coeffs = eta24(order).coeffs
+    taus = eta24(order).nums
     failures = [n for n in range(1, order + 1)
-                if (int(coeffs[n - 1]) - multiple_divisor_sum((11,), n)) % 691]
+                if (taus[n] - multiple_divisor_sum((11,), n)) % 691]
     return {"identity": "tau(n) = sigma_11(n) mod 691", "order": order,
             "pass": not failures, "failures": failures}

@@ -1,112 +1,131 @@
 """Truncated formal power series in q with exact rational coefficients.
 
-A QSeries knows its coefficients for q^0 .. q^order.  Binary operations on
-series of different orders silently truncate to the smaller order; asking a
-question beyond the recorded order (agree_to_order, coefficient) is an error,
-never a guess.
+A QSeries holds the integer numerators of its coefficients for q^0 .. q^order
+over one positive common denominator, and exposes the coefficients as
+Fractions.  Binary operations on series of different orders silently truncate
+to the smaller order; asking a question beyond the recorded order
+(agree_to_order, coefficient) is an error, never a guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 RationalLike = Fraction | int
 
 
-def _fr(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class QSeries:
-    """constant + coeffs[0] q + coeffs[1] q^2 + ... + coeffs[order-1] q^order."""
+    """(nums[0] + nums[1] q + ... + nums[order] q^order) / den.
+
+    The fraction is kept in lowest terms, gcd(den, *nums) == 1 with den > 0,
+    so equal series have equal fields.  constant, coeffs and coefficient()
+    return Fractions.
+    """
 
     order: int
-    constant: Fraction
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError("order must be non-negative")
-        if len(self.coeffs) != self.order:
+        if len(self.nums) != self.order + 1:
             raise ValueError(
-                f"series of order {self.order} needs exactly {self.order} "
-                f"coefficients, got {len(self.coeffs)}")
+                f"series of order {self.order} needs exactly {self.order + 1} "
+                f"numerators, got {len(self.nums)}")
+        if self.den < 1:
+            raise ValueError("denominator must be positive")
+        if self.den != 1:
+            g = gcd(self.den, *self.nums)
+            if g != 1:
+                object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
+                object.__setattr__(self, "den", self.den // g)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(order: int) -> "QSeries":
-        return QSeries(order, Fraction(0), (Fraction(0),) * order)
+        return QSeries(order, (0,) * (order + 1))
 
     @staticmethod
     def one(order: int) -> "QSeries":
-        return QSeries(order, Fraction(1), (Fraction(0),) * order)
+        return QSeries(order, (1,) + (0,) * order)
 
     @staticmethod
     def from_coefficients(constant: RationalLike,
                           coeffs: "list[RationalLike] | tuple[RationalLike, ...]",
                           order: int | None = None) -> "QSeries":
-        cs = [_fr(c) for c in coeffs]
+        cs = [Fraction(constant), *map(Fraction, coeffs)]
         if order is None:
-            order = len(cs)
-        if order < len(cs):
-            cs = cs[:order]
-        else:
-            cs.extend([Fraction(0)] * (order - len(cs)))
-        return QSeries(order, _fr(constant), tuple(cs))
+            order = len(cs) - 1
+        del cs[order + 1:]
+        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+        den = lcm(*(c.denominator for c in cs))
+        return QSeries(order, tuple(c.numerator * (den // c.denominator)
+                                    for c in cs), den)
 
     @staticmethod
     def monomial(n: int, order: int, c: RationalLike = 1) -> "QSeries":
         """c * q^n truncated at the given order."""
         if n < 0:
             raise ValueError("monomial exponent must be non-negative")
-        if n == 0:
-            return QSeries(order, _fr(c), (Fraction(0),) * order)
-        coeffs = [Fraction(0)] * order
+        p, q = c.as_integer_ratio()
+        nums = [0] * (order + 1)
         if n <= order:
-            coeffs[n - 1] = _fr(c)
-        return QSeries(order, Fraction(0), tuple(coeffs))
+            nums[n] = p
+        return QSeries(order, tuple(nums), q)
 
     # -- access ------------------------------------------------------------
+
+    @property
+    def constant(self) -> Fraction:
+        return Fraction(self.nums[0], self.den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients of q^1 .. q^order; a new tuple on every access."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums[1:])
 
     def coefficient(self, n: int) -> Fraction:
         """Coefficient of q^n; n beyond the recorded order is an error."""
         if n < 0 or n > self.order:
             raise ValueError(f"coefficient q^{n} outside recorded order {self.order}")
-        return self.constant if n == 0 else self.coeffs[n - 1]
+        return Fraction(self.nums[n], self.den)
 
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:
             return self
-        return QSeries(order, self.constant, self.coeffs[:order])
+        return QSeries(order, self.nums[:order + 1], self.den)
 
     def is_zero(self) -> bool:
-        return self.constant == 0 and all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        n = min(self.order, other.order)
-        return QSeries(n, self.constant + other.constant,
-                       tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        ma, mb, den = _to_common(self.den, other.den)
+        return QSeries(min(self.order, other.order),
+                       tuple(a * ma + b * mb for a, b in zip(self.nums, other.nums)),
+                       den)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        n = min(self.order, other.order)
-        return QSeries(n, self.constant - other.constant,
-                       tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        ma, mb, den = _to_common(self.den, other.den)
+        return QSeries(min(self.order, other.order),
+                       tuple(a * ma - b * mb for a, b in zip(self.nums, other.nums)),
+                       den)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.order, -self.constant, tuple(-c for c in self.coeffs))
+        return QSeries(self.order, tuple(-a for a in self.nums), self.den)
 
     def scale(self, c: RationalLike) -> "QSeries":
-        c = _fr(c)
-        return QSeries(self.order, self.constant * c,
-                       tuple(a * c for a in self.coeffs))
+        p, q = c.as_integer_ratio()
+        return QSeries(self.order, tuple(a * p for a in self.nums), self.den * q)
 
     def __rmul__(self, c: RationalLike) -> "QSeries":
         if isinstance(c, (int, Fraction)):
@@ -119,24 +138,19 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        # exact Cauchy product on cleared-denominator integer vectors
-        da, ia = _as_ints(self, n)
-        db, ib = _as_ints(other, n)
+        b = other.nums
         out = [0] * (n + 1)
-        for i, ai in enumerate(ia):
-            if ai == 0:
-                continue
-            top = n - i
-            for j, bj in enumerate(ib[:top + 1]):
-                if bj:
-                    out[i + j] += ai * bj
-        d = da * db
-        return QSeries(n, Fraction(out[0], d), tuple(Fraction(c, d) for c in out[1:]))
+        for i, ai in enumerate(self.nums[:n + 1]):
+            if ai:
+                for j, bj in enumerate(b[:n + 1 - i], i):
+                    if bj:
+                        out[j] += ai * bj
+        return QSeries(n, tuple(out), self.den * other.den)
 
     def q_d_dq(self) -> "QSeries":
         """Apply q * d/dq: multiply the coefficient of q^n by n."""
-        return QSeries(self.order, Fraction(0),
-                       tuple(c * (i + 1) for i, c in enumerate(self.coeffs)))
+        return QSeries(self.order, tuple(n * a for n, a in enumerate(self.nums)),
+                       self.den)
 
     # -- comparison / io -----------------------------------------------------
 
@@ -146,34 +160,41 @@ class QSeries:
             raise ValueError(
                 f"comparison to order {n} exceeds available orders "
                 f"{self.order}, {other.order}")
-        if self.constant != other.constant:
-            return False
-        return self.coeffs[:n] == other.coeffs[:n]
+        da, db = self.den, other.den
+        return all(a * db == b * da
+                   for a, b in zip(self.nums[:n + 1], other.nums[:n + 1]))
 
     def to_json(self) -> dict:
         return {
             "order": self.order,
-            "constant": _rat_str(self.constant),
-            "coeffs": [_rat_str(c) for c in self.coeffs],
+            "constant": _rat_str(self.nums[0], self.den),
+            "coeffs": [_rat_str(x, self.den) for x in self.nums[1:]],
         }
 
     @staticmethod
     def from_json(data: dict) -> "QSeries":
-        return QSeries(int(data["order"]), _parse_rat(data["constant"]),
-                       tuple(_parse_rat(c) for c in data["coeffs"]))
+        order = int(data["order"])
+        coeffs = [Fraction(c) for c in data["coeffs"]]
+        if len(coeffs) != order:
+            raise ValueError(
+                f"series of order {order} needs exactly {order} "
+                f"coefficients, got {len(coeffs)}")
+        return QSeries.from_coefficients(Fraction(data["constant"]), coeffs)
 
     def to_text(self, var: str = "q") -> str:
         parts: list[str] = []
-        if self.constant != 0:
-            parts.append(str(self.constant))
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for n, x in enumerate(self.nums):
+            if not x:
                 continue
-            n = i + 1
+            p, q = _lowest(x, self.den)
+            c = str(p) if q == 1 else f"{p}/{q}"
+            if n == 0:
+                parts.append(c)
+                continue
             mono = var if n == 1 else f"{var}^{n}"
-            if c == 1:
+            if c == "1":
                 term = mono
-            elif c == -1:
+            elif c == "-1":
                 term = f"-{mono}"
             else:
                 term = f"{c}*{mono}"
@@ -186,22 +207,21 @@ class QSeries:
         return f"{text} + O({var}^{self.order + 1})"
 
 
-def _as_ints(s: QSeries, n: int) -> tuple[int, list[int]]:
-    """Common denominator and integer coefficient list for q^0..q^n."""
-    den = s.constant.denominator
-    for c in s.coeffs[:n]:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(s.constant * den)]
-    ints.extend(int(c * den) for c in s.coeffs[:n])
-    return den, ints
+def _to_common(da: int, db: int) -> tuple[int, int, int]:
+    """Multipliers taking denominators da and db to their lcm, and the lcm."""
+    if da == db:
+        return 1, 1, da
+    g = gcd(da, db)
+    return db // g, da // g, da // g * db
 
 
-def _rat_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
+def _lowest(x: int, den: int) -> tuple[int, int]:
+    g = gcd(x, den)
+    return x // g, den // g
 
 
-def _parse_rat(text: str) -> Fraction:
-    return Fraction(text)
+def _rat_str(x: int, den: int) -> str:
+    return "%d/%d" % _lowest(x, den)
 
 
 def eta24(order: int) -> QSeries:
@@ -223,29 +243,8 @@ def eta24(order: int) -> QSeries:
         if p2 <= n:
             euler[p2] += sign
         j += 1
-    power = _int_poly_power(euler, 24, n)
-    coeffs = [Fraction(c) for c in power]
-    return QSeries(order, Fraction(0), tuple(coeffs))
-
-
-def _int_poly_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > n:
-            continue
-        for j in range(min(len(b), n - i + 1)):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
-
-
-def _int_poly_power(base: list[int], e: int, n: int) -> list[int]:
-    result = [1] + [0] * n
-    acc = list(base)
-    while e:
-        if e & 1:
-            result = _int_poly_mul(result, acc, n)
-        e >>= 1
-        if e:
-            acc = _int_poly_mul(acc, acc, n)
-    return result
+    power = QSeries(n, tuple(euler))
+    for _ in range(3):
+        power = power * power          # the 8th power
+    power = power * power * power
+    return QSeries(order, (0,) + power.nums)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .brackets import bracket_series, canonical_key
+from .brackets import bracket_series, bracket_series_many, canonical_key
 from .numbers import lambda_coeff
 from .series import QSeries
 
@@ -235,9 +235,10 @@ def quasi_shuffle(w: WordSum, v: WordSum) -> WordSum:
 
 def evaluate(w: WordSum, order: int) -> QSeries:
     """The series sum of coeff * [word] over the terms of w."""
+    series = bracket_series_many(w.words(), order)
     total = QSeries.zero(order)
     for word_, c in w.terms():
-        total = total + bracket_series(word_, order).scale(c)
+        total = total + series[word_].scale(c)
     return total
 
 

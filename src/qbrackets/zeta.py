@@ -393,8 +393,7 @@ def modified_qzeta(c: Sequence[int], order: int) -> QSeries:
                 for e in range(order - base + 1):
                     if inner[e]:
                         out[base + e] += factor * inner[e]
-    return QSeries(order, Fraction(0),
-                   tuple(Fraction(x) for x in partial[0][1:]))
+    return QSeries(order, tuple(partial[0]))
 
 
 def coefficient_growth_report(c: Sequence[int], order: int = 400) -> dict:
@@ -405,7 +404,7 @@ def coefficient_growth_report(c: Sequence[int], order: int = 400) -> dict:
     k = sum(comp)
     series = bracket_series(comp, order)
     points = sorted({order // 4, order // 2, 3 * order // 4, order})
-    samples = [(n, float(series.coeffs[n - 1]) / n ** (k - 1))
+    samples = [(n, float(series.coefficient(n)) / n ** (k - 1))
                for n in points]
     ratio = samples[-1][1] / samples[0][1] if samples[0][1] else float("inf")
     return {

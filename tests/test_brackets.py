@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (Composition, bracket_series, bracket_series_many,
+from qbrackets import (Composition, QSeries, bracket_series, bracket_series_many,
                        bracket_series_oracle, bracket_series_oracle_many,
                        canonical_key, compositions_up_to,
                        multiple_divisor_sum, partition_counts,
                        partition_identity_check)
+from qbrackets.brackets import _SIGMA_CACHE
 from qbrackets.checks import SERIES_EXAMPLES
 
 small_compositions = st.lists(st.integers(min_value=1, max_value=4),
@@ -94,3 +95,36 @@ def test_bracket_series_rejects_bad_input():
         bracket_series((0, 2), 10)
     with pytest.raises(ValueError):
         bracket_series((2,), -1)
+
+
+SERIES_ENTRY_POINTS = {
+    "bracket_series": bracket_series,
+    "bracket_series_oracle": bracket_series_oracle,
+    "bracket_series_many": lambda c, n: bracket_series_many([c], n)[tuple(c)],
+    "bracket_series_oracle_many":
+        lambda c, n: bracket_series_oracle_many([c], n)[tuple(c)],
+}
+
+
+@pytest.mark.parametrize("name", SERIES_ENTRY_POINTS)
+@pytest.mark.parametrize("comp, order, error, message", [
+    ((0,), 5, ValueError, "composition parts must be positive"),
+    ((2, 0, 1), 5, ValueError, "composition parts must be positive"),
+    ((-1,), 5, ValueError, "composition parts must be positive"),
+    ((2,), 0, ValueError, "order must be at least 1"),
+    ((2,), -3, ValueError, "order must be at least 1"),
+    ((), 0, ValueError, "order must be at least 1"),
+    ((2.0,), 5, TypeError, "integer"),
+    ((3, 1.5), 5, TypeError, "integer"),
+])
+def test_series_entry_points_validate_input(name, comp, order, error, message):
+    with pytest.raises(error, match=message):
+        SERIES_ENTRY_POINTS[name](comp, order)
+    # nothing computed from the bad input reaches the exact cache
+    assert all(type(p) is int and p >= 1 for c in _SIGMA_CACHE for p in c)
+    assert all(type(x) is int for _, row in _SIGMA_CACHE.values() for x in row)
+
+
+@pytest.mark.parametrize("name", SERIES_ENTRY_POINTS)
+def test_series_entry_points_accept_the_empty_bracket(name):
+    assert SERIES_ENTRY_POINTS[name]((), 4) == QSeries.one(4)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -245,3 +247,29 @@ def test_help_exits_zero(capsys):
 
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+# sha256 of the complete stdout; any change to these bytes is a change in
+# what users see and must be deliberate
+GOLDEN_SHA256 = {
+    "--format json series 4,4,4 --order 200":
+        "52994913ce77c3d78071ab68c44f4ff7a2fa084d0b7e4a4b3d3b5f83eecc6efb",
+    "--format json relations --weight 6 --length 6":
+        "e639a69214d969020225a435b378d9edddddd727009c4e9a00b0e57d95fa6041",
+    "--format json dims --space mda --max-weight 6":
+        "6db8d9ece93715f33ae97061474e768107346a2765a4c3312affb12ec9edd695",
+    "--format csv series 1,2,3 --order 60":
+        "fe7f76a9c3884075c355ebd692153d84085518ed0210d1129e039b46593d6be4",
+    "series 4,2 --order 40":
+        "bfd2136da9f013c36a7ddda79508dce2cda9d84a547be255a6e2264b1a1938ca",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_SHA256)
+def test_golden_bytes(capsys, monkeypatch, command):
+    for name in list(os.environ):
+        if name.startswith("QBRACKETS_"):
+            monkeypatch.delenv(name)
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]

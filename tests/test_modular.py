@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import qbrackets.modular as modular
 from qbrackets import (DELTA_PAIRS, DELTA_SCALE, WordSum, bracket_series,
                        delta_affine_combination, delta_representation,
                        delta_representations, deltal2_check,
@@ -51,6 +52,14 @@ def test_quasi_modular_identity_report():
 def test_tau_golden():
     assert [tau(n) for n in range(1, 8)] == \
         [1, -24, 252, -1472, 4830, -6048, -16744]
+
+
+def test_tau_extends_past_its_cached_order(monkeypatch):
+    monkeypatch.setattr(modular, "_TAU", [])
+    wanted = eta24(300)
+    assert tau(1) == wanted.coefficient(1)
+    assert tau(300) == wanted.coefficient(300)
+    assert [tau(n) for n in range(1, 301)] == list(wanted.nums[1:])
 
 
 def test_delta_representation_golden_pair():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,12 @@ rationals = st.fractions(min_value=-5, max_value=5)
 def qseries(draw, order=6):
     constant = draw(rationals)
     coeffs = draw(st.lists(rationals, min_size=order, max_size=order))
-    return QSeries(order, constant, tuple(coeffs))
+    return QSeries.from_coefficients(constant, coeffs)
 
 
 def test_basic_accessors():
-    s = QSeries(3, Fraction(2), (Fraction(1), Fraction(0), Fraction(-7, 2)))
+    s = QSeries.from_coefficients(Fraction(2), (Fraction(1), Fraction(0),
+                                                Fraction(-7, 2)))
     assert s.constant == 2
     assert s.coefficient(0) == 2
     assert s.coefficient(1) == 1
@@ -58,7 +60,8 @@ def test_json_round_trip(s):
 
 
 def test_truncate_and_agreement():
-    s = QSeries(5, Fraction(1), tuple(Fraction(n) for n in range(1, 6)))
+    s = QSeries.from_coefficients(Fraction(1),
+                                  tuple(Fraction(n) for n in range(1, 6)))
     t = s.truncate(3)
     assert t.order == 3
     assert s.agree_to_order(t, 3)
@@ -67,8 +70,8 @@ def test_truncate_and_agreement():
 
 
 def test_to_text():
-    s = QSeries(4, Fraction(0), (Fraction(1), Fraction(-1), Fraction(0),
-                                 Fraction(3, 2)))
+    s = QSeries.from_coefficients(Fraction(0), (Fraction(1), Fraction(-1),
+                                                Fraction(0), Fraction(3, 2)))
     assert s.to_text() == "q - q^2 + 3/2*q^4 + O(q^5)"
     assert QSeries.zero(2).to_text() == "0 + O(q^3)"
 
@@ -84,3 +87,66 @@ def test_eta24_ramanujan_tau():
 def test_eta24_needs_positive_order():
     with pytest.raises(ValueError):
         eta24(0)
+
+
+# -- the integer representation against plain lists of Fractions ---------------
+
+@st.composite
+def series_with_reference(draw):
+    order = draw(st.integers(min_value=0, max_value=6))
+    ref = draw(st.lists(rationals, min_size=order + 1, max_size=order + 1))
+    return QSeries.from_coefficients(ref[0], ref[1:]), ref
+
+
+def assert_matches(s, ref):
+    assert s.order == len(ref) - 1
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    assert [s.coefficient(n) for n in range(s.order + 1)] == ref
+    assert s.constant == ref[0] and list(s.coeffs) == ref[1:]
+    doc = s.to_json()
+    assert doc["constant"] == f"{ref[0].numerator}/{ref[0].denominator}"
+    assert doc["coeffs"] == [f"{c.numerator}/{c.denominator}" for c in ref[1:]]
+    assert s == QSeries.from_coefficients(ref[0], ref[1:])
+    assert s.is_zero() == (not any(ref))
+
+
+@given(series_with_reference(), series_with_reference(),
+       st.one_of(st.just(0), st.integers(-5, 5), rationals),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_matches_fraction_reference(a, b, c, data):
+    (sa, ra), (sb, rb) = a, b
+    n = min(sa.order, sb.order)
+    assert_matches(sa, ra)
+    assert_matches(sa + sb, [x + y for x, y in zip(ra, rb)])
+    assert_matches(sa - sb, [x - y for x, y in zip(ra, rb)])
+    assert_matches(-sa, [-x for x in ra])
+    assert_matches(sa.scale(c), [x * c for x in ra])
+    assert_matches(sa * c, [x * c for x in ra])
+    assert_matches(sa * sb, [sum(ra[i] * rb[k - i] for i in range(k + 1))
+                             for k in range(n + 1)])
+    assert_matches(sa.q_d_dq(), [k * x for k, x in enumerate(ra)])
+    m = data.draw(st.integers(0, sa.order))
+    assert_matches(sa.truncate(m), ra[:m + 1])
+    k = data.draw(st.integers(0, n))
+    assert sa.agree_to_order(sb, k) == (ra[:k + 1] == rb[:k + 1])
+    # a difference past q^n changes the denominator but not the agreement
+    assert sa.agree_to_order(sa + QSeries.monomial(n + 1, n + 1, Fraction(1, 7)), n)
+    doc = sa.to_json()
+    for size in {sa.order - 1, sa.order + 1} - {-1}:
+        with pytest.raises(ValueError):
+            QSeries.from_json({**doc, "coeffs": (doc["coeffs"] + ["0/1"])[:size]})
+
+
+def test_constructor_reduces_and_validates():
+    s = QSeries(2, (2, -4, 6), 4)
+    assert (s.nums, s.den) == ((1, -2, 3), 2)
+    assert s == QSeries.from_coefficients(Fraction(1, 2), [-1, Fraction(3, 2)])
+    assert hash(s) == hash(QSeries(2, (1, -2, 3), 2))
+    assert QSeries(1, (0, 0), 7) == QSeries.zero(1)
+    with pytest.raises(ValueError):
+        QSeries(2, (1, 2))
+    with pytest.raises(ValueError):
+        QSeries(1, (1, 2), 0)
+    with pytest.raises(ValueError):
+        QSeries(-1, ())
