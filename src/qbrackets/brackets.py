@@ -7,12 +7,14 @@ sigma_{s_1-1,...,s_l-1}(n) / prod (s_i - 1)!, with the multiple divisor sum
 
 over all representations n = u_1 v_1 + ... + u_l v_l with u_1 > ... > u_l > 0.
 
-Two independent series algorithms live here.  bracket_series organises the
-definition as a recursion over composition suffixes with the inner weights
-v^{s-1} summed directly; bracket_series_oracle runs over the chain from the
-outermost index inward with each factor expanded through Eulerian polynomial
-coefficients and binomials instead of power sums.  Their agreement is a real
-mathematical identity, and the test suite insists on it.
+Two independent series algorithms live here.  bracket_series sweeps a line
+u = 1..order upward through the chain elements, keeping for every suffix of
+the requested compositions one packed integer of coefficients (slots wide
+enough by a proven bound on sigma) and summing the inner weights v^{s-1}
+directly; bracket_series_oracle runs over the chain from the outermost index
+inward with each factor expanded through Eulerian polynomial coefficients
+and binomials instead of power sums.  Their agreement is a real mathematical
+identity, and the test suite insists on it.
 """
 
 from __future__ import annotations
@@ -91,50 +93,57 @@ def multiple_divisor_sum(r: Sequence[int], n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# primary algorithm: suffix recursion with power-sum weights
+# primary algorithm: a sweep line over packed suffix rows
 # ---------------------------------------------------------------------------
 
 # comp -> (order, sigma list); sigma[m] is the integer multiple divisor sum
 _SIGMA_CACHE: dict[Parts, tuple[int, list[int]]] = {}
 
 
-def _extend_suffix(below: list, s: int, n_max: int) -> list:
-    """One more part on the left of the suffix.
+def _slot_bytes(nodes: Iterable[Parts], order: int) -> int:
+    """Bytes per packed coefficient: room for sigma_t(m), 0 <= m <= order,
+    of every node t, plus one spare bit, rounded up to whole bytes.
 
-    below[w] (w = 1..n_max+1) lists, for each strict upper bound w, the
-    weighted count of chains of the current suffix with all chain elements
-    < w; entry m is the coefficient of q^m.  Returns the same structure with
-    the part s placed at a new chain element above the old suffix.
+    A representation m = u_1 v_1 + ... + u_l v_l with u_1 > ... > u_l > 0 is a
+    partition of m with l distinct part sizes (u_i taken v_i times), and
+    every v_i <= m, so sigma_t(m) <= m^(k-l) p(m) for t of weight k and
+    length l.  Independently, the products u_i v_i form one of the
+    C(m-1, l-1) compositions of m into l parts and each u_i divides its
+    product, so sigma_t(m) <= C(m-1, l-1) m^l m^(k-l) <= m^(k+l-1).  Both
+    bounds grow with m; the smaller one at m = order serves every slot.
     """
-    pows = [0] + [v ** (s - 1) for v in range(1, n_max + 1)]
-    child: list = [None] * (n_max + 2)
-    run = [0] * (n_max + 1)
-    child[1] = run
-    for w in range(1, n_max + 1):
-        parent_w = below[w]
-        g = [0] * (n_max + 1)
-        for v in range(1, n_max // w + 1):
-            pv = pows[v]
-            base = w * v
-            for m in range(base, n_max + 1):
-                x = parent_w[m - base]
-                if x:
-                    g[m] += pv * x
-        run = [a + b for a, b in zip(run, g)]
-        child[w + 1] = run
-    return child
+    p = partition_counts(order)[order]
+    bits = max(min((order ** (sum(t) - len(t)) * p).bit_length(),
+                   (order ** (sum(t) + len(t) - 1)).bit_length())
+               for t in nodes)
+    return bits // 8 + 1
 
 
 def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
-    """Integer sigma coefficient lists for many compositions at once.
+    """Integer sigma coefficient lists for many nonempty compositions at once.
 
-    Compositions sharing a suffix share all of the suffix's work: the
-    computation walks a trie over the reversed compositions depth-first.
+    Every suffix t of a composition is a node holding one non-negative
+    integer partial[t]: the packed row of the chains of t whose elements all
+    lie below the sweep line, the coefficient of q^m in slot order - m of
+    _slot_bytes bytes (Kronecker substitution, q^0 in the highest slot).
+    partial[()] is the row of the empty chain, 1 at q^0.  At step
+    u = 1..order every node takes the chains whose first element is u:
+
+        partial[t] += sum_v v^(t[0]-1) * (partial[t[1:]] >> u*v*slot)
+
+    where the right shift by u*v slots multiplies by q^(uv) and drops every
+    power past q^order.  Nodes are visited longest first, so t[1:] still
+    holds the chains below u.  Compositions sharing a suffix share its node,
+    and memory is one row per node.
+
+    The packing is exact: every term is non-negative, so each slot of an
+    intermediate value is at most the final sigma_t(m) of its node, which
+    fits a slot by the _slot_bytes bound; a dropped tail is below
+    2^(u*v*slot bits) and leaves nothing behind.
     """
-    todo: set[Parts] = set()
     out: dict[Parts, list[int]] = {}
+    todo: set[Parts] = set()
     for comp in comps:
-        comp = tuple(comp)
         cached = _SIGMA_CACHE.get(comp)
         if cached is not None and cached[0] >= order:
             out[comp] = cached[1][: order + 1]
@@ -143,37 +152,34 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
     if not todo:
         return out
 
-    trie: dict = {}
-    for comp in todo:
-        node = trie
-        for part in reversed(comp):
-            node = node.setdefault(part, {})
-            node.setdefault(None, None)  # placeholder; filled when terminal
-        node[None] = comp
-    # mark: node[None] is the composition ending here, or None
+    nodes = {c[i:] for c in todo for i in range(len(c))}
+    width = _slot_bytes(nodes, order)
+    bits = 8 * width
+    powers = {s: [v ** (s - 1) for v in range(order + 1)]
+              for s in {t[0] for t in nodes}}
+    plan = [(t, t[1:], powers[t[0]])
+            for t in sorted(nodes, key=len, reverse=True)]
+    partial = dict.fromkeys(nodes, 0)
+    partial[()] = 1 << (order * bits)
+    for u in range(1, order + 1):
+        step = u * bits
+        vs = range(order // u, 0, -1)
+        for t, below, pows in plan:
+            p = partial[below]
+            if p:
+                partial[t] += sum(pows[v] * (p >> (step * v)) for v in vs)
 
-    unit = [1] + [0] * order
-    root_below = [unit] * (order + 2)
-
-    def dfs(node: dict, below: list) -> None:
-        for part, sub in node.items():
-            if part is None:
-                continue
-            child = _extend_suffix(below, part, order)
-            comp = sub.get(None)
-            if comp is not None:
-                sigma = child[order + 1]
-                _SIGMA_CACHE[comp] = (order, sigma)
-                if comp in todo:
-                    out[comp] = sigma[: order + 1]
-            dfs(sub, child)
-
-    dfs(trie, root_below)
+    size = (order + 1) * width
+    for t in nodes:
+        packed = partial[t].to_bytes(size, "big")
+        row = [int.from_bytes(packed[i:i + width], "big")
+               for i in range(0, size, width)]
+        cached = _SIGMA_CACHE.get(t)
+        if cached is None or cached[0] < order:
+            _SIGMA_CACHE[t] = (order, row)
+        if t in todo:
+            out[t] = row
     return out
-
-
-def _suffixes_of(comp: Parts) -> list[Parts]:
-    return [comp[i:] for i in range(len(comp))]
 
 
 def _validated(comps: Iterable[Sequence[int]], order: int) -> list[Parts]:
@@ -194,11 +200,7 @@ def _denominator(comp: Parts) -> int:
 
 
 def _series_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
-    # computing a composition makes all of its suffixes free; ask for them too
-    wanted = set()
-    for c in comps:
-        wanted.update(_suffixes_of(c))
-    sigma = _sigma_lists(wanted, order)
+    sigma = _sigma_lists([c for c in comps if c], order)
     return {c: QSeries(order, tuple(sigma[c]), _denominator(c)) if c
             else QSeries.one(order) for c in comps}
 
@@ -336,10 +338,7 @@ def partition_identity_check(order: int) -> bool:
     p(n) whenever every l with l(l+1)/2 <= n is included."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    total = QSeries.zero(order)
-    l = 1
-    while l * (l + 1) // 2 <= order:
-        total = total + bracket_series((1,) * l, order)
-        l += 1
+    ones = [(1,) * l for l in range(1, order + 1) if l * (l + 1) // 2 <= order]
+    total = sum(bracket_series_many(ones, order).values(), QSeries.zero(order))
     p = partition_counts(order)
     return all(total.coefficient(n) == p[n] for n in range(1, order + 1))

@@ -119,8 +119,10 @@ def _polynomial_lines(poly: OnePolynomial, fmt: str,
 
 def cmd_series(args, cfg: Config) -> int:
     parts = parse_parts(args.parts)
-    series = bracket_series(parts, args.order if args.order is not None
-                            else cfg.default_order)
+    order = args.order if args.order is not None else cfg.default_order
+    _require_cells(f"{len(parts)} parts x order {order}",
+                   len(parts) * order, cfg)
+    series = bracket_series(parts, order)
     for line in _series_lines(parts, series, cfg.output_format):
         print(line)
     return EXIT_OK
@@ -159,16 +161,20 @@ def cmd_decompose(args, cfg: Config) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _require_cells(what: str, cells: int, cfg: Config) -> None:
+    if cells > cfg.max_cells:
+        raise ResourceCap(
+            f"{what} = {cells} coefficient cells exceed the cap of "
+            f"{cfg.max_cells} (raise --max-cells)")
+
+
 def _guard_cells(space: str, max_weight: int, max_length: Optional[int],
                  order: Optional[int], cfg: Config) -> None:
     gens = generators(space, max_weight, max_length)
     used = order if order is not None else max(cfg.default_order,
                                                2 * len(gens))
-    cells = len(gens) * used
-    if cells > cfg.max_cells:
-        raise ResourceCap(
-            f"{len(gens)} generators x order {used} = {cells} coefficient "
-            f"cells exceed the cap of {cfg.max_cells} (raise --max-cells)")
+    _require_cells(f"{len(gens)} generators x order {used}",
+                   len(gens) * used, cfg)
 
 
 def cmd_dims(args, cfg: Config) -> int:
@@ -266,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker cap; accepted for compatibility, never "
                              "changes the output")
     parser.add_argument("--max-cells", type=int, dest="max_cells",
-                        help="abort table commands above this many "
-                             "coefficient cells (exit code 4)")
+                        help="abort series and table commands above this "
+                             "many coefficient cells (exit code 4)")
     parser.add_argument("--mzv-target-error", type=float,
                         dest="mzv_target_error",
                         help="requested bound for zeta value evaluations")

@@ -15,7 +15,7 @@ class Config:
     mzv_target_error: float = 1e-10
     output_format: str = "text"      # text | json | csv
     threads: int = 1
-    max_cells: int = 2_000_000       # generators x order cap for table commands
+    max_cells: int = 2_000_000       # cell cap for series and table commands
 
 
 _ENV_FIELDS = {

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from qbrackets import (Composition, QSeries, bracket_series, bracket_series_many
                        canonical_key, compositions_up_to,
                        multiple_divisor_sum, partition_counts,
                        partition_identity_check)
-from qbrackets.brackets import _SIGMA_CACHE
+from qbrackets import brackets
+from qbrackets.brackets import _SIGMA_CACHE, _sigma_lists, _slot_bytes
 from qbrackets.checks import SERIES_EXAMPLES
 
 small_compositions = st.lists(st.integers(min_value=1, max_value=4),
@@ -79,10 +81,65 @@ def test_batched_variants_match_single():
         assert slow[c] == single
 
 
+def test_oracle_agreement_at_high_order(monkeypatch):
+    # shared suffixes ((1,), (1, 1), (2, 1, 1), (3,)) under mixed first
+    # parts, at an order where a packed slot spans several bytes
+    monkeypatch.setattr(brackets, "_SIGMA_CACHE", {})
+    comps = [(1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 1, 1), (4, 2, 1, 1),
+             (3, 2, 2, 1, 1), (5, 3), (2, 3), (1, 1, 3), (6,)]
+    order = 200
+    assert _slot_bytes(comps, order) >= 8
+    fast = bracket_series_many(comps, order)
+    slow = bracket_series_oracle_many(comps, order)
+    for c in comps:
+        assert fast[c] == slow[c], c
+
+
+@given(st.sampled_from([c for c in compositions_up_to(8) if 0 < len(c) <= 5]),
+       st.integers(min_value=1, max_value=60))
+@settings(max_examples=40, deadline=None)
+def test_slot_width_bound(comp, order):
+    k, l = sum(comp), len(comp)
+    slot_bits = 8 * _slot_bytes([comp[i:] for i in range(l)], order)
+    p = partition_counts(order)
+    row = _sigma_lists([comp], order)[comp]
+    assert len(row) == order + 1 and row[0] == 0
+    for m in range(1, order + 1):
+        assert row[m].bit_length() < slot_bits
+        assert row[m] <= m ** (k - l) * p[m]
+    for m in {1, order // 2 or 1, order}:
+        assert row[m] == multiple_divisor_sum([s - 1 for s in comp], m)
+
+
+def test_sweep_memory_is_one_row_per_node(monkeypatch):
+    # tracemalloc peak of a cold (4, 4, 4) at order 400: 20.9 MB with the
+    # earlier list-of-lists suffix recursion, 0.10 MB with the packed sweep
+    monkeypatch.setattr(brackets, "_SIGMA_CACHE", {})
+    bracket_series((2,), 5)  # first-call work outside the measured span
+    tracemalloc.start()
+    try:
+        bracket_series((4, 4, 4), 400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_series_cache_not_mutated_by_larger_order():
     a = bracket_series((2, 1), 10)
     bracket_series((2, 1), 40)
     assert bracket_series((2, 1), 10) == a
+
+
+def test_cache_keeps_a_suffix_row_of_higher_order(monkeypatch):
+    # the sweep stores every suffix node it computes; a lower-order batch
+    # must not replace a longer cached row
+    monkeypatch.setattr(brackets, "_SIGMA_CACHE", {})
+    longer = bracket_series((2, 1), 40)
+    bracket_series((3, 2, 1), 10)
+    assert brackets._SIGMA_CACHE[(2, 1)][0] == 40
+    assert brackets._SIGMA_CACHE[(1,)][0] == 40
+    assert bracket_series((2, 1), 40) == longer
 
 
 def test_partition_counts_golden():

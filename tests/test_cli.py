@@ -133,6 +133,24 @@ def test_dims_resource_cap(capsys):
     assert "exceed" in err
 
 
+def test_series_resource_cap(capsys, monkeypatch):
+    # 3 parts x order 1000 = 3000 cells, refused before any series work
+    monkeypatch.setattr("qbrackets.cli.bracket_series", None)
+    code, out, err = run(capsys, "--max-cells", "2999", "series", "4,4,4",
+                         "--order", "1000")
+    assert code == 4
+    assert out == ""
+    assert "3000 coefficient cells exceed" in err
+
+
+def test_series_high_order_under_default_cap(capsys, monkeypatch):
+    monkeypatch.delenv("QBRACKETS_MAX_CELLS", raising=False)
+    code, out, _ = run(capsys, "--format", "json", "series", "4,4,4",
+                       "--order", "1000")
+    assert code == 0
+    assert len(json.loads(out)["series"]["coeffs"]) == 1000
+
+
 def test_dims_bad_weight(capsys):
     code, _, _ = run(capsys, "dims", "--max-weight", "-2")
     assert code == 2
