@@ -216,7 +216,7 @@ def check_series_examples() -> str:
 
 
 def check_series_oracle(max_weight: int = 6, order: int = 80) -> str:
-    comps = [c for c in compositions_up_to(max_weight) if c]
+    comps = list(compositions_up_to(max_weight))
     fast = bracket_series_many(comps, order)
     slow = bracket_series_oracle_many(comps, order)
     for c in comps:

@@ -130,15 +130,12 @@ def compositions(k: int, l: int, admissible: bool = False) -> Iterator[tuple[int
 
 
 def compositions_up_to(max_weight: int, admissible: bool = False,
-                       max_length: int | None = None,
-                       include_empty: bool = False) -> Iterator[tuple[int, ...]]:
+                       max_length: int | None = None) -> Iterator[tuple[int, ...]]:
     """All compositions of weight <= max_weight in canonical order.
 
     Canonical order: ascending weight, then ascending length, then
     lexicographic on the parts.
     """
-    if include_empty:
-        yield ()
     for k in range(1, max_weight + 1):
         top = k if max_length is None else min(k, max_length)
         for l in range(1, top + 1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log2
+from math import comb, log2, perm
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from mpmath import mp, mpf, workdps
@@ -30,6 +30,7 @@ _DPS = 60
 _CUTOFF = 256
 _EXTRA_EXPONENTS = 26
 _MAX_EM_TERMS = 14
+_LEVELS = 5
 
 
 def _require_admissible(c: Sequence[int]) -> Parts:
@@ -41,41 +42,41 @@ def _require_admissible(c: Sequence[int]) -> Parts:
     return c
 
 
-def _rising(sigma: int, r: int) -> int:
-    out = 1
-    for i in range(r):
-        out *= sigma + i
-    return out
-
-
 def _psi_expansion(sigma: int, cutoff: int, emax: int):
     """Expansion of psi(m) = sum_{n>m} n^-sigma valid for m >= cutoff:
     returns (terms, env_c, env_e) with psi(m) = sum terms[e] m^-e + r(m),
-    |r(m)| <= env_c * m^-env_e.  x^-sigma is completely monotone, so the
-    Euler-Maclaurin remainder is bounded by the first omitted term; the
-    number of correction terms is chosen to minimize that bound."""
+    |r(m)| <= env_c * m^-env_e.  Euler-Maclaurin runs to the fixed order
+    _MAX_EM_TERMS.  x^-sigma is completely monotone, so the remainder is
+    bounded by the first omitted term at any order.  Consecutive bounds
+    shrink by a factor below ((sigma+2j+2)/(2 pi cutoff))^2, so whenever
+    sigma + 28 < 2 pi cutoff this is also the order that minimizes it."""
     if sigma < 2:
         raise ValueError("tail exponent must be at least 2")
-    best_j, best_bound = 1, None
-    for j in range(1, _MAX_EM_TERMS + 1):
-        bound = (abs(mpf(bernoulli(2 * j + 2).numerator))
-                 / bernoulli(2 * j + 2).denominator
-                 / mp.factorial(2 * j + 2)
-                 * _rising(sigma, 2 * j + 1) * mpf(cutoff) ** (-sigma - 2 * j - 1))
-        if best_bound is None or bound < best_bound:
-            best_j, best_bound = j, bound
+    j = _MAX_EM_TERMS
+    b = bernoulli(2 * j + 2)
+    env_c = (abs(mpf(b.numerator)) / b.denominator / mp.factorial(2 * j + 2)
+             * perm(sigma + 2 * j, 2 * j + 1)
+             * mpf(cutoff) ** (-sigma - 2 * j - 1))
     terms: Dict[int, mpf] = {
         sigma - 1: mpf(1) / (sigma - 1),
         sigma: mpf(-1) / 2,
     }
-    for j in range(1, best_j + 1):
-        b = bernoulli(2 * j)
-        terms[sigma + 2 * j - 1] = (mpf(b.numerator) / b.denominator
-                                    / mp.factorial(2 * j)
-                                    * _rising(sigma, 2 * j - 1))
-    env_c, env_e = best_bound, sigma + 2 * best_j + 1
-    terms, env_c, env_e = _cap_terms(terms, env_c, env_e, cutoff, emax)
-    return terms, env_c, env_e
+    for i in range(1, j + 1):
+        b = bernoulli(2 * i)
+        terms[sigma + 2 * i - 1] = (mpf(b.numerator) / b.denominator
+                                    / mp.factorial(2 * i)
+                                    * perm(sigma + 2 * i - 2, 2 * i - 1))
+    return _cap_terms(terms, env_c, sigma + 2 * j + 1, cutoff, emax)
+
+
+def _fold_envelopes(envs, cutoff):
+    """One envelope (c, e) bounding the sum of the envelopes c_i m^-e_i
+    for m >= cutoff: the least exponent, summed in list order."""
+    e_min = min(e for _, e in envs)
+    c_total = mpf(0)
+    for c, e in envs:
+        c_total += c * mpf(cutoff) ** (e_min - e)
+    return c_total, e_min
 
 
 def _cap_terms(terms, env_c, env_e, cutoff, emax):
@@ -88,16 +89,13 @@ def _cap_terms(terms, env_c, env_e, cutoff, emax):
             kept[e] = kept.get(e, mpf(0)) + a
         else:
             envs.append((abs(a), e))
-    e_min = min(e for _, e in envs)
-    c_total = mpf(0)
-    for c, e in envs:
-        c_total += c * mpf(cutoff) ** (e_min - e)
-    return kept, c_total, e_min
+    return (kept, *_fold_envelopes(envs, cutoff))
 
 
 def _tail_sum(terms, env_c, env_e, cutoff, emax):
     """Expansion of m -> sum_{n>m} g(n) where g is given by (terms, env);
-    valid for m >= cutoff."""
+    valid for m >= cutoff.  Every psi expansion is capped at emax, so the
+    result needs no further capping."""
     out: Dict[int, mpf] = {}
     # integral comparison: sum_{n>m} n^-e <= m^(1-e)/(e-1)
     envs = [(env_c / (env_e - 1), env_e - 1)]
@@ -106,11 +104,7 @@ def _tail_sum(terms, env_c, env_e, cutoff, emax):
         for e_out, a_out in t.items():
             out[e_out] = out.get(e_out, mpf(0)) + a * a_out
         envs.append((abs(a) * c2, e2))
-    e_min = min(e for _, e in envs)
-    c_total = mpf(0)
-    for c, e in envs:
-        c_total += c * mpf(cutoff) ** (e_min - e)
-    return _cap_terms(out, c_total, e_min, cutoff, emax)
+    return (out, *_fold_envelopes(envs, cutoff))
 
 
 def _evaluate_expansion(terms, env_c, env_e, m: int):
@@ -167,31 +161,33 @@ class MzvValue:
         }
 
 
-_MZV_CACHE: Dict[Tuple[Parts, float], MzvValue] = {}
+# (index, level) -> the value at cutoff _CUTOFF << level and _DPS + 20 * level
+# digits; at most _LEVELS entries per index, whatever targets are asked for
+_MZV_CACHE: Dict[Tuple[Parts, int], MzvValue] = {}
 
 
 def mzv(c: Sequence[int], target_error: float | None = None) -> MzvValue:
-    """Evaluate zeta(c) with error_bound at most target_error."""
+    """Evaluate zeta(c) with error_bound at most target_error.
+
+    Precision level l (0 <= l < _LEVELS) sums to cutoff _CUTOFF << l at
+    _DPS + 20 * l digits.  The result is the first level whose bound meets
+    the target; each level is computed once per index and cached, so the
+    target only picks a level and never causes a recomputation.
+    """
     comp = _require_admissible(c)
     if target_error is None:
         target_error = get_config().mzv_target_error
     target_error = float(target_error)
     if target_error <= 0:
         raise ValueError("target_error must be positive")
-    key = (comp, target_error)
-    hit = _MZV_CACHE.get(key)
-    if hit is not None:
-        return hit
-    cutoff, dps = _CUTOFF, _DPS
-    for _ in range(5):
-        with workdps(dps):
-            value, err = _nested_value(comp, cutoff)
-        if err <= target_error:
-            out = MzvValue(comp, value, err)
-            _MZV_CACHE[key] = out
+    for level in range(_LEVELS):
+        out = _MZV_CACHE.get((comp, level))
+        if out is None:
+            with workdps(_DPS + 20 * level):
+                value, err = _nested_value(comp, _CUTOFF << level)
+            out = _MZV_CACHE[(comp, level)] = MzvValue(comp, value, err)
+        if out.error_bound <= target_error:
             return out
-        cutoff *= 2
-        dps += 20
     raise ArithmeticError(
         f"could not reach error {target_error} for zeta{comp}")
 
@@ -340,11 +336,12 @@ def limit_diagnostic(s: QSeries, k: int) -> LimitEstimate:
         raise ValueError("limit diagnostics need series order >= 200")
     ladder: List[mpf] = []
     for m in range(2, 9):
-        q = 1 - Fraction(1, 2 ** m)
-        acc = Fraction(0)
-        for c in reversed(s.coeffs):
-            acc = (acc + c) * q
-        value = (s.constant + acc) * (1 - q) ** k
+        # q = a / 2^m, so (1-q)^k s(q) is
+        # sum nums[n] a^n 2^(m(order-n)) over den 2^(m(order+k))
+        a, num = 2 ** m - 1, 0
+        for n in range(s.order, -1, -1):
+            num = num * a + (s.nums[n] << m * (s.order - n))
+        value = Fraction(num, s.den << m * (s.order + k))
         ladder.append(mpf(value.numerator) / value.denominator)
     rows = [ladder]
     for j in range(1, len(ladder)):

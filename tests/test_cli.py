@@ -280,6 +280,10 @@ GOLDEN_SHA256 = {
         "fe7f76a9c3884075c355ebd692153d84085518ed0210d1129e039b46593d6be4",
     "series 4,2 --order 40":
         "bfd2136da9f013c36a7ddda79508dce2cda9d84a547be255a6e2264b1a1938ca",
+    "verify --quick":
+        "dea775fb02dd5aebcb06c612e406c9683e8722ff59463472ba839d12cf075daa",
+    "--format json verify --quick":
+        "5f4bb3451157e43d68d2138ec31e330f923d90d11747672bdd700ea4b059e246",
 }
 
 

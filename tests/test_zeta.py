@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from qbrackets import (MzvValue, WordSum, Z_k_alg, Z_k_symbolic,
                        bracket_series, coefficient_growth_report, d_general,
                        evaluate, limit_diagnostic, modified_qzeta, mzv,
                        mzv_oracle, word)
+from qbrackets import zeta
 
 
 def test_mzv_single_against_mpmath():
@@ -58,6 +60,60 @@ def test_mzv_value_json():
 def test_mzv_respects_target_error():
     loose = mzv((2, 1), target_error=1e-6)
     assert loose.error_bound < mpf("1e-6")
+
+
+@pytest.fixture
+def cold_mzv_cache(monkeypatch):
+    """Empty the MZV cache and count _nested_value calls per index."""
+    monkeypatch.setattr(zeta, "_MZV_CACHE", {})
+    calls = Counter()
+    nested = zeta._nested_value
+
+    def counting(comp, cutoff):
+        calls[comp] += 1
+        return nested(comp, cutoff)
+
+    monkeypatch.setattr(zeta, "_nested_value", counting)
+    return calls
+
+
+def test_mzv_evaluates_each_index_once_per_level(cold_mzv_cache):
+    mzv((3, 1), 1e-10)
+    mzv((3, 1), 1e-12)
+    assert cold_mzv_cache == {(3, 1): 1}
+    # per-term targets 5e-14 and 1.25e-14, both met at level 0
+    mzv((4,), 1e-10)
+    image = Z_k_symbolic(word(4).scale(1000) - word(3, 1).scale(4000), 4)
+    assert abs(image.value) <= image.error_bound
+    assert cold_mzv_cache == {(3, 1): 1, (4,): 1}
+
+
+def test_mzv_target_only_picks_the_level(cold_mzv_cache):
+    high = mzv((3, 1), 1e-60)
+    assert high.error_bound <= mpf("1e-60")
+    warm = mzv((3, 1), 1e-10)
+    assert cold_mzv_cache == {(3, 1): 2}
+    zeta._MZV_CACHE.clear()
+    cold = mzv((3, 1), 1e-10)
+    assert (warm.value, warm.error_bound) == (cold.value, cold.error_bound)
+    assert warm.error_bound > high.error_bound
+    with pytest.raises(ArithmeticError):
+        mzv((2,), 1e-300)
+
+
+@pytest.mark.parametrize("index, value, bound", [
+    ((2,), "1.6449340668482264364724151666460251892189499012068", "1.0e-48"),
+    ((3, 1), "0.27058080842778454787900092413529197569368773797968",
+     "1.0e-48"),
+    ((2, 2, 1), "0.22881039760335375976874614894168879193250934271988",
+     "1.0e-48"),
+    ((5, 3, 2), "0.00079909456688643498205815901267234513017873386123163",
+     "1.0e-48"),
+])
+def test_mzv_pinned_values(index, value, bound):
+    z = mzv(index, 1e-10)  # the default target
+    assert mp.nstr(z.value, 50) == value
+    assert mp.nstr(z.error_bound, 5) == bound
 
 
 def test_z_symbolic_kernel_of_derivative():
