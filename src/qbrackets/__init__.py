@@ -19,7 +19,7 @@ from .derivation import (DerivativeExpression, Relation, d_len1, d_len2,
                          d_general, d_word_sum, split_relations,
                          leibniz_relations, proven_relation_corpus)
 from .linalg import (SPACES, TABLE_KINDS, ExactMatrix, IntEchelon,
-                     solve_unique, generators, dim_lower_bound,
+                     ModEchelon, solve_unique, generators, dim_lower_bound,
                      DimensionTable, dimension_table, dims_from_dprime,
                      weight_dims_identity, relation_search,
                      homogeneous_relation_search, relation_in_span,
@@ -51,10 +51,10 @@ __all__ = [
     "DerivativeExpression", "Relation", "d_len1", "d_len2", "d_general",
     "d_word_sum", "split_relations", "leibniz_relations",
     "proven_relation_corpus",
-    "SPACES", "TABLE_KINDS", "ExactMatrix", "IntEchelon", "solve_unique",
-    "generators", "dim_lower_bound", "DimensionTable", "dimension_table",
-    "dims_from_dprime", "weight_dims_identity", "relation_search",
-    "homogeneous_relation_search", "relation_in_span",
+    "SPACES", "TABLE_KINDS", "ExactMatrix", "IntEchelon", "ModEchelon",
+    "solve_unique", "generators", "dim_lower_bound", "DimensionTable",
+    "dimension_table", "dims_from_dprime", "weight_dims_identity",
+    "relation_search", "homogeneous_relation_search", "relation_in_span",
     "graded_relation_counts", "conjecture_series_expansion",
     "conjecture_series_check",
     "DELTA_PAIRS", "DELTA_SCALE", "EisensteinSeries", "eisenstein",

@@ -1,14 +1,17 @@
-"""Exact linear algebra over the rationals for bracket spaces.
+"""Linear algebra over the rationals for bracket spaces.
 
 Dimension questions reduce to ranks: each generator contributes the row of
 its q-expansion coefficients, independent rows prove independent elements,
 and kernel vectors of the transposed matrix are candidate linear relations.
-Everything here is exact, and all of it runs on one elimination core,
-IntEchelon: rows are cleared of denominators and reduced fraction-free over
-the integers, which gives ranks, span membership, kernel bases and unique
-solutions; fractions appear only in the final back-substitution.  Ranks
-prove lower bounds only, and every table cell says whether it is exact or a
-bound.
+
+Kernels, unique solutions, span membership and ExactMatrix.rank are exact
+and run on one elimination core, IntEchelon: rows are cleared of
+denominators and reduced fraction-free over the integers; fractions appear
+only in the final back-substitution.  The dimension tables need ranks only,
+and take them mod the prime 2^31 - 1 with ModEchelon, over rows packed into
+one integer each.  A rank mod p is at most the rank over Q, so a table cell
+is a lower bound by construction, and every cell says whether it is exact
+(all of its generators independent) or a bound.
 """
 
 from __future__ import annotations
@@ -90,10 +93,7 @@ class ExactMatrix:
         coefficient 1 at its free column, which is also its last nonzero
         entry, and 0 at the other free columns.
         """
-        ncols = self.cols
-        ech = _echelon(self.entries)
-        return [tuple(ech.kernel_vector(free, ncols))
-                for free in range(ncols) if free not in ech.pivots]
+        return _echelon(self.entries).kernel_basis(self.cols)
 
 
 class IntEchelon:
@@ -170,6 +170,92 @@ class IntEchelon:
             vec[j] = Fraction(x, den)
         return vec
 
+    def kernel_basis(self, size: int) -> List[Tuple[Fraction, ...]]:
+        """The kernel_vector of every column below size without a pivot."""
+        return [tuple(self.kernel_vector(free, size))
+                for free in range(size) if free not in self._rows]
+
+
+# the prime of ModEchelon: residues and reduction multipliers fit 31 bits
+_PRIME = 2**31 - 1
+
+
+def _mod_slot_bytes(ncols: int) -> int:
+    """Bytes per slot of a ModEchelon row over ncols columns: the bit length
+    of (ncols + 1) p^2, rounded up to whole bytes.
+
+    A vector enters add() reduced, every slot below p.  A reduction step
+    adds (p - a) times a stored row, with 1 <= p - a <= p - 1 and every slot
+    of the stored row in [0, p - 1], so it adds at most (p - 1)^2 to each
+    slot and never subtracts.  There is at most one step per stored row, and
+    at most ncols rows are stored, so a slot never exceeds
+    (p - 1) + ncols (p - 1)^2 < (ncols + 1) p^2 < 2^(8 * width).  No slot
+    carries into its neighbour, and each slot of the packed sum is the exact
+    integer sum of its column.
+    """
+    return (((ncols + 1) * _PRIME * _PRIME).bit_length() + 7) // 8
+
+
+class ModEchelon:
+    """Incremental row echelon mod the prime p = 2^31 - 1, for ranks only.
+
+    pack() reduces a row of ncols integers mod p into one Python int, column
+    j in slot ncols - 1 - j of _mod_slot_bytes(ncols) bytes, so column 0
+    sits in the highest slot and a row with leading zeros is a smaller int.
+    The packing depends only on ncols: rows packed once serve every echelon
+    of that width.  add() walks the pivot columns in ascending order; at
+    pivot c it reads a = slot c mod p and, if a != 0, adds (p - a) times the
+    stored row, whose slot c is 1 and whose earlier slots are 0.  That is
+    one big-integer multiply-add per step.  After the walk the vector is
+    unpacked once; its first nonzero residue is the new lead, and the row is
+    stored reduced mod p and normalised to a leading 1.
+
+    The rank mod p is at most the rank over Q: a minor that vanishes over
+    the integers vanishes mod p.  So 1 + rank is a lower bound for a
+    dimension by construction, and full rank mod p proves full rank.
+    Kernels and solutions need exact arithmetic and go through IntEchelon.
+    """
+
+    def __init__(self, ncols: int) -> None:
+        self._ncols = ncols
+        self._width = _mod_slot_bytes(ncols)
+        self._rows: Dict[int, int] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def pack(self, vector: Sequence[int]) -> int:
+        """The vector reduced mod p, packed one slot per column."""
+        if len(vector) != self._ncols:
+            raise ValueError(
+                f"expected {self._ncols} entries, got {len(vector)}")
+        width = self._width
+        return int.from_bytes(b"".join((x % _PRIME).to_bytes(width, "big")
+                                       for x in vector), "big")
+
+    def add(self, packed: int) -> bool:
+        """Absorb a vector made by pack(); True if it was independent mod p
+        of the rows so far."""
+        width = self._width
+        bits = 8 * width
+        mask = (1 << bits) - 1
+        top = (self._ncols - 1) * bits
+        vec = packed
+        for c in sorted(self._rows):
+            a = ((vec >> (top - c * bits)) & mask) % _PRIME
+            if a:
+                vec += (_PRIME - a) * self._rows[c]
+        raw = vec.to_bytes(self._ncols * width, "big")
+        residues = [int.from_bytes(raw[i:i + width], "big") % _PRIME
+                    for i in range(0, len(raw), width)]
+        lead = next((j for j, x in enumerate(residues) if x), None)
+        if lead is None:
+            return False
+        inverse = pow(residues[lead], -1, _PRIME)
+        self._rows[lead] = self.pack([x * inverse for x in residues])
+        return True
+
 
 def _echelon(rows: Iterable[Sequence[Fraction]]) -> IntEchelon:
     ech = IntEchelon()
@@ -236,28 +322,30 @@ def _series_order(order: int | None, n_generators: int, max_length: int,
     return order
 
 
-def _coefficient_rows(comps: Sequence[Parts], order: int) -> Dict[Parts, Tuple[int, ...]]:
-    """Integer coefficient rows (cleared denominators) for each composition."""
+def _packed_rows(comps: Sequence[Parts], order: int) -> Dict[Parts, int]:
+    """The coefficients of q^1..q^order of each composition's bracket
+    (numerators over the series denominator), packed by ModEchelon(order)."""
     series = bracket_series_many(comps, order)
-    return {c: series[c].nums[1:] for c in comps}
+    packer = ModEchelon(order)
+    return {c: packer.pack(series[c].nums[1:]) for c in comps}
 
 
 def dim_lower_bound(space: str, k: int, l: int, order: int | None = None) -> int:
-    """1 + rank of the coefficient matrix of the generators with weight <= k
-    and length <= l (the constant series accounts for the 1).
+    """1 + rank mod p of the coefficient matrix of the generators with
+    weight <= k and length <= l (the constant series accounts for the 1).
 
-    A lower bound for the dimension by construction: more coefficients can
-    only reveal more independence, never less.
+    A lower bound for the dimension by construction: the rank mod p is at
+    most the rank over Q, and more coefficients can only reveal more
+    independence, never less.
     """
     gens = generators(space, k, l)
     if not gens:
         return 1
     longest = max(len(c) for c in gens)
     order = _series_order(order, len(gens), longest, "dim_lower_bound")
-    ech = IntEchelon()
-    rows = _coefficient_rows(gens, order)
-    for c in gens:
-        ech.add(rows[c])
+    ech = ModEchelon(order)
+    for row in _packed_rows(gens, order).values():
+        ech.add(row)
     return 1 + ech.rank
 
 
@@ -325,28 +413,32 @@ class DimensionTable:
 
 def dimension_table(space: str, max_weight: int, order: int | None = None,
                     kind: str = "fil") -> DimensionTable:
-    """Dimension table computed from coefficient ranks.
+    """Dimension table computed from coefficient ranks mod p.
 
-    Fil cells are honest lower bounds (exact when the generators are fully
-    independent).  gr cells are differences of Fil cells, so when any of the
-    four inputs is itself a bound the tag stays lower_bound, meaning only
-    "computed from bounds", not a bound in either direction.
+    Fil cell (k, l) is 1 + the rank mod p of the coefficient rows of the
+    generators of weight <= k and length <= l, through q^order (see
+    _series_order for the default and the checks on an explicit order).
+    Each is a lower bound by construction, and exact when all of its
+    generators are independent mod p, which proves them independent over Q.
+    The rows are packed once and shared by the echelons of every weight.
+    gr cells are differences of Fil cells, so when any of the four inputs is
+    itself a bound the tag stays lower_bound, meaning only "computed from
+    bounds", not a bound in either direction.
     """
     space = _require_space(space)
     kind = _require_kind(kind)
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
-    admissible = space == "mda"
     all_gens = generators(space, max_weight)
-    if order is None:
-        order = max(get_config().default_order, 2 * max(len(all_gens), 1))
-    rows = _coefficient_rows(all_gens, order) if all_gens else {}
+    longest = max((len(c) for c in all_gens), default=0)
+    order = _series_order(order, len(all_gens), longest, "dimension_table")
+    rows = _packed_rows(all_gens, order) if all_gens else {}
 
     fil: Dict[Cell, Tuple[int, str]] = {}
     for k in range(max_weight + 1):
         fil[(k, 0)] = (1, "exact")
         gens_k = [c for c in all_gens if sum(c) <= k]
-        ech = IntEchelon()
+        ech = ModEchelon(order)
         count = 0
         for l in range(1, k + 1):
             for c in gens_k:
@@ -468,9 +560,16 @@ def weight_dims_identity(dprime: Mapping[Cell, int],
 
 def _candidate_relations(columns: Sequence[Parts], order: int) -> List[Relation]:
     series = bracket_series_many(columns, order)
-    matrix = ExactMatrix.from_rows(zip(*(series[c].coeffs for c in columns)))
+    # column c scaled by common / den_c: common times the coefficient
+    # matrix, in integers, with the same kernel basis
+    common = lcm(*(series[c].den for c in columns))
+    scaled = [[x * (common // series[c].den) for x in series[c].nums[1:]]
+              for c in columns]
+    ech = IntEchelon()
+    for row in zip(*scaled):
+        ech.add(row)
     relations = []
-    for vec in matrix.kernel_basis():
+    for vec in ech.kernel_basis(len(columns)):
         body = WordSum((c, x) for c, x in zip(columns, vec) if x)
         relation = Relation(body, "numeric-kernel", order)
         if not relation.check(order):

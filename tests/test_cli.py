@@ -156,6 +156,15 @@ def test_dims_bad_weight(capsys):
     assert code == 2
 
 
+def test_dims_order_too_low_for_the_longest_generator(capsys):
+    # (2,1,1,1,1) first appears at q^15
+    code, out, err = run(capsys, "dims", "--space", "mda", "--max-weight",
+                         "6", "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert "cannot see a length-5 generator" in err
+
+
 def test_relations_golden(capsys):
     code, out, _ = run(capsys, "relations", "--weight", "4", "--length", "2",
                        "--order", "200")
@@ -284,6 +293,14 @@ GOLDEN_SHA256 = {
         "dea775fb02dd5aebcb06c612e406c9683e8722ff59463472ba839d12cf075daa",
     "--format json verify --quick":
         "5f4bb3451157e43d68d2138ec31e330f923d90d11747672bdd700ea4b059e246",
+    "--format json dims --space mda --max-weight 8":
+        "3e196a1128a28e83e0acb14c2626d817c065c952c219f48e293eb66c0adb5575",
+    "dims --space md --max-weight 7 --kind gr":
+        "d5bf3e511c45bdb039b34ad6306719b65c83289d07348b657f22ef3cbdbfc3ac",
+    "--format csv dims --space mda --max-weight 7":
+        "0fe8477aa8d4b34d3e16a9b57a28b066d01239c86652095d7c364e49b4c29186",
+    "--format json relations --weight 7 --length 7":
+        "7421a16e36ee5da999fb9b7153f49429dd87e9e9f524a9dd5c92cb9440efb83f",
 }
 
 

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (ExactMatrix, IntEchelon, conjecture_series_check,
-                       conjecture_series_expansion, dim_lower_bound,
-                       dimension_table, dims_from_dprime, generators,
-                       graded_relation_counts, homogeneous_relation_search,
-                       relation_in_span, relation_search, solve_unique,
-                       weight_dims_identity)
+from qbrackets import (ExactMatrix, IntEchelon, ModEchelon,
+                       conjecture_series_check, conjecture_series_expansion,
+                       dim_lower_bound, dimension_table, dims_from_dprime,
+                       generators, graded_relation_counts,
+                       homogeneous_relation_search, relation_in_span,
+                       relation_search, solve_unique, weight_dims_identity)
+from qbrackets import linalg
 from qbrackets.checks import RELATION_COUNTS_LOW
+
+P = 2**31 - 1
 
 
 def test_rank_golden():
@@ -160,6 +163,127 @@ def test_solve_unique_matches_reference():
         augmented = [row + [b] for row, b in zip(rows, rhs)]
         reference = _reference_rref(augmented, n + 1)
         assert solve_unique(rows, rhs) == [reference[j][n] for j in range(n)]
+
+
+def _mod_reference(rows):
+    """Row echelon mod P on plain lists, in ModEchelon's step order (pivots
+    ascending), each stored row reduced and normalised to a leading 1."""
+    pivots = {}
+    for row in rows:
+        vec = [x % P for x in row]
+        for c in sorted(pivots):
+            a = vec[c]
+            if a:
+                vec = [(x - a * y) % P for x, y in zip(vec, pivots[c])]
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        if lead is not None:
+            inverse = pow(vec[lead], -1, P)
+            pivots[lead] = [x * inverse % P for x in vec]
+    return pivots
+
+
+def _mod_echelon(rows, ncols):
+    """(rank, stored rows unpacked) of a ModEchelon fed the rows in order."""
+    ech = ModEchelon(ncols)
+    for row in rows:
+        ech.add(ech.pack(row))
+    width = ech._width
+    unpacked = {}
+    for c, packed in ech._rows.items():
+        raw = packed.to_bytes(ncols * width, "big")
+        unpacked[c] = [int.from_bytes(raw[i:i + width], "big")
+                       for i in range(0, len(raw), width)]
+    return ech.rank, unpacked
+
+
+# small entries, multiples of P and their neighbours
+mod_entry = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=-3, max_value=3).map(lambda m: m * P),
+    st.integers(min_value=-3, max_value=3).map(lambda m: m * P + 1))
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(mod_entry, min_size=n, max_size=n),
+                       min_size=1, max_size=6)))
+@settings(max_examples=80, deadline=None)
+def test_mod_rank_at_most_exact_rank(rows):
+    ncols = len(rows[0])
+    rank, stored = _mod_echelon(rows, ncols)
+    assert stored == _mod_reference(rows)
+    assert rank == len(stored) <= ExactMatrix.from_rows(rows).rank()
+
+
+def test_mod_rank_undershoot_is_never_exact(monkeypatch):
+    # p * e_0 vanishes mod p: rank 1 where the exact rank is 2
+    assert _mod_echelon([[P, 0], [0, 1]], 2)[0] == 1
+    assert ExactMatrix.from_rows([[P, 0], [0, 1]]).rank() == 2
+
+    # the same undershoot inside a table: (2,) -> p e_0, (3,) -> e_1,
+    # (2,1) -> e_2; every cell holding (2,) is short, so it is a bound
+    def packed_rows(comps, order):
+        packer = ModEchelon(order)
+        unit = {(2,): (0, P), (3,): (1, 1), (2, 1): (2, 1)}
+        rows = {}
+        for c in comps:
+            row = [0] * order
+            j, x = unit[c]
+            row[j] = x
+            rows[c] = packer.pack(row)
+        return rows
+
+    monkeypatch.setattr(linalg, "_packed_rows", packed_rows)
+    table = dimension_table("mda", 3)
+    assert table.cells[(2, 1)] == (1, "lower_bound")
+    assert table.cells[(3, 1)] == (2, "lower_bound")
+    assert table.cells[(3, 2)] == (3, "lower_bound")
+
+
+def test_mod_slot_width_holds_the_worst_case(monkeypatch):
+    """Stored row c is 1 at column c and P-1 right of it; the last vector is
+    chosen so that its slot c is 1 mod P when pivot c is reached, so each of
+    its six steps adds (P-1)^2 to every later slot.  Its last slot reaches
+    (P-5) + 6 (P-1)^2 > 2^64: nine bytes hold it, eight do not."""
+    n = 7
+    rows = [[0] * c + [1] + [P - 1] * (n - 1 - c) for c in range(n - 1)]
+    rows.append([(1 - c) % P for c in range(n)])
+    reference = _mod_reference(rows)
+    assert len(reference) == n
+    width = linalg._mod_slot_bytes(n)
+    assert width == 9
+    assert _mod_echelon(rows, n) == (n, reference)
+
+    monkeypatch.setattr(linalg, "_mod_slot_bytes", lambda ncols: width - 1)
+    assert _mod_echelon(rows, n) != (n, reference)
+
+
+class _ExactRank(IntEchelon):
+    """IntEchelon behind ModEchelon's interface: the exact reference."""
+
+    def __init__(self, ncols):
+        super().__init__()
+
+    def pack(self, vector):
+        return vector
+
+
+@pytest.mark.parametrize("space,max_weight",
+                         [("mda", w) for w in range(2, 9)]
+                         + [("md", w) for w in range(1, 8)])
+def test_mod_rank_tables_equal_exact(monkeypatch, space, max_weight):
+    for kind in ("fil", "gr"):
+        table = dimension_table(space, max_weight, kind=kind)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "ModEchelon", _ExactRank)
+            exact = dimension_table(space, max_weight, kind=kind)
+        assert table == exact
+
+
+def test_dimension_table_checks_an_explicit_order():
+    with pytest.raises(ValueError, match="cannot see a length-5 generator"):
+        dimension_table("mda", 6, order=5)
+    with pytest.warns(RuntimeWarning, match="below the recommended"):
+        dimension_table("mda", 5, order=20)
 
 
 def test_generators_listing():
