@@ -34,7 +34,7 @@ from .modular import (DELTA_PAIRS, DELTA_SCALE, EisensteinSeries, eisenstein,
 from .zeta import (MzvValue, mzv, mzv_oracle, ZImage, Z_k_symbolic,
                    ZPolynomial, Z_k_alg, LimitEstimate, limit_diagnostic,
                    modified_qzeta, coefficient_growth_report)
-from .config import Config, load_config, get_config, set_config
+from .config import Config, ResourceCap, load_config, get_config, set_config
 from .checks import REGISTRY, CheckResult, first_failure, run_suite
 
 __all__ = [
@@ -65,6 +65,6 @@ __all__ = [
     "MzvValue", "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic", "ZPolynomial",
     "Z_k_alg", "LimitEstimate", "limit_diagnostic", "modified_qzeta",
     "coefficient_growth_report",
-    "Config", "load_config", "get_config", "set_config",
+    "Config", "ResourceCap", "load_config", "get_config", "set_config",
     "REGISTRY", "CheckResult", "first_failure", "run_suite",
 ]

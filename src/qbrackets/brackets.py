@@ -26,6 +26,7 @@ from math import comb, factorial, prod
 from operator import index
 from typing import Iterable, Sequence
 
+from .config import ResourceCap, get_config
 from .numbers import eulerian_polynomial
 from .series import QSeries
 
@@ -140,6 +141,12 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
     intermediate value is at most the final sigma_t(m) of its node, which
     fits a slot by the _slot_bytes bound; a dropped tail is below
     2^(u*v*slot bits) and leaves nothing behind.
+
+    Every command and library call that needs series passes through here,
+    so this is the one place the work cap is enforced: a sweep whose nodes
+    (the suffixes of the compositions not already cached) times order exceed
+    max_cells raises ResourceCap before any allocation, and leaves
+    _SIGMA_CACHE as it was.
     """
     out: dict[Parts, list[int]] = {}
     todo: set[Parts] = set()
@@ -153,6 +160,11 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
         return out
 
     nodes = {c[i:] for c in todo for i in range(len(c))}
+    cells, cap = len(nodes) * order, get_config().max_cells
+    if cells > cap:
+        raise ResourceCap(f"{len(nodes)} suffix rows x order {order} = "
+                          f"{cells} coefficient cells exceed the cap of "
+                          f"{cap} (raise --max-cells)")
     width = _slot_bytes(nodes, order)
     bits = 8 * width
     powers = {s: [v ** (s - 1) for v in range(order + 1)]

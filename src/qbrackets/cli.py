@@ -3,8 +3,7 @@
 Exit codes: 0 success, 2 usage or parse error, 3 verification failure,
 4 resource cap exceeded.  Output depends only on the effective options
 (flags override QBRACKETS_* environment variables, which override the
-built-in defaults); in particular --threads never changes the bytes
-written.
+built-in defaults).
 """
 
 from __future__ import annotations
@@ -18,10 +17,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .brackets import bracket_series
 from .checks import REGISTRY, first_failure, run_suite
-from .config import Config, load_config, set_config
+from .config import FORMATS, Config, ResourceCap, load_config, set_config
 from .derivation import d_general
-from .linalg import SPACES, TABLE_KINDS, dimension_table, generators, \
-    relation_search
+from .linalg import SPACES, TABLE_KINDS, dimension_table, relation_search
 from .words import OnePolynomial, WordSum, decompose_in_one, evaluate, \
     quasi_shuffle
 
@@ -32,10 +30,6 @@ EXIT_RESOURCE = 4
 
 
 class UsageError(ValueError):
-    pass
-
-
-class ResourceCap(RuntimeError):
     pass
 
 
@@ -120,8 +114,6 @@ def _polynomial_lines(poly: OnePolynomial, fmt: str,
 def cmd_series(args, cfg: Config) -> int:
     parts = parse_parts(args.parts)
     order = args.order if args.order is not None else cfg.default_order
-    _require_cells(f"{len(parts)} parts x order {order}",
-                   len(parts) * order, cfg)
     series = bracket_series(parts, order)
     for line in _series_lines(parts, series, cfg.output_format):
         print(line)
@@ -161,26 +153,9 @@ def cmd_decompose(args, cfg: Config) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _require_cells(what: str, cells: int, cfg: Config) -> None:
-    if cells > cfg.max_cells:
-        raise ResourceCap(
-            f"{what} = {cells} coefficient cells exceed the cap of "
-            f"{cfg.max_cells} (raise --max-cells)")
-
-
-def _guard_cells(space: str, max_weight: int, max_length: Optional[int],
-                 order: Optional[int], cfg: Config) -> None:
-    gens = generators(space, max_weight, max_length)
-    used = order if order is not None else max(cfg.default_order,
-                                               2 * len(gens))
-    _require_cells(f"{len(gens)} generators x order {used}",
-                   len(gens) * used, cfg)
-
-
 def cmd_dims(args, cfg: Config) -> int:
     if args.max_weight < 0:
         raise UsageError("--max-weight must be nonnegative")
-    _guard_cells(args.space, args.max_weight, None, args.order, cfg)
     table = dimension_table(args.space, args.max_weight, args.order,
                             kind=args.kind)
     if cfg.output_format == "json":
@@ -206,7 +181,6 @@ def cmd_dims(args, cfg: Config) -> int:
 def cmd_relations(args, cfg: Config) -> int:
     if args.weight < 1 or args.length < 1:
         raise UsageError("--weight and --length must be positive")
-    _guard_cells(args.space, args.weight, args.length, args.order, cfg)
     rels = relation_search(args.space, args.weight, args.length, args.order)
     if cfg.output_format == "json":
         print(json.dumps({"space": args.space, "weight": args.weight,
@@ -265,15 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbrackets",
         description="Exact arithmetic for generating functions of multiple "
                     "divisor sums.")
-    parser.add_argument("--format", choices=("text", "json", "csv"),
+    parser.add_argument("--format", choices=FORMATS, dest="output_format",
                         help="output format (default from QBRACKETS_FORMAT "
                              "or text)")
-    parser.add_argument("--threads", type=int,
-                        help="worker cap; accepted for compatibility, never "
-                             "changes the output")
     parser.add_argument("--max-cells", type=int, dest="max_cells",
-                        help="abort series and table commands above this "
-                             "many coefficient cells (exit code 4)")
+                        help="any command exits 4 before a series sweep that "
+                             "would hold more than this many cells (suffix "
+                             "rows x order)")
     parser.add_argument("--mzv-target-error", type=float,
                         dest="mzv_target_error",
                         help="requested bound for zeta value evaluations")
@@ -318,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("verify", help="run the named identity checks")
-    p.add_argument("--suite", choices=("paper",), default="paper",
-                   help="which suite to run (only one is defined)")
     p.add_argument("--quick", action="store_true",
                    help="fast subset of the suite")
     p.add_argument("--only", help="comma-separated check names")
@@ -330,25 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args) -> Config:
-    cfg = load_config()
-    overrides = {}
-    if args.format is not None:
-        overrides["output_format"] = args.format
+    """The environment's config with the global flags that were given laid
+    over it; Config itself range-checks the values from both sources."""
     if getattr(args, "order", None) is not None and args.order < 0:
         raise UsageError("--order must be nonnegative")
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError("--threads must be at least 1")
-        overrides["threads"] = args.threads
-    if args.max_cells is not None:
-        if args.max_cells < 1:
-            raise UsageError("--max-cells must be at least 1")
-        overrides["max_cells"] = args.max_cells
-    if args.mzv_target_error is not None:
-        if not args.mzv_target_error > 0:
-            raise UsageError("--mzv-target-error must be positive")
-        overrides["mzv_target_error"] = args.mzv_target_error
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    overrides = {field: getattr(args, field)
+                 for field in ("output_format", "max_cells", "mzv_target_error")
+                 if getattr(args, field) is not None}
+    return dataclasses.replace(load_config(), **overrides)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,35 +1,48 @@
 """Runtime configuration: built-in defaults, overridable by environment
-variables (prefix QBRACKETS_), which are in turn overridden by CLI flags."""
+variables (prefix QBRACKETS_), which are in turn overridden by CLI flags.
+Every Config is range-checked when it is made, whatever its source."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 ENV_PREFIX = "QBRACKETS_"
+FORMATS = ("text", "json", "csv")
+
+
+class ResourceCap(RuntimeError):
+    """A series sweep would hold more than max_cells coefficient cells."""
 
 
 @dataclass(frozen=True)
 class Config:
     default_order: int = 120
     mzv_target_error: float = 1e-10
-    output_format: str = "text"      # text | json | csv
-    threads: int = 1
-    max_cells: int = 2_000_000       # cell cap for series and table commands
+    output_format: str = "text"
+    max_cells: int = 2_000_000       # cap on suffix rows x order per sweep
+
+    def __post_init__(self) -> None:
+        if self.output_format not in FORMATS:
+            raise ValueError(f"unknown output format {self.output_format!r}")
+        if self.max_cells < 1:
+            raise ValueError(f"max_cells must be at least 1, got "
+                             f"{self.max_cells}")
+        if not self.mzv_target_error > 0:
+            raise ValueError(f"mzv_target_error must be positive, got "
+                             f"{self.mzv_target_error}")
 
 
 _ENV_FIELDS = {
     "ORDER": ("default_order", int),
     "MZV_TARGET_ERROR": ("mzv_target_error", float),
     "FORMAT": ("output_format", str),
-    "THREADS": ("threads", int),
     "MAX_CELLS": ("max_cells", int),
 }
 
 
 def load_config(environ: dict | None = None) -> Config:
     env = os.environ if environ is None else environ
-    cfg = Config()
     updates = {}
     for key, (field, cast) in _ENV_FIELDS.items():
         raw = env.get(ENV_PREFIX + key)
@@ -39,11 +52,7 @@ def load_config(environ: dict | None = None) -> Config:
             updates[field] = cast(raw)
         except ValueError as exc:
             raise ValueError(f"bad value for {ENV_PREFIX + key}: {raw!r}") from exc
-    if updates:
-        cfg = replace(cfg, **updates)
-    if cfg.output_format not in ("text", "json", "csv"):
-        raise ValueError(f"unknown output format {cfg.output_format!r}")
-    return cfg
+    return Config(**updates)
 
 
 _ACTIVE: Config | None = None

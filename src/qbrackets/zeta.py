@@ -178,7 +178,7 @@ def mzv(c: Sequence[int], target_error: float | None = None) -> MzvValue:
     if target_error is None:
         target_error = get_config().mzv_target_error
     target_error = float(target_error)
-    if target_error <= 0:
+    if not target_error > 0:
         raise ValueError("target_error must be positive")
     for level in range(_LEVELS):
         out = _MZV_CACHE.get((comp, level))

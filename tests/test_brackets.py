@@ -1,15 +1,16 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (Composition, QSeries, bracket_series, bracket_series_many,
-                       bracket_series_oracle, bracket_series_oracle_many,
-                       canonical_key, compositions_up_to,
-                       multiple_divisor_sum, partition_counts,
-                       partition_identity_check)
+from qbrackets import (Composition, QSeries, ResourceCap, bracket_series,
+                       bracket_series_many, bracket_series_oracle,
+                       bracket_series_oracle_many, canonical_key,
+                       compositions_up_to, get_config, multiple_divisor_sum,
+                       partition_counts, partition_identity_check, set_config)
 from qbrackets import brackets
 from qbrackets.brackets import _SIGMA_CACHE, _sigma_lists, _slot_bytes
 from qbrackets.checks import SERIES_EXAMPLES
@@ -140,6 +141,38 @@ def test_cache_keeps_a_suffix_row_of_higher_order(monkeypatch):
     assert brackets._SIGMA_CACHE[(2, 1)][0] == 40
     assert brackets._SIGMA_CACHE[(1,)][0] == 40
     assert bracket_series((2, 1), 40) == longer
+
+
+@pytest.fixture
+def cap_cells(monkeypatch):
+    """A cold sweep cache, and a setter for the active config's max_cells."""
+    monkeypatch.setattr(brackets, "_SIGMA_CACHE", {})
+    before = get_config()
+    yield lambda n: set_config(replace(before, max_cells=n))
+    set_config(before)
+
+
+def test_sweep_cap_counts_suffix_rows_times_order(cap_cells):
+    # suffix rows (3, 2, 1), (2, 1), (1,) at order 40: 120 cells
+    comps, order = [(2, 1), (3, 2, 1)], 40
+    cap_cells(119)
+    with pytest.raises(ResourceCap, match="3 suffix rows x order 40 = 120 "
+                                          "coefficient cells exceed"):
+        bracket_series_many(comps, order)
+    assert brackets._SIGMA_CACHE == {}
+    slow = bracket_series_oracle_many(comps, order)  # the oracle is not capped
+    cap_cells(120)
+    assert bracket_series_many(comps, order) == slow
+
+
+def test_sweep_cap_never_counts_cached_rows(cap_cells):
+    comps = [(2, 1), (3, 2, 1)]
+    warm = bracket_series_many(comps, 40)
+    cap_cells(1)
+    assert bracket_series_many(comps, 40) == warm
+    assert bracket_series((1,), 30) == bracket_series_oracle((1,), 30)
+    with pytest.raises(ResourceCap):
+        bracket_series_many(comps, 41)
 
 
 def test_partition_counts_golden():

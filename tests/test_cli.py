@@ -1,13 +1,20 @@
 import hashlib
 import json
 import os
+import re
+from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qbrackets import QSeries, bracket_series, get_config, set_config
+from qbrackets import (Config, QSeries, bracket_series, brackets, get_config,
+                       set_config)
 from qbrackets.checks import Check, CheckFailure
 from qbrackets.cli import main
+from qbrackets.config import ENV_PREFIX, _ENV_FIELDS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -21,6 +28,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty sweep cache, so a cap test sees every row it asks for."""
+    monkeypatch.setattr(brackets, "_SIGMA_CACHE", {})
+    return brackets._SIGMA_CACHE
 
 
 def test_series_text(capsys):
@@ -126,21 +140,48 @@ def test_dims_out_file(tmp_path, capsys):
     assert content.startswith("space,kind,k,l,value,certainty")
 
 
-def test_dims_resource_cap(capsys):
+def test_dims_resource_cap(capsys, cold_cache):
     code, _, err = run(capsys, "--max-cells", "50", "dims", "--space", "mda",
                        "--max-weight", "6")
     assert code == 4
     assert "exceed" in err
 
 
-def test_series_resource_cap(capsys, monkeypatch):
-    # 3 parts x order 1000 = 3000 cells, refused before any series work
-    monkeypatch.setattr("qbrackets.cli.bracket_series", None)
+def test_series_resource_cap(capsys, cold_cache):
+    # 3 suffix rows x order 1000 = 3000 cells, refused before any series work
     code, out, err = run(capsys, "--max-cells", "2999", "series", "4,4,4",
                          "--order", "1000")
     assert code == 4
     assert out == ""
     assert "3000 coefficient cells exceed" in err
+    assert cold_cache == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ("product", "1", "2", "--order", "50"),
+    ("derive", "2,1,1", "--order", "40"),
+    ("decompose", "1,2", "--order", "30"),
+    ("verify", "--only", "rank-example"),
+])
+def test_every_sweeping_command_is_capped(capsys, cold_cache, argv):
+    code, out, err = run(capsys, "--max-cells", "1", *argv)
+    assert code == 4
+    assert out == ""
+    assert "coefficient cells exceed the cap of 1" in err
+
+
+@pytest.mark.parametrize("space, weight, cells", [
+    ("mda", 11, 2_616_834), ("md", 10, 2_093_058)])
+def test_default_cap_refuses_the_large_tables(capsys, monkeypatch,
+                                              cold_cache, space, weight,
+                                              cells):
+    monkeypatch.delenv("QBRACKETS_MAX_CELLS", raising=False)
+    code, out, err = run(capsys, "dims", "--space", space, "--max-weight",
+                         str(weight))
+    assert code == 4
+    assert out == ""
+    assert f"{cells} coefficient cells exceed the cap of 2000000" in err
+    assert cold_cache == {}
 
 
 def test_series_high_order_under_default_cap(capsys, monkeypatch):
@@ -230,7 +271,7 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     fake = (Check("always-fails", "test double", True, boom),
             Check("never-runs-red", "test double", True, lambda: "fine"))
     monkeypatch.setattr("qbrackets.checks.REGISTRY", fake)
-    code, out, err = run(capsys, "verify", "--suite", "paper")
+    code, out, err = run(capsys, "verify")
     assert code == 3
     assert "FAIL always-fails" in out
     assert "first failure: always-fails" in err
@@ -254,17 +295,40 @@ def test_environment_order_default(capsys, monkeypatch):
     assert out.strip().endswith("O(q^5)")
 
 
-def test_threads_never_change_bytes(capsys):
-    _, out1, _ = run(capsys, "--threads", "1", "verify", "--only",
-                     "rank-example")
-    _, out2, _ = run(capsys, "--threads", "7", "verify", "--only",
-                     "rank-example")
-    assert out1 == out2
-
-
-def test_bad_thread_count(capsys):
-    code, _, _ = run(capsys, "--threads", "0", "series", "2")
+@pytest.mark.parametrize("flag, variable, value", [
+    ("--max-cells", "MAX_CELLS", "0"),
+    ("--max-cells", "MAX_CELLS", "-3"),
+    ("--mzv-target-error", "MZV_TARGET_ERROR", "0"),
+    ("--mzv-target-error", "MZV_TARGET_ERROR", "nan"),
+    ("--format", "FORMAT", "yaml"),
+])
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_bad_values_exit_2_from_either_source(capsys, monkeypatch, flag,
+                                              variable, value, source):
+    argv = ["verify", "--only", "mzv-relations"]
+    if source == "flag":
+        argv = [flag, value] + argv
+    else:
+        monkeypatch.setenv(ENV_PREFIX + variable, value)
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_readme_documents_exactly_the_knobs(capsys):
+    readme = README.read_text(encoding="utf-8")
+    flags = readme.split("Global flags (before the subcommand):")[1]
+    documented = set(re.findall(r"^- `(--[a-z-]+)", flags.split("###")[0],
+                                re.M))
+    table = set(re.findall(rf"^\| `{ENV_PREFIX}(\w+)`", readme, re.M))
+    assert table == set(_ENV_FIELDS)
+    assert sorted(f for f, _ in _ENV_FIELDS.values()) == \
+        sorted(f.name for f in fields(Config))
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    shown = set(re.findall(r"^ +(--[a-z-]+)", out, re.M)) - {"--help"}
+    assert shown == documented
 
 
 def test_help_exits_zero(capsys):

@@ -8,7 +8,6 @@ def test_defaults():
     assert cfg.default_order == 120
     assert cfg.mzv_target_error == 1e-10
     assert cfg.output_format == "text"
-    assert cfg.threads == 1
     assert cfg.max_cells == 2_000_000
 
 
@@ -16,13 +15,11 @@ def test_environment_overrides():
     cfg = load_config(environ={
         "QBRACKETS_ORDER": "40",
         "QBRACKETS_FORMAT": "json",
-        "QBRACKETS_THREADS": "3",
         "QBRACKETS_MZV_TARGET_ERROR": "1e-6",
         "QBRACKETS_MAX_CELLS": "1000",
     })
     assert cfg.default_order == 40
     assert cfg.output_format == "json"
-    assert cfg.threads == 3
     assert cfg.mzv_target_error == 1e-6
     assert cfg.max_cells == 1000
 
@@ -37,6 +34,16 @@ def test_invalid_environment_rejected():
         load_config(environ={"QBRACKETS_ORDER": "many"})
     with pytest.raises(ValueError):
         load_config(environ={"QBRACKETS_FORMAT": "yaml"})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("output_format", "yaml"), ("max_cells", 0), ("max_cells", -3),
+    ("mzv_target_error", 0.0), ("mzv_target_error", float("nan")),
+])
+def test_config_rejects_out_of_range_values(field, value):
+    # load_config and dataclasses.replace both construct through this check
+    with pytest.raises(ValueError):
+        Config(**{field: value})
 
 
 def test_active_config_round_trip():

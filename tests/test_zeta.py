@@ -101,6 +101,14 @@ def test_mzv_target_only_picks_the_level(cold_mzv_cache):
         mzv((2,), 1e-300)
 
 
+@pytest.mark.parametrize("target", [0.0, -1e-10, float("nan")])
+def test_mzv_rejects_a_target_that_is_not_positive(cold_mzv_cache, target):
+    # NaN compares false both ways; it must be refused before any level runs
+    with pytest.raises(ValueError):
+        mzv((3,), target)
+    assert cold_mzv_cache == {}
+
+
 @pytest.mark.parametrize("index, value, bound", [
     ((2,), "1.6449340668482264364724151666460251892189499012068", "1.0e-48"),
     ((3, 1), "0.27058080842778454787900092413529197569368773797968",
