@@ -27,7 +27,7 @@ from operator import index
 from typing import Iterable, Sequence
 
 from .config import ResourceCap, get_config
-from .numbers import eulerian_polynomial
+from .numbers import as_composition, eulerian_polynomial
 from .series import QSeries
 
 Parts = tuple[int, ...]
@@ -39,10 +39,7 @@ class Composition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        t = tuple(int(p) for p in parts)
-        if any(p < 1 for p in t):
-            raise ValueError(f"composition parts must be positive: {t}")
-        return super().__new__(cls, t)
+        return super().__new__(cls, as_composition(parts))
 
     @property
     def weight(self) -> int:
@@ -69,7 +66,8 @@ def canonical_key(parts: Sequence[int]) -> tuple[int, int, Parts]:
 
 def multiple_divisor_sum(r: Sequence[int], n: int) -> int:
     """sigma_{r_1,...,r_l}(n) by direct enumeration of the (u, v) tuples."""
-    r = tuple(r)
+    r = tuple(map(index, r))
+    n = index(n)
     if not r:
         raise ValueError("r must be non-empty")
     if any(x < 0 for x in r):
@@ -195,16 +193,11 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
 
 
 def _validated(comps: Iterable[Sequence[int]], order: int) -> list[Parts]:
-    """The compositions as tuples of ints, after the checks every series
-    entry point makes; () is the empty bracket and is valid.  A part that is
-    not an integer raises TypeError before any work reaches the exact cache."""
+    """The compositions through as_composition, after the order check every
+    series entry point makes, so no bad input reaches the exact cache."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    out = [tuple(map(index, c)) for c in comps]
-    for comp in out:
-        if any(p < 1 for p in comp):
-            raise ValueError(f"composition parts must be positive: {comp}")
-    return out
+    return [as_composition(c) for c in comps]
 
 
 def _denominator(comp: Parts) -> int:
@@ -224,8 +217,8 @@ def bracket_series_many(comps: Iterable[Parts], order: int) -> dict[Parts, QSeri
 
 def bracket_series(c: Sequence[int], order: int) -> QSeries:
     """The bracket [c] as an exact series through q^order."""
-    comp = tuple(c)
-    return _series_many(_validated([comp], order), order)[comp]
+    [comp] = _validated([c], order)
+    return _series_many([comp], order)[comp]
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +256,8 @@ def _kernel_row(s: int, n_max: int) -> tuple[int, ...]:
 
 def bracket_series_oracle(c: Sequence[int], order: int) -> QSeries:
     """Independent recomputation of bracket_series; see the module docstring."""
-    comp = tuple(c)
-    return _oracle_many(_validated([comp], order), order)[comp]
+    [comp] = _validated([c], order)
+    return _oracle_many([comp], order)[comp]
 
 
 def _oracle_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:

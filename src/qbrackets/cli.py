@@ -29,22 +29,14 @@ EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
 
 
-class UsageError(ValueError):
-    pass
-
-
 def parse_parts(text: str) -> Tuple[int, ...]:
-    """A composition: comma-separated positive integers, leftmost first."""
-    pieces = [p.strip() for p in text.split(",")]
+    """A composition: comma-separated integers, leftmost first; the library
+    checks that the parts are positive."""
     try:
-        parts = tuple(int(p) for p in pieces)
+        return tuple(map(int, text.split(",")))
     except ValueError:
-        raise UsageError(f"composition {text!r} is not a comma-separated "
+        raise ValueError(f"composition {text!r} is not a comma-separated "
                          f"list of integers") from None
-    if not parts or any(p < 1 for p in parts):
-        raise UsageError(f"composition {text!r} must consist of positive "
-                         f"integers")
-    return parts
 
 
 def _rat(c: Fraction) -> str:
@@ -154,8 +146,6 @@ def cmd_decompose(args, cfg: Config) -> int:
 
 
 def cmd_dims(args, cfg: Config) -> int:
-    if args.max_weight < 0:
-        raise UsageError("--max-weight must be nonnegative")
     table = dimension_table(args.space, args.max_weight, args.order,
                             kind=args.kind)
     if cfg.output_format == "json":
@@ -179,8 +169,6 @@ def cmd_dims(args, cfg: Config) -> int:
 
 
 def cmd_relations(args, cfg: Config) -> int:
-    if args.weight < 1 or args.length < 1:
-        raise UsageError("--weight and --length must be positive")
     rels = relation_search(args.space, args.weight, args.length, args.order)
     if cfg.output_format == "json":
         print(json.dumps({"space": args.space, "weight": args.weight,
@@ -302,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _effective_config(args) -> Config:
     """The environment's config with the global flags that were given laid
     over it; Config itself range-checks the values from both sources."""
-    if getattr(args, "order", None) is not None and args.order < 0:
-        raise UsageError("--order must be nonnegative")
     overrides = {field: getattr(args, field)
                  for field in ("output_format", "max_cells", "mzv_target_error")
                  if getattr(args, field) is not None}
@@ -320,9 +306,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _effective_config(args)
         set_config(cfg)
         return args.func(args, cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceCap as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -21,7 +21,7 @@ from math import comb
 
 from .brackets import bracket_series, canonical_key
 from .config import get_config
-from .numbers import compositions_up_to
+from .numbers import as_composition, compositions_up_to
 from .series import QSeries
 from .words import WordSum, evaluate, quasi_shuffle, word
 
@@ -111,8 +111,7 @@ def d_len1(s1: int, s2: int, verify_order: int | None = None) -> DerivativeExpre
     Different splits give different expressions for the same series; their
     differences are the weight-(s+2) relations of split_relations.
     """
-    if s1 < 1 or s2 < 1:
-        raise ValueError("split parts must be positive")
+    s1, s2 = as_composition((s1, s2))
     s = s1 + s2 - 2
     if s < 1:
         raise ValueError(f"split ({s1},{s2}) has nothing to derive: s1+s2 must exceed 2")
@@ -130,8 +129,7 @@ def d_len1(s1: int, s2: int, verify_order: int | None = None) -> DerivativeExpre
 
 def d_len2(s1: int, s2: int, verify_order: int | None = None) -> DerivativeExpression:
     """Closed form for d[s1,s2]."""
-    if s1 < 1 or s2 < 1:
-        raise ValueError("parts must be positive")
+    s1, s2 = as_composition((s1, s2))
     expr = quasi_shuffle(word(2), word(s1, s2))
     expr = expr + WordSum.of((s1 + 1, s2, 1), -s1)
     expr = expr + WordSum.of((s1, s2 + 1, 1), -s2)
@@ -189,9 +187,7 @@ def _d_general_cached(c: Parts, verify_order: int) -> DerivativeExpression:
 
 def d_general(c: Parts | list[int], verify_order: int | None = None) -> DerivativeExpression:
     """Expression for d[c], any length; self-verified against q d/dq."""
-    comp = tuple(c)
-    if any(p < 1 for p in comp):
-        raise ValueError(f"composition parts must be positive: {comp}")
+    comp = as_composition(c)
     order = verify_order if verify_order is not None else get_config().default_order
     return _d_general_cached(comp, order)
 

@@ -306,7 +306,7 @@ def generators(space: str, max_weight: int,
 
 def _series_order(order: int | None, n_generators: int, max_length: int,
                   caller: str) -> int:
-    recommended = max(2 * n_generators, 1)
+    recommended = 2 * n_generators
     least = max_length * (max_length + 1) // 2
     if order is None:
         return max(get_config().default_order, recommended)
@@ -573,7 +573,7 @@ def _candidate_relations(columns: Sequence[Parts], order: int) -> List[Relation]
         body = WordSum((c, x) for c, x in zip(columns, vec) if x)
         relation = Relation(body, "numeric-kernel", order)
         if not relation.check(order):
-            raise AssertionError("kernel vector fails re-evaluation")
+            raise ArithmeticError("kernel vector fails re-evaluation")
         relations.append(relation)
     return relations
 
@@ -586,12 +586,12 @@ def relation_search(space: str, k: int, l: int,
     generator list.  Each is exactly zero through q^order, which is strong
     evidence but not proof; the status stays candidate.
     """
+    if k < 1 or l < 1:
+        raise ValueError("relation_search needs weight and length >= 1")
     gens = generators(space, k, l)
-    if not gens:
-        return []
-    longest = max(len(c) for c in gens)
+    longest = max((len(c) for c in gens), default=0)
     order = _series_order(order, len(gens), longest, "relation_search")
-    return _candidate_relations(gens, order)
+    return _candidate_relations(gens, order) if gens else []
 
 
 def homogeneous_relation_search(k: int, l: int,

@@ -52,7 +52,8 @@ def verify_quasi_modular_identities(order: int) -> List[dict]:
     """Check the classical derivative and weight-8 identities exactly.
 
     Returns one report entry per identity.  These are theorems, so any
-    mismatch raises; the failing coefficient index is in the message.
+    mismatch raises ArithmeticError; the failing coefficient index is in
+    the message.
     """
     if order < 20:
         raise ValueError("order must be at least 20")
@@ -80,13 +81,11 @@ def verify_quasi_modular_identities(order: int) -> List[dict]:
     report = []
     for name, lhs, rhs in checks:
         diff = lhs - rhs
-        entry = {"identity": name, "order": diff.order, "pass": diff.is_zero()}
-        if not entry["pass"]:
-            entry["first_failing_coefficient"] = _first_mismatch(diff)
+        if not diff.is_zero():
             raise ArithmeticError(
                 f"identity '{name}' fails at coefficient "
-                f"{entry['first_failing_coefficient']} (order {order})")
-        report.append(entry)
+                f"{_first_mismatch(diff)} (order {order})")
+        report.append({"identity": name, "order": diff.order, "pass": True})
     return report
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator
+from operator import index
+from typing import Iterable, Iterator
 
 
 @lru_cache(maxsize=None)
@@ -97,6 +98,17 @@ def lambda_coeff(a: int, b: int, j: int) -> Fraction:
     m = a + b - j
     sign = -1 if b % 2 == 0 else 1
     return Fraction(sign * comb(m - 1, a - j)) * bernoulli(m) / factorial(m)
+
+
+def as_composition(parts: Iterable[int]) -> tuple[int, ...]:
+    """The parts as a tuple of ints, after the one check every composition
+    entering the library passes; () is the empty composition and is valid.
+    A part that is not an integer raises TypeError, a part below 1
+    ValueError."""
+    comp = tuple(map(index, parts))
+    if comp and min(comp) < 1:
+        raise ValueError(f"composition parts must be positive: {comp}")
+    return comp
 
 
 def compositions(k: int, l: int, admissible: bool = False) -> Iterator[tuple[int, ...]]:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .brackets import bracket_series, bracket_series_many, canonical_key
-from .numbers import lambda_coeff
+from .numbers import as_composition, lambda_coeff
 from .series import QSeries
 
 Word = tuple[int, ...]
@@ -28,9 +28,7 @@ class WordSum:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Word, Fraction] = {}
         for word, coeff in items:
-            word = tuple(word)
-            if any(p < 1 for p in word):
-                raise ValueError(f"letters must be positive integers: {word}")
+            word = as_composition(word)
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
@@ -354,7 +352,7 @@ def _decompose_word(word_: Word) -> OnePolynomial:
     produced = _shuffle_words((1,), (1,) * (m - 1) + tail)
     self_coeff = sum(c for other, c in produced if other == word_)
     if self_coeff != m:
-        raise AssertionError(f"peeling invariant broken at {word_}")
+        raise ArithmeticError(f"peeling invariant broken at {word_}")
     inv_m = Fraction(1, m)
     # T * decomposition of the shorter word
     result = _decompose_word((1,) * (m - 1) + tail).shift().scale(inv_m)

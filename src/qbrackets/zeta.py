@@ -20,7 +20,7 @@ from mpmath import mp, mpf, workdps
 
 from .brackets import bracket_series
 from .config import get_config
-from .numbers import bernoulli
+from .numbers import as_composition, bernoulli
 from .series import QSeries
 from .words import WordSum, decompose_in_one
 
@@ -34,9 +34,9 @@ _LEVELS = 5
 
 
 def _require_admissible(c: Sequence[int]) -> Parts:
-    c = tuple(int(s) for s in c)
-    if not c or any(s < 1 for s in c):
-        raise ValueError("index must be a nonempty tuple of positive integers")
+    c = as_composition(c)
+    if not c:
+        raise ValueError("index must be nonempty")
     if c[0] < 2:
         raise ValueError(f"index {c} is not admissible (sum diverges)")
     return c
@@ -311,7 +311,7 @@ def Z_k_alg(w: WordSum, k: int,
             and coefficients[-1][1] == 0:
         coefficients.pop()
     if len(coefficients) - 1 > k:
-        raise AssertionError("degree exceeds the weight bound")
+        raise ArithmeticError("degree exceeds the weight bound")
     return ZPolynomial(k, tuple(coefficients))
 
 
@@ -397,7 +397,9 @@ def coefficient_growth_report(c: Sequence[int], order: int = 400) -> dict:
     """Heuristic growth trend of the bracket coefficients: samples of
     a_n / n^(k-1) at a few n.  Reported, never asserted; logarithmic and
     subleading factors are invisible at finite order."""
-    comp = tuple(int(s) for s in c)
+    comp = as_composition(c)
+    if order < 4:
+        raise ValueError("growth report needs order >= 4")
     k = sum(comp)
     series = bracket_series(comp, order)
     points = sorted({order // 4, order // 2, 3 * order // 4, order})

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (Composition, QSeries, ResourceCap, bracket_series,
-                       bracket_series_many, bracket_series_oracle,
-                       bracket_series_oracle_many, canonical_key,
-                       compositions_up_to, get_config, multiple_divisor_sum,
-                       partition_counts, partition_identity_check, set_config)
+from qbrackets import (Composition, QSeries, ResourceCap, WordSum,
+                       bracket_series, bracket_series_many,
+                       bracket_series_oracle, bracket_series_oracle_many,
+                       canonical_key, coefficient_growth_report,
+                       compositions_up_to, d_general, d_len1, d_len2,
+                       get_config, leibniz_relations, modified_qzeta, mzv,
+                       mzv_oracle, multiple_divisor_sum, partition_counts,
+                       partition_identity_check, set_config, word)
 from qbrackets import brackets
 from qbrackets.brackets import _SIGMA_CACHE, _sigma_lists, _slot_bytes
 from qbrackets.checks import SERIES_EXAMPLES
@@ -40,6 +43,13 @@ def test_single_divisor_sums():
         [1, 2, 2, 3, 2, 4, 2, 4]
     assert [multiple_divisor_sum((1,), n) for n in range(1, 9)] == \
         [1, 3, 4, 7, 6, 12, 8, 15]
+
+
+def test_divisor_sum_rejects_non_integers():
+    with pytest.raises(TypeError):
+        multiple_divisor_sum((2.5,), 4)
+    with pytest.raises(TypeError):
+        multiple_divisor_sum((1,), 4.0)
 
 
 def test_double_divisor_sum_by_hand():
@@ -195,9 +205,24 @@ SERIES_ENTRY_POINTS = {
         lambda c, n: bracket_series_oracle_many([c], n)[tuple(c)],
 }
 
+# every other function that takes a composition; d_len1 and d_len2 take
+# the pair (s1, s2), padded here with a valid 2
+COMPOSITION_ENTRY_POINTS = {
+    **SERIES_ENTRY_POINTS,
+    "Composition": lambda c, n: Composition(c),
+    "WordSum.of": lambda c, n: WordSum.of(c),
+    "word": lambda c, n: word(*c),
+    "d_general": lambda c, n: d_general(c, 40),
+    "d_len1": lambda c, n: d_len1(*(tuple(c) + (2,))[:2], 40),
+    "d_len2": lambda c, n: d_len2(*(tuple(c) + (2,))[:2], 40),
+    "leibniz_relations": lambda c, n: leibniz_relations(c, (2,), 40),
+    "mzv": lambda c, n: mzv(c),
+    "mzv_oracle": mzv_oracle,
+    "modified_qzeta": modified_qzeta,
+    "coefficient_growth_report": coefficient_growth_report,
+}
 
-@pytest.mark.parametrize("name", SERIES_ENTRY_POINTS)
-@pytest.mark.parametrize("comp, order, error, message", [
+BAD_INPUT = [
     ((0,), 5, ValueError, "composition parts must be positive"),
     ((2, 0, 1), 5, ValueError, "composition parts must be positive"),
     ((-1,), 5, ValueError, "composition parts must be positive"),
@@ -206,10 +231,27 @@ SERIES_ENTRY_POINTS = {
     ((), 0, ValueError, "order must be at least 1"),
     ((2.0,), 5, TypeError, "integer"),
     ((3, 1.5), 5, TypeError, "integer"),
-])
+]
+BAD_COMPOSITION_ROWS = (0, 6, 7)    # (0,), (2.0,) and (3, 1.5)
+
+
+def _bad_input_cases():
+    """Every row for the series functions; the bad compositions also for
+    every other entry point."""
+    for i, (comp, order, error, message) in enumerate(BAD_INPUT):
+        names = (COMPOSITION_ENTRY_POINTS if i in BAD_COMPOSITION_ROWS
+                 else SERIES_ENTRY_POINTS)
+        for name in names:
+            yield pytest.param(
+                name, comp, order, error, message,
+                id=f"comp{i}-{order}-{error.__name__}-{message}-{name}")
+
+
+@pytest.mark.parametrize("name, comp, order, error, message",
+                         _bad_input_cases())
 def test_series_entry_points_validate_input(name, comp, order, error, message):
     with pytest.raises(error, match=message):
-        SERIES_ENTRY_POINTS[name](comp, order)
+        COMPOSITION_ENTRY_POINTS[name](comp, order)
     # nothing computed from the bad input reaches the exact cache
     assert all(type(p) is int and p >= 1 for c in _SIGMA_CACHE for p in c)
     assert all(type(x) is int for _, row in _SIGMA_CACHE.values() for x in row)

@@ -1,15 +1,19 @@
 import hashlib
+import io
 import json
 import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbrackets import (Config, QSeries, bracket_series, brackets, get_config,
-                       set_config)
+from qbrackets import (SPACES, Config, QSeries, Relation, bracket_series,
+                       brackets, get_config, modular, set_config)
 from qbrackets.checks import Check, CheckFailure
 from qbrackets.cli import main
 from qbrackets.config import ENV_PREFIX, _ENV_FIELDS
@@ -192,6 +196,24 @@ def test_series_high_order_under_default_cap(capsys, monkeypatch):
     assert len(json.loads(out)["series"]["coeffs"]) == 1000
 
 
+@pytest.mark.parametrize("argv", [
+    *[(command, *rest, "--order", order)
+      for command, *rest in [("series", "2"), ("product", "1", "2"),
+                             ("derive", "2,1"), ("decompose", "1,2"),
+                             ("dims", "--max-weight", "3"),
+                             ("relations", "--weight", "4", "--length", "2")]
+      for order in ("-1", "0")],
+    ("dims", "--max-weight", "-1"),
+    ("relations", "--weight", "0", "--length", "1"),
+])
+def test_out_of_range_bounds_exit_2(capsys, argv):
+    # the library refuses these; the command line only reports it
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_dims_bad_weight(capsys):
     code, _, _ = run(capsys, "dims", "--max-weight", "-2")
     assert code == 2
@@ -277,6 +299,31 @@ def test_verify_reports_first_failure(capsys, monkeypatch):
     assert "first failure: always-fails" in err
 
 
+def test_failed_self_verification_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(Relation, "check", lambda self, order: False)
+    code, out, err = run(capsys, "relations", "--weight", "4", "--length", "2")
+    assert code == 3
+    assert out == ""
+    assert "kernel vector fails re-evaluation" in err
+
+
+def test_failed_identity_is_one_fail_line(capsys, monkeypatch):
+    real = modular.bracket_series
+
+    def off_by_one_at_eight(c, order):
+        series = real(c, order)
+        return series + QSeries.monomial(1, order, 1) if c == (8,) else series
+
+    monkeypatch.setattr(modular, "bracket_series", off_by_one_at_eight)
+    code, out, err = run(capsys, "verify", "--only",
+                         "quasi-modular,tau-congruence")
+    assert code == 3
+    assert re.search(r"^FAIL quasi-modular .*fails at coefficient 1", out,
+                     re.MULTILINE)
+    assert re.search(r"^ok   tau-congruence", out, re.MULTILINE)
+    assert "first failure: quasi-modular" in err
+
+
 def test_environment_format_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("QBRACKETS_FORMAT", "csv")
     code, out, _ = run(capsys, "series", "1", "--order", "2")
@@ -338,6 +385,41 @@ def test_help_exits_zero(capsys):
 
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+PART_TOKENS = ("1", "2", "3", "4", "0", "-1", "2.5", "a", "")
+
+
+@st.composite
+def fuzzed_argv(draw):
+    parts = st.lists(st.sampled_from(PART_TOKENS), min_size=1,
+                     max_size=3).map(",".join)
+    weight = st.integers(-1, 5).map(str)
+    command = draw(st.sampled_from(("series", "product", "derive",
+                                    "decompose", "dims", "relations",
+                                    "verify")))
+    if command == "verify":
+        return ["verify", "--list"]
+    if command == "dims":
+        rest = ["--space", draw(st.sampled_from(SPACES)),
+                "--max-weight", draw(weight)]
+    elif command == "relations":
+        rest = ["--space", draw(st.sampled_from(SPACES)),
+                "--weight", draw(weight), "--length", draw(weight)]
+    else:
+        rest = [draw(parts) for _ in range(2 if command == "product" else 1)]
+    if draw(st.booleans()):
+        rest += ["--order", str(draw(st.integers(-3, 40)))]
+    return ["--max-cells", "20000", command, *rest]
+
+
+@pytest.mark.filterwarnings("ignore:.*below the recommended:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_command_lines_end_in_an_exit_code(argv):
+    # any input ends in a documented exit code, never a traceback
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2, 3, 4)
 
 
 # sha256 of the complete stdout; any change to these bytes is a change in

@@ -195,3 +195,10 @@ def test_growth_report_shape():
     samples = report["normalized_samples"]
     assert samples[-1][0] == 200
     assert 0.5 < report["last_over_first"] < 2.0
+
+
+def test_growth_report_needs_four_coefficients():
+    # below order 4 the first sample point would be n = 0
+    with pytest.raises(ValueError, match="order >= 4"):
+        coefficient_growth_report((3,), order=3)
+    assert coefficient_growth_report((3,), order=4)["normalized_samples"][0][0] == 1
