@@ -48,10 +48,6 @@ class CheckResult:
         return f"{status} {self.name:<28} {self.detail}"
 
 
-def _ws(terms: Dict[Parts, Fraction | int]) -> WordSum:
-    return WordSum((w, Fraction(c)) for w, c in terms.items())
-
-
 def _expect_equal(got, want, label: str) -> None:
     if got != want:
         raise CheckFailure(f"{label}: got {got!r}, expected {want!r}")
@@ -229,7 +225,7 @@ def check_series_oracle(max_weight: int = 6, order: int = 80) -> str:
 def check_product_examples(order: int = 100) -> str:
     for w, v, wanted in PRODUCT_EXAMPLES:
         got = quasi_shuffle(word(*w), word(*v))
-        _expect_words(got, _ws(wanted), f"[{w}]*[{v}]")
+        _expect_words(got, WordSum(wanted), f"[{w}]*[{v}]")
     pairs = list(PRODUCT_EXAMPLES) + [((4,), (4,), None), ((2,), (3, 4), None)]
     for w, v, _ in pairs:
         prod = quasi_shuffle(word(*w), word(*v))
@@ -244,14 +240,14 @@ def check_product_examples(order: int = 100) -> str:
 def check_derivative_forms(order: int = 80) -> str:
     for label, parts, wanted in DERIVATIVE_EXAMPLES:
         expr = d_general(parts, verify_order=order)
-        _expect_words(expr.expression, _ws(wanted), label)
+        _expect_words(expr.expression, WordSum(wanted), label)
     forms = {d_len1(1, 3, verify_order=order).expression,
              d_len1(2, 2, verify_order=order).expression}
-    if forms != {_ws(D2_FORM_A), _ws(D2_FORM_B)}:
+    if forms != {WordSum(D2_FORM_A), WordSum(D2_FORM_B)}:
         raise CheckFailure("the two split expressions for d[2] differ from "
                            "the published pair")
     _expect_words(d_len2(2, 2, verify_order=order).expression,
-                  _ws(DERIVATIVE_EXAMPLES[3][2]), "d[2,2] closed form")
+                  WordSum(DERIVATIVE_EXAMPLES[3][2]), "d[2,2] closed form")
     return f"7 closed forms, each certified against q d/dq at order {order}"
 
 
@@ -262,7 +258,7 @@ def _monic(w: WordSum) -> WordSum:
 
 def check_relation_split4(order: int = 200) -> str:
     rels = split_relations(4, verify_order=order)
-    goal = _monic(_ws(REL4))
+    goal = _monic(WordSum(REL4))
     if goal not in [_monic(r.body) for r in rels]:
         raise CheckFailure("the weight-4 split relation is missing")
     for rel in rels:
@@ -274,7 +270,7 @@ def check_relation_split4(order: int = 200) -> str:
 
 def check_relation_leibniz5(order: int = 200) -> str:
     rel = leibniz_relations((1,), (2,), verify_order=order)
-    if _monic(rel.body) != _monic(_ws(REL_W5)):
+    if _monic(rel.body) != _monic(WordSum(REL_W5)):
         raise CheckFailure("the weight-5 Leibniz relation differs from the "
                            "published one")
     if not evaluate(rel.body, order).is_zero():
@@ -392,7 +388,7 @@ def check_homogeneous_relations(order: int = 300) -> str:
         if len(rels) != 1:
             raise CheckFailure(f"expected one homogeneous relation at "
                                f"weight {k}, found {len(rels)}")
-        _expect_words(_monic(rels[0].body), _monic(_ws(wanted)),
+        _expect_words(_monic(rels[0].body), _monic(WordSum(wanted)),
                       f"homogeneous weight-{k} relation")
     return f"weights 9 and 10 each give one relation, zero through q^{order}"
 

@@ -127,7 +127,7 @@ def cmd_product(args, cfg: Config) -> int:
 def cmd_derive(args, cfg: Config) -> int:
     parts = parse_parts(args.parts)
     order = args.order if args.order is not None else cfg.default_order
-    result = d_general(parts).expression
+    result = d_general(parts, verify_order=order).expression
     ok = evaluate(result, order) == bracket_series(parts, order).q_d_dq()
     for line in _expression_lines("derive", result, cfg.output_format, order,
                                   ok, "expression matches q d/dq of the series"):

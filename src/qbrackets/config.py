@@ -23,6 +23,9 @@ class Config:
     max_cells: int = 2_000_000       # cap on suffix rows x order per sweep
 
     def __post_init__(self) -> None:
+        if self.default_order < 1:
+            raise ValueError(f"default_order must be at least 1, got "
+                             f"{self.default_order}")
         if self.output_format not in FORMATS:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.max_cells < 1:

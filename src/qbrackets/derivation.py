@@ -116,38 +116,23 @@ def d_len1(s1: int, s2: int, verify_order: int | None = None) -> DerivativeExpre
     if s < 1:
         raise ValueError(f"split ({s1},{s2}) has nothing to derive: s1+s2 must exceed 2")
     binom = comb(s, s1 - 1)
-    expr = quasi_shuffle(word(s1), word(s2))
-    expr = expr + WordSum.of((s + 1,), binom)
-    for a in range(1, s + 2):
-        b = s + 2 - a
-        c = comb(a - 1, s1 - 1) + comb(a - 1, s2 - 1)
-        if c:
-            expr = expr + WordSum.of((a, b), -c)
-    expr = expr.scale(Fraction(s, binom))
+    terms = [*quasi_shuffle(word(s1), word(s2)).terms(), ((s + 1,), binom)]
+    terms += [((a, s + 2 - a), -(comb(a - 1, s1 - 1) + comb(a - 1, s2 - 1)))
+              for a in range(1, s + 2)]
+    expr = WordSum(terms).scale(Fraction(s, binom))
     return _verified((s,), expr, f"len1-split({s1},{s2})", verify_order)
 
 
 def d_len2(s1: int, s2: int, verify_order: int | None = None) -> DerivativeExpression:
     """Closed form for d[s1,s2]."""
     s1, s2 = as_composition((s1, s2))
-    expr = quasi_shuffle(word(2), word(s1, s2))
-    expr = expr + WordSum.of((s1 + 1, s2, 1), -s1)
-    expr = expr + WordSum.of((s1, s2 + 1, 1), -s2)
-    expr = expr + WordSum.of((s1, s2, 2), -1)
-    for a in range(1, s1 + 2):
-        b = s1 + 2 - a
-        if a - 1:
-            expr = expr + WordSum.of((a, b, s2), -(a - 1))
-    for a in range(1, s2 + 1):
-        b = s2 + 1 - a
-        expr = expr + WordSum.of((s1 + 1, a, b), -s1)
-    for a in range(1, s2 + 2):
-        b = s2 + 2 - a
-        if a - 1:
-            expr = expr + WordSum.of((s1, a, b), -(a - 1))
-    expr = expr + WordSum.of((s1 + 1, s2), 2 * s1)
-    expr = expr + WordSum.of((s1, s2 + 1), s2)
-    return _verified((s1, s2), expr, "len2-closed-form", verify_order)
+    terms = [*quasi_shuffle(word(2), word(s1, s2)).terms(),
+             ((s1 + 1, s2, 1), -s1), ((s1, s2 + 1, 1), -s2), ((s1, s2, 2), -1),
+             ((s1 + 1, s2), 2 * s1), ((s1, s2 + 1), s2)]
+    terms += [((a, s1 + 2 - a, s2), -(a - 1)) for a in range(1, s1 + 2)]
+    terms += [((s1 + 1, a, s2 + 1 - a), -s1) for a in range(1, s2 + 1)]
+    terms += [((s1, a, s2 + 2 - a), -(a - 1)) for a in range(1, s2 + 2)]
+    return _verified((s1, s2), WordSum(terms), "len2-closed-form", verify_order)
 
 
 def _d_general_body(c: Parts) -> WordSum:
@@ -155,29 +140,27 @@ def _d_general_body(c: Parts) -> WordSum:
 
     Start from the quasi-shuffle expansion of [2]*[c]; the terms where the
     auxiliary weight-2 letter merged or interleaved in ways that do not
-    correspond to q d/dq are removed slot by slot (one part bumped with a
-    trailing 1 appended, a part split into an adjacent pair, a plain bump),
+    correspond to q d/dq are removed slot by slot (one part raised by one
+    with a trailing 1 appended, a part split into an adjacent pair, a part
+    raised by one alone),
     each with the combinatorial multiplicity the extraction dictates.
     """
     l = len(c)
-    expr = quasi_shuffle(word(2), WordSum.of(c))
-    # bumped with appended 1, and the appended 2
-    for i in range(l):
-        expr = expr + WordSum.of(c[:i] + (c[i] + 1,) + c[i + 1:] + (1,), -c[i])
-    expr = expr + WordSum.of(c + (2,), -1)
+    terms = [*quasi_shuffle(word(2), WordSum.of(c)).terms()]
+    # raised by one with appended 1, and the appended 2
+    terms += [(c[:i] + (c[i] + 1,) + c[i + 1:] + (1,), -c[i]) for i in range(l)]
+    terms.append((c + (2,), -1))
     # pair splittings of each slot
     for j in range(l):
         for a in range(1, c[j] + 1):
             b = c[j] + 1 - a
-            for i in range(j):
-                expr = expr + WordSum.of(
-                    c[:i] + (c[i] + 1,) + c[i + 1:j] + (a, b) + c[j + 1:], -c[i])
-            expr = expr + WordSum.of(c[:j] + (a + 1, b) + c[j + 1:], -a)
-    # plain bumps
-    for j in range(l):
-        for i in range(j + 1):
-            expr = expr + WordSum.of(c[:i] + (c[i] + 1,) + c[i + 1:], c[i])
-    return expr
+            terms += [(c[:i] + (c[i] + 1,) + c[i + 1:j] + (a, b) + c[j + 1:],
+                       -c[i]) for i in range(j)]
+            terms.append((c[:j] + (a + 1, b) + c[j + 1:], -a))
+    # raised by one alone
+    terms += [(c[:i] + (c[i] + 1,) + c[i + 1:], c[i])
+              for j in range(l) for i in range(j + 1)]
+    return WordSum(terms)
 
 
 @lru_cache(maxsize=None)
@@ -194,12 +177,8 @@ def d_general(c: Parts | list[int], verify_order: int | None = None) -> Derivati
 
 def d_word_sum(w: WordSum, verify_order: int | None = None) -> WordSum:
     """Termwise derivative of a WordSum (the empty word maps to zero)."""
-    out = WordSum.zero()
-    for t, coeff in w.terms():
-        if not t:
-            continue
-        out = out + d_general(t, verify_order).expression.scale(coeff)
-    return out
+    return WordSum((u, coeff * k) for t, coeff in w.terms() if t
+                   for u, k in d_general(t, verify_order).expression.terms())
 
 
 # ---------------------------------------------------------------------------

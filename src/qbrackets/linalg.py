@@ -23,11 +23,11 @@ from math import gcd, lcm
 from typing import (Dict, Iterable, KeysView, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from .brackets import bracket_series_many, canonical_key
+from .brackets import bracket_series_many
 from .config import get_config
 from .derivation import Relation, proven_relation_corpus
 from .numbers import compositions, compositions_up_to
-from .words import WordSum
+from .words import WordSum, coefficient_rows
 
 Cell = Tuple[int, int]
 Parts = Tuple[int, ...]
@@ -84,7 +84,7 @@ class ExactMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     def rank(self) -> int:
-        return _echelon(self.entries).rank
+        return IntEchelon(map(_cleared_row, self.entries)).rank
 
     def kernel_basis(self) -> List[Tuple[Fraction, ...]]:
         """Basis of {x : Mx = 0}, one monic vector per free column.
@@ -93,22 +93,25 @@ class ExactMatrix:
         coefficient 1 at its free column, which is also its last nonzero
         entry, and 0 at the other free columns.
         """
-        return _echelon(self.entries).kernel_basis(self.cols)
+        return IntEchelon(map(_cleared_row, self.entries)).kernel_basis(self.cols)
 
 
 class IntEchelon:
     """Incremental integer row echelon, one primitive row per pivot column.
 
-    add() reduces a vector against the stored rows by cross-multiplication
-    (no fractions ever appear) and either stores it as a new pivot row or
+    IntEchelon(rows) starts by adding the given rows in order.  add()
+    reduces a vector against the stored rows by cross-multiplication (no
+    fractions ever appear) and either stores it as a new pivot row or
     reports it dependent.  Content is stripped only when a row is stored:
     stripping after every elimination step costs more gcds than the smaller
     entries save.  kernel_vector() back-substitutes through the stored rows;
     it is the only place where fractions appear.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rows: Iterable[Sequence[int]] = ()) -> None:
         self._rows: Dict[int, List[int]] = {}
+        for row in rows:
+            self.add(row)
 
     @property
     def rank(self) -> int:
@@ -257,13 +260,6 @@ class ModEchelon:
         return True
 
 
-def _echelon(rows: Iterable[Sequence[Fraction]]) -> IntEchelon:
-    ech = IntEchelon()
-    for row in rows:
-        ech.add(_cleared_row(row))
-    return ech
-
-
 def solve_unique(rows: Sequence[Sequence[Fraction]],
                  rhs: Sequence[Fraction]) -> List[Fraction]:
     """The unique exact solution of (rows) x = rhs.
@@ -282,7 +278,7 @@ def solve_unique(rows: Sequence[Sequence[Fraction]],
     if any(len(row) != ncols for row in rows):
         raise ValueError("rows must all have the same length")
     # (rows | rhs) (x, -1) = 0: x is minus the kernel vector at column ncols
-    ech = _echelon(row + [b] for row, b in zip(rows, rhs))
+    ech = IntEchelon(_cleared_row(row + [b]) for row, b in zip(rows, rhs))
     if ncols in ech.pivots:
         raise ArithmeticError("inconsistent linear system")
     if ech.rank < ncols:
@@ -310,6 +306,8 @@ def _series_order(order: int | None, n_generators: int, max_length: int,
     least = max_length * (max_length + 1) // 2
     if order is None:
         return max(get_config().default_order, recommended)
+    if order < 1:
+        raise ValueError("order must be at least 1")
     if order < least:
         raise ValueError(
             f"{caller}: order {order} cannot see a length-{max_length} "
@@ -565,12 +563,10 @@ def _candidate_relations(columns: Sequence[Parts], order: int) -> List[Relation]
     common = lcm(*(series[c].den for c in columns))
     scaled = [[x * (common // series[c].den) for x in series[c].nums[1:]]
               for c in columns]
-    ech = IntEchelon()
-    for row in zip(*scaled):
-        ech.add(row)
+    ech = IntEchelon(zip(*scaled))
     relations = []
     for vec in ech.kernel_basis(len(columns)):
-        body = WordSum((c, x) for c, x in zip(columns, vec) if x)
+        body = WordSum(zip(columns, vec))
         relation = Relation(body, "numeric-kernel", order)
         if not relation.check(order):
             raise ArithmeticError("kernel vector fails re-evaluation")
@@ -598,11 +594,12 @@ def homogeneous_relation_search(k: int, l: int,
                                 order: int | None = None) -> List[Relation]:
     """Candidate relations among the brackets of weight exactly k and length
     exactly l (all of them, not only those of the admissible space)."""
+    if k < 1 or l < 1:
+        raise ValueError("homogeneous_relation_search needs weight and length >= 1")
     columns = list(compositions(k, l))
-    if not columns:
-        return []
-    order = _series_order(order, len(columns), l, "homogeneous_relation_search")
-    return _candidate_relations(columns, order)
+    order = _series_order(order, len(columns), l if columns else 0,
+                          "homogeneous_relation_search")
+    return _candidate_relations(columns, order) if columns else []
 
 
 def relation_in_span(target: Relation | WordSum,
@@ -611,20 +608,8 @@ def relation_in_span(target: Relation | WordSum,
     def body(r: Relation | WordSum) -> WordSum:
         return r.body if isinstance(r, Relation) else r
 
-    bodies = [body(r) for r in relations]
-    goal = body(target)
-    columns = sorted({w for b in bodies + [goal] for w in b.words()},
-                     key=canonical_key)
-    index = {w: i for i, w in enumerate(columns)}
-
-    def vector(b: WordSum) -> List[Fraction]:
-        vec = [Fraction(0)] * len(columns)
-        for w, c in b.terms():
-            vec[index[w]] = c
-        return vec
-
-    ech = _echelon(vector(b) for b in bodies)
-    return not ech.add(_cleared_row(vector(goal)))
+    *rows, goal = coefficient_rows([*map(body, relations), body(target)])
+    return not IntEchelon(rows).add(goal)
 
 
 def graded_relation_counts(max_weight: int, max_length: int | None = None,
@@ -663,15 +648,7 @@ def graded_relation_counts(max_weight: int, max_length: int | None = None,
         for l in range(1, top_l + 1):
             counts[(k, l)] = 0
     for (k, l), projections in buckets.items():
-        columns = list(compositions(k, l, admissible=True))
-        index = {w: i for i, w in enumerate(columns)}
-        ech = IntEchelon()
-        for projection in projections:
-            vec = [Fraction(0)] * len(columns)
-            for w, c in projection.terms():
-                vec[index[w]] = c
-            ech.add(_cleared_row(vec))
-        counts[(k, l)] = ech.rank
+        counts[(k, l)] = IntEchelon(coefficient_rows(projections)).rank
     return counts
 
 

@@ -16,10 +16,10 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .brackets import bracket_series, bracket_series_many, multiple_divisor_sum
-from .linalg import ExactMatrix, solve_unique
+from .linalg import IntEchelon, solve_unique
 from .numbers import bernoulli
 from .series import QSeries, eta24
-from .words import WordSum, evaluate
+from .words import WordSum, coefficient_rows, evaluate
 
 Parts = Tuple[int, ...]
 
@@ -144,7 +144,7 @@ def delta_representation(a: int, b: int, order: int = 60) -> DeltaRepresentation
     rows = list(zip(*(series[c].coeffs for c in columns)))
     solution = solve_unique(rows, delta.nums[1:])
 
-    expression = WordSum((c, x) for c, x in zip(columns, solution) if x)
+    expression = WordSum(zip(columns, solution))
     rep = DeltaRepresentation((a, b), expression, order)
     closed = rep.pair_coefficients_closed_form()
     got = rep.length_one_coefficients()
@@ -191,13 +191,9 @@ def delta_affine_combination(target: WordSum,
 def representation_span_rank(reps: Sequence[DeltaRepresentation]) -> int:
     """Rank of the differences between representations: the dimension of the
     relation space they witness."""
-    columns = sorted({w for rep in reps for w in rep.expression.words()})
     base = reps[0].expression
-    rows = []
-    for rep in reps[1:]:
-        diff = rep.expression - base
-        rows.append([diff.coefficient(w) for w in columns])
-    return ExactMatrix.from_rows(rows).rank()
+    return IntEchelon(coefficient_rows(rep.expression - base
+                                       for rep in reps[1:])).rank
 
 
 def deltal2_word_sum() -> WordSum:

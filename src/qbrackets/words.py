@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .brackets import bracket_series, bracket_series_many, canonical_key
@@ -26,25 +27,20 @@ class WordSum:
 
     def __init__(self, terms: Mapping[Word, Fraction] | Iterable[tuple[Word, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Word, Fraction] = {}
+        summed: dict[Word, Fraction] = {}
         for word, coeff in items:
             word = as_composition(word)
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if word in clean:
-                coeff = clean[word] + coeff
-                if coeff == 0:
-                    del clean[word]
-                    continue
-            clean[word] = coeff
-        self._terms = {w: clean[w] for w in sorted(clean, key=canonical_key)}
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
+            summed[word] = summed[word] + coeff if word in summed else coeff
+        self._terms = {w: summed[w] for w in sorted(summed, key=canonical_key)
+                       if summed[w]}
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def of(word: Iterable[int], coeff: Fraction | int = 1) -> "WordSum":
-        return WordSum([(tuple(word), Fraction(coeff))])
+        return WordSum([(tuple(word), coeff)])
 
     @staticmethod
     def zero() -> "WordSum":
@@ -94,14 +90,7 @@ class WordSum:
     def __add__(self, other: "WordSum") -> "WordSum":
         if not isinstance(other, WordSum):
             return NotImplemented
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            nc = out.get(w, Fraction(0)) + c
-            if nc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = nc
-        return WordSum(out)
+        return WordSum([*self.terms(), *other.terms()])
 
     def __sub__(self, other: "WordSum") -> "WordSum":
         return self + (-other)
@@ -170,61 +159,62 @@ def word(*letters: int) -> WordSum:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _diamond_letter(a: int, b: int) -> tuple[tuple[int, Fraction], ...]:
-    out: dict[int, Fraction] = {a + b: Fraction(1)}
-    for j in range(1, a + 1):
-        out[j] = out.get(j, Fraction(0)) + lambda_coeff(a, b, j)
-    for j in range(1, b + 1):
-        out[j] = out.get(j, Fraction(0)) + lambda_coeff(b, a, j)
-    return tuple((j, c) for j, c in out.items() if c != 0)
+def _diamond_letter(a: int, b: int) -> WordSum:
+    return WordSum([((a + b,), 1),
+                    *(((j,), lambda_coeff(a, b, j)) for j in range(1, a + 1)),
+                    *(((j,), lambda_coeff(b, a, j)) for j in range(1, b + 1))])
 
 
 def diamond(a: int, b: int) -> WordSum:
     """The single-letter product z_a <> z_b = z_{a+b} + lambda corrections."""
-    return WordSum([((j,), c) for j, c in _diamond_letter(a, b)])
+    return _diamond_letter(a, b)
 
 
 @lru_cache(maxsize=None)
 def _shuffle_words(w: Word, v: Word) -> "tuple[tuple[Word, Fraction], ...]":
-    if not w:
-        return ((v, Fraction(1)),)
-    if not v:
-        return ((w, Fraction(1)),)
+    if not w or not v:
+        return ((w + v, Fraction(1)),)
     a, wt = w[0], w[1:]
     b, vt = v[0], v[1:]
-    acc: dict[Word, Fraction] = {}
-
-    def bump(word: Word, c: Fraction) -> None:
-        nc = acc.get(word, Fraction(0)) + c
-        if nc == 0:
-            acc.pop(word, None)
-        else:
-            acc[word] = nc
-
-    for word_, c in _shuffle_words(wt, v):
-        bump((a,) + word_, c)
-    for word_, c in _shuffle_words(w, vt):
-        bump((b,) + word_, c)
     inner = _shuffle_words(wt, vt)
-    for letter, lam in _diamond_letter(a, b):
-        for word_, c in inner:
-            bump((letter,) + word_, lam * c)
-    return tuple(acc.items())
+    return tuple(WordSum([
+        *(((a,) + u, c) for u, c in _shuffle_words(wt, v)),
+        *(((b,) + u, c) for u, c in _shuffle_words(w, vt)),
+        *(((letter,) + u, lam * c)
+          for (letter,), lam in _diamond_letter(a, b).terms()
+          for u, c in inner),
+    ]).terms())
 
 
 def quasi_shuffle(w: WordSum, v: WordSum) -> WordSum:
     """Bilinear extension of a w * b v = a(w * bv) + b(aw * v) + (a<>b)(w * v)."""
-    acc: dict[Word, Fraction] = {}
+    terms = []
     for ww, cw in w.terms():
         for vv, cv in v.terms():
             c = cw * cv
-            for word_, k in _shuffle_words(ww, vv):
-                nc = acc.get(word_, Fraction(0)) + c * k
-                if nc == 0:
-                    acc.pop(word_, None)
-                else:
-                    acc[word_] = nc
-    return WordSum(acc)
+            terms += [(u, c * k) for u, k in _shuffle_words(ww, vv)]
+    return WordSum(terms)
+
+
+def coefficient_rows(sums: Iterable[WordSum]) -> list[list[int]]:
+    """The sums as integer rows over the union of their words, in canonical
+    order, each row scaled by the lcm of its own denominators.
+
+    Scaling a row leaves the span of the rows unchanged, so ranks and span
+    membership read off these rows are those of the rational coefficient
+    vectors.
+    """
+    sums = list(sums)
+    columns = sorted({w for s in sums for w in s.words()}, key=canonical_key)
+    index = {w: j for j, w in enumerate(columns)}
+    rows = []
+    for s in sums:
+        den = lcm(*(c.denominator for _, c in s.terms()))
+        row = [0] * len(columns)
+        for w, c in s.terms():
+            row[index[w]] = c.numerator * (den // c.denominator)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +359,5 @@ def decompose_in_one(w: WordSum) -> OnePolynomial:
     The result satisfies substitute_one(order) == evaluate(w, order) for any
     order, and every coefficient passes subalgebra_membership 'admissible'.
     """
-    out = OnePolynomial()
-    for word_, c in w.terms():
-        out = out + _decompose_word(word_).scale(c)
-    return out
+    return sum((_decompose_word(word_).scale(c) for word_, c in w.terms()),
+               OnePolynomial())

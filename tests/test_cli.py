@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbrackets import (SPACES, Config, QSeries, Relation, bracket_series,
-                       brackets, get_config, modular, set_config)
+                       brackets, derivation, get_config, modular, set_config)
 from qbrackets.checks import Check, CheckFailure
 from qbrackets.cli import main
 from qbrackets.config import ENV_PREFIX, _ENV_FIELDS
@@ -205,6 +206,8 @@ def test_series_high_order_under_default_cap(capsys, monkeypatch):
       for order in ("-1", "0")],
     ("dims", "--max-weight", "-1"),
     ("relations", "--weight", "0", "--length", "1"),
+    ("dims", "--max-weight", "0", "--order", "-1"),
+    ("relations", "--weight", "1", "--length", "1", "--order", "-1"),
 ])
 def test_out_of_range_bounds_exit_2(capsys, argv):
     # the library refuses these; the command line only reports it
@@ -212,6 +215,20 @@ def test_out_of_range_bounds_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error:" in err
+    if "--order" in argv:
+        assert "order must be at least 1" in err
+
+
+def test_derive_verifies_at_the_requested_order(capsys, monkeypatch,
+                                                cold_cache):
+    # 31 suffix rows fit the cap at order 10 (310 cells), not at 120
+    monkeypatch.setattr(derivation, "_d_general_cached", functools.lru_cache(
+        derivation._d_general_cached.__wrapped__))
+    code, out, err = run(capsys, "--max-cells", "500", "derive", "2,2,2",
+                         "--order", "10")
+    assert code == 0, err
+    assert out.splitlines()[-1] == (
+        "check: expression matches q d/dq of the series through q^10: pass")
 
 
 def test_dims_bad_weight(capsys):
@@ -333,6 +350,14 @@ def test_environment_format_and_flag_precedence(capsys, monkeypatch):
                        "--order", "2")
     assert code == 0
     assert out.startswith("q + 2*q^2")
+
+
+def test_environment_order_out_of_range_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("QBRACKETS_ORDER", "-5")
+    code, out, err = run(capsys, "dims", "--max-weight", "2")
+    assert code == 2
+    assert out == ""
+    assert "default_order must be at least 1, got -5" in err
 
 
 def test_environment_order_default(capsys, monkeypatch):

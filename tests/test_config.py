@@ -39,6 +39,7 @@ def test_invalid_environment_rejected():
 @pytest.mark.parametrize("field, value", [
     ("output_format", "yaml"), ("max_cells", 0), ("max_cells", -3),
     ("mzv_target_error", 0.0), ("mzv_target_error", float("nan")),
+    ("default_order", 0), ("default_order", -5),
 ])
 def test_config_rejects_out_of_range_values(field, value):
     # load_config and dataclasses.replace both construct through this check

@@ -286,6 +286,21 @@ def test_dimension_table_checks_an_explicit_order():
         dimension_table("mda", 5, order=20)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: homogeneous_relation_search(2, 3, order=-1),
+     "order must be at least 1"),
+    (lambda: homogeneous_relation_search(0, 0), "weight and length >= 1"),
+    (lambda: homogeneous_relation_search(3, 0), "weight and length >= 1"),
+    (lambda: dimension_table("mda", 0, order=-1), "order must be at least 1"),
+    (lambda: relation_search("mda", 1, 1, order=0), "order must be at least 1"),
+], ids=["homogeneous-empty-order", "homogeneous-zero", "homogeneous-length-0",
+        "table-empty-order", "search-empty-order"])
+def test_searches_reject_bad_input_before_looking_for_generators(call,
+                                                                 message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_generators_listing():
     gens = generators("mda", 4, 2)
     assert gens == [(2,), (3,), (2, 1), (4,), (2, 2), (3, 1)]

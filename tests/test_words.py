@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (OnePolynomial, WordSum, bracket_series,
-                       decompose_in_one, diamond, evaluate, quasi_shuffle,
+from qbrackets import (ExactMatrix, IntEchelon, OnePolynomial, WordSum,
+                       bracket_series, canonical_key, decompose_in_one,
+                       diamond, evaluate, quasi_shuffle,
                        subalgebra_membership, word)
+from qbrackets.words import coefficient_rows
 from qbrackets.checks import PRODUCT_EXAMPLES
 
 letters = st.integers(min_value=1, max_value=3)
@@ -41,6 +43,52 @@ def test_zero_terms_are_dropped():
     assert s == WordSum.zero()
     assert len(s) == 0
     assert s.to_text() == "0"
+
+
+# few words and few coefficients, so words repeat and terms cancel
+few_words = st.lists(st.integers(min_value=1, max_value=2), min_size=1,
+                     max_size=2).map(tuple)
+few_coeffs = st.sampled_from([-2, -1, 0, 1, 2, Fraction(1, 2),
+                              Fraction(-1, 2), Fraction(2, 3)])
+
+
+@st.composite
+def term_lists(draw):
+    terms = draw(st.lists(st.tuples(few_words, few_coeffs), max_size=10))
+    cancelled = draw(st.integers(min_value=0, max_value=len(terms)))
+    return terms + [(w, -c) for w, c in terms[:cancelled]]
+
+
+@given(term_lists())
+@settings(max_examples=60, deadline=None)
+def test_word_sum_sums_duplicates_and_drops_zeros(terms):
+    reference = {}
+    for w, c in terms:
+        reference[w] = reference.get(w, Fraction(0)) + Fraction(c)
+    reference = {w: c for w, c in reference.items() if c}
+    got = WordSum(terms)
+    assert dict(got.terms()) == reference
+    assert list(got.words()) == sorted(reference, key=canonical_key)
+
+
+@given(st.lists(word_sums(), max_size=5), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_coefficient_rows_keep_the_rank(sums, dependent):
+    if dependent and sums:
+        sums.append(sums[0].scale(Fraction(-3, 2)) + sums[-1])
+    columns = sorted({w for s in sums for w in s.words()}, key=canonical_key)
+    vectors = [[s.coefficient(w) for w in columns] for s in sums]
+    rows = coefficient_rows(sums)
+    for row, vector in zip(rows, vectors):
+        # an integer row, a positive multiple of the coefficient vector
+        assert all(type(x) is int for x in row)
+        ratios = {Fraction(x) / c for x, c in zip(row, vector) if c}
+        assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+        assert [x == 0 for x in row] == [c == 0 for c in vector]
+    ech = IntEchelon()
+    for row in rows:
+        ech.add(row)
+    assert ech.rank == ExactMatrix.from_rows(vectors).rank()
 
 
 def test_printed_products():
