@@ -319,6 +319,8 @@ def bracket_series_oracle_many(comps: Iterable[Parts], order: int) -> dict[Parts
 
 def partition_counts(n_max: int) -> list[int]:
     """p(0..n_max) by the Euler pentagonal-number recurrence."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     p = [0] * (n_max + 1)
     p[0] = 1
     for n in range(1, n_max + 1):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .brackets import bracket_series, bracket_series_many, \
-    bracket_series_oracle_many, canonical_key, partition_identity_check
+    bracket_series_oracle_many, partition_identity_check
 from .derivation import d_general, d_len1, d_len2, leibniz_relations, \
     split_relations
 from .linalg import ExactMatrix, dimension_table, graded_relation_counts, \
@@ -251,15 +251,10 @@ def check_derivative_forms(order: int = 80) -> str:
     return f"7 closed forms, each certified against q d/dq at order {order}"
 
 
-def _monic(w: WordSum) -> WordSum:
-    top = max(w.words(), key=canonical_key)
-    return w.scale(Fraction(1) / w.coefficient(top))
-
-
 def check_relation_split4(order: int = 200) -> str:
     rels = split_relations(4, verify_order=order)
-    goal = _monic(WordSum(REL4))
-    if goal not in [_monic(r.body) for r in rels]:
+    goal = WordSum(REL4).normalized()
+    if goal not in [r.body.normalized() for r in rels]:
         raise CheckFailure("the weight-4 split relation is missing")
     for rel in rels:
         if not evaluate(rel.body, order).is_zero():
@@ -270,7 +265,7 @@ def check_relation_split4(order: int = 200) -> str:
 
 def check_relation_leibniz5(order: int = 200) -> str:
     rel = leibniz_relations((1,), (2,), verify_order=order)
-    if _monic(rel.body) != _monic(WordSum(REL_W5)):
+    if rel.body.normalized() != WordSum(REL_W5).normalized():
         raise CheckFailure("the weight-5 Leibniz relation differs from the "
                            "published one")
     if not evaluate(rel.body, order).is_zero():
@@ -388,7 +383,7 @@ def check_homogeneous_relations(order: int = 300) -> str:
         if len(rels) != 1:
             raise CheckFailure(f"expected one homogeneous relation at "
                                f"weight {k}, found {len(rels)}")
-        _expect_words(_monic(rels[0].body), _monic(WordSum(wanted)),
+        _expect_words(rels[0].body.normalized(), WordSum(wanted).normalized(),
                       f"homogeneous weight-{k} relation")
     return f"weights 9 and 10 each give one relation, zero through q^{order}"
 

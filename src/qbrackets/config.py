@@ -53,8 +53,10 @@ def load_config(environ: dict | None = None) -> Config:
             continue
         try:
             updates[field] = cast(raw)
+            Config(**{field: updates[field]})
         except ValueError as exc:
-            raise ValueError(f"bad value for {ENV_PREFIX + key}: {raw!r}") from exc
+            raise ValueError(f"bad value for {ENV_PREFIX + key}: {raw!r} "
+                             f"({exc})") from exc
     return Config(**updates)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .brackets import bracket_series, canonical_key
+from .brackets import bracket_series
 from .config import get_config
 from .numbers import as_composition, compositions_up_to
 from .series import QSeries
@@ -72,12 +72,22 @@ class Relation:
         return evaluate(self.body, order).is_zero()
 
     def normalized(self) -> WordSum:
-        """Scale so the canonically greatest term has coefficient 1."""
-        words = sorted(self.body.words(), key=canonical_key)
-        if not words:
-            return self.body
-        lead = self.body.coefficient(words[-1])
-        return self.body.scale(1 / lead)
+        """The body in WordSum.normalized form."""
+        return self.body.normalized()
+
+    @staticmethod
+    def verified(body: WordSum, provenance: str,
+                 verify_order: int | None = None) -> "Relation":
+        """The one gate that admits a relation: the body must vanish through
+        q^verify_order (default: the configured order), else ArithmeticError
+        naming the provenance and the order."""
+        order = verify_order if verify_order is not None else get_config().default_order
+        rel = Relation(body, provenance, order)
+        if not rel.check(order):
+            raise ArithmeticError(
+                f"{provenance} relation fails to vanish at order {order}: "
+                f"{body.to_text()}")
+        return rel
 
     def to_json(self) -> dict:
         return {
@@ -185,17 +195,6 @@ def d_word_sum(w: WordSum, verify_order: int | None = None) -> WordSum:
 # relation generators
 # ---------------------------------------------------------------------------
 
-def _as_relation(body: WordSum, provenance: str,
-                 verify_order: int | None = None) -> Relation:
-    order = verify_order if verify_order is not None else get_config().default_order
-    rel = Relation(body, provenance, order)
-    if not rel.check(order):
-        raise ArithmeticError(
-            f"{provenance} relation fails to vanish at order {order}: "
-            f"{body.to_text()}")
-    return rel
-
-
 def split_relations(k: int, verify_order: int | None = None) -> list[Relation]:
     """The floor(k/2) - 1 weight-k relations from comparing all length-1
     derivative expressions d_len1(s1, k - s1)."""
@@ -203,7 +202,8 @@ def split_relations(k: int, verify_order: int | None = None) -> list[Relation]:
         raise ValueError("split relations need weight k >= 4")
     exprs = [d_len1(s1, k - s1, verify_order) for s1 in range(1, k // 2 + 1)]
     head = exprs[0].expression
-    return [_as_relation(head - e.expression, "derivation-split", verify_order)
+    return [Relation.verified(head - e.expression, "derivation-split",
+                              verify_order)
             for e in exprs[1:]]
 
 
@@ -219,7 +219,7 @@ def leibniz_relations(w: Parts | list[int], v: Parts | list[int],
     body = quasi_shuffle(dw, WordSum.of(v)) \
         + quasi_shuffle(WordSum.of(w), dv) \
         - d_word_sum(product, verify_order)
-    return _as_relation(body, "leibniz", verify_order)
+    return Relation.verified(body, "leibniz", verify_order)
 
 
 def proven_relation_corpus(max_weight: int,
@@ -255,16 +255,17 @@ def proven_relation_corpus(max_weight: int,
     while frontier:
         grown = []
         for relation in frontier:
-            bodies = [(quasi_shuffle(relation.body, WordSum.of(c)), c)
+            bodies = [quasi_shuffle(relation.body, WordSum.of(c))
                       for c in compositions_up_to(max_weight - relation.weight)]
             if relation.weight + 2 <= max_weight:
-                bodies.append((d_word_sum(relation.body, verify_order), None))
-            for body, _ in bodies:
-                key = Relation(body, relation.provenance, 0).normalized()
+                bodies.append(d_word_sum(relation.body, verify_order))
+            for body in bodies:
+                key = body.normalized()
                 if key in seen:
                     continue
                 seen.add(key)
-                grown.append(_as_relation(body, relation.provenance, verify_order))
+                grown.append(Relation.verified(body, relation.provenance,
+                                               verify_order))
         corpus.extend(grown)
         frontier = grown
     return corpus

@@ -300,9 +300,14 @@ def generators(space: str, max_weight: int,
                                    max_length=max_length))
 
 
-def _series_order(order: int | None, n_generators: int, max_length: int,
+def _series_order(order: int | None, columns: Sequence[Parts],
                   caller: str) -> int:
-    recommended = 2 * n_generators
+    """The order for a column set: by default the larger of the configured
+    order and twice the column count; an explicit order must reach the
+    first coefficient of the longest column, and below twice the count it
+    warns."""
+    recommended = 2 * len(columns)
+    max_length = max(map(len, columns), default=0)
     least = max_length * (max_length + 1) // 2
     if order is None:
         return max(get_config().default_order, recommended)
@@ -315,7 +320,7 @@ def _series_order(order: int | None, n_generators: int, max_length: int,
     if order < recommended:
         warnings.warn(
             f"{caller}: order {order} is below the recommended "
-            f"2 x {n_generators} generators; the rank may undershoot",
+            f"2 x {len(columns)} generators; the rank may undershoot",
             RuntimeWarning, stacklevel=3)
     return order
 
@@ -336,11 +341,10 @@ def dim_lower_bound(space: str, k: int, l: int, order: int | None = None) -> int
     most the rank over Q, and more coefficients can only reveal more
     independence, never less.
     """
+    if k < 0 or l < 0:
+        raise ValueError("dim_lower_bound needs weight and length >= 0")
     gens = generators(space, k, l)
-    if not gens:
-        return 1
-    longest = max(len(c) for c in gens)
-    order = _series_order(order, len(gens), longest, "dim_lower_bound")
+    order = _series_order(order, gens, "dim_lower_bound")
     ech = ModEchelon(order)
     for row in _packed_rows(gens, order).values():
         ech.add(row)
@@ -428,9 +432,8 @@ def dimension_table(space: str, max_weight: int, order: int | None = None,
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     all_gens = generators(space, max_weight)
-    longest = max((len(c) for c in all_gens), default=0)
-    order = _series_order(order, len(all_gens), longest, "dimension_table")
-    rows = _packed_rows(all_gens, order) if all_gens else {}
+    order = _series_order(order, all_gens, "dimension_table")
+    rows = _packed_rows(all_gens, order)
 
     fil: Dict[Cell, Tuple[int, str]] = {}
     for k in range(max_weight + 1):
@@ -564,14 +567,9 @@ def _candidate_relations(columns: Sequence[Parts], order: int) -> List[Relation]
     scaled = [[x * (common // series[c].den) for x in series[c].nums[1:]]
               for c in columns]
     ech = IntEchelon(zip(*scaled))
-    relations = []
-    for vec in ech.kernel_basis(len(columns)):
-        body = WordSum(zip(columns, vec))
-        relation = Relation(body, "numeric-kernel", order)
-        if not relation.check(order):
-            raise ArithmeticError("kernel vector fails re-evaluation")
-        relations.append(relation)
-    return relations
+    return [Relation.verified(WordSum(zip(columns, vec)), "numeric-kernel",
+                              order)
+            for vec in ech.kernel_basis(len(columns))]
 
 
 def relation_search(space: str, k: int, l: int,
@@ -585,9 +583,8 @@ def relation_search(space: str, k: int, l: int,
     if k < 1 or l < 1:
         raise ValueError("relation_search needs weight and length >= 1")
     gens = generators(space, k, l)
-    longest = max((len(c) for c in gens), default=0)
-    order = _series_order(order, len(gens), longest, "relation_search")
-    return _candidate_relations(gens, order) if gens else []
+    return _candidate_relations(gens, _series_order(order, gens,
+                                                    "relation_search"))
 
 
 def homogeneous_relation_search(k: int, l: int,
@@ -597,9 +594,8 @@ def homogeneous_relation_search(k: int, l: int,
     if k < 1 or l < 1:
         raise ValueError("homogeneous_relation_search needs weight and length >= 1")
     columns = list(compositions(k, l))
-    order = _series_order(order, len(columns), l if columns else 0,
-                          "homogeneous_relation_search")
-    return _candidate_relations(columns, order) if columns else []
+    return _candidate_relations(columns, _series_order(
+        order, columns, "homogeneous_relation_search"))
 
 
 def relation_in_span(target: Relation | WordSum,
@@ -631,8 +627,8 @@ def graded_relation_counts(max_weight: int, max_length: int | None = None,
     buckets: Dict[Cell, List[WordSum]] = {}
     for relation in relations:
         k = relation.weight
-        if k > max_weight:
-            continue
+        if k > max_weight or relation.body.is_zero():
+            continue  # a zero body projects onto no cell
         top = [(w, c) for w, c in relation.body.terms() if sum(w) == k]
         l = max(len(w) for w, _ in top)
         if max_length is not None and l > max_length:

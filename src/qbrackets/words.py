@@ -104,6 +104,13 @@ class WordSum:
             return WordSum()
         return WordSum({w: cc * c for w, cc in self._terms.items()})
 
+    def normalized(self) -> "WordSum":
+        """The normal form up to scale: coefficient 1 at the canonically
+        greatest word, the last term.  The zero sum stays zero."""
+        if not self._terms:
+            return self
+        return self.scale(1 / next(reversed(self._terms.values())))
+
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
             return self.scale(c)

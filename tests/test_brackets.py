@@ -190,6 +190,12 @@ def test_partition_counts_golden():
     assert partition_identity_check(30)
 
 
+def test_partition_counts_rejects_a_negative_bound():
+    assert partition_counts(0) == [1]
+    with pytest.raises(ValueError):
+        partition_counts(-1)
+
+
 def test_bracket_series_rejects_bad_input():
     with pytest.raises(ValueError):
         bracket_series((0, 2), 10)

@@ -37,8 +37,11 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def cold_cache(monkeypatch):
-    """An empty sweep cache, so a cap test sees every row it asks for."""
+    """An empty sweep cache and an empty cache of verified derivatives, so
+    a cap test sees every row it asks for."""
     monkeypatch.setattr(brackets, "_SIGMA_CACHE", {})
+    monkeypatch.setattr(derivation, "_d_general_cached", functools.lru_cache(
+        derivation._d_general_cached.__wrapped__))
     return brackets._SIGMA_CACHE
 
 
@@ -219,16 +222,24 @@ def test_out_of_range_bounds_exit_2(capsys, argv):
         assert "order must be at least 1" in err
 
 
-def test_derive_verifies_at_the_requested_order(capsys, monkeypatch,
-                                                cold_cache):
+def test_derive_verifies_at_the_requested_order(capsys, cold_cache):
     # 31 suffix rows fit the cap at order 10 (310 cells), not at 120
-    monkeypatch.setattr(derivation, "_d_general_cached", functools.lru_cache(
-        derivation._d_general_cached.__wrapped__))
     code, out, err = run(capsys, "--max-cells", "500", "derive", "2,2,2",
                          "--order", "10")
     assert code == 0, err
     assert out.splitlines()[-1] == (
         "check: expression matches q d/dq of the series through q^10: pass")
+
+
+def test_derive_relies_on_the_library_gate(capsys, monkeypatch, cold_cache):
+    # the command has no check of its own: a failed self-verification in
+    # d_general is the whole verdict
+    monkeypatch.setattr(derivation.DerivativeExpression, "check",
+                        lambda self, order: False)
+    code, out, err = run(capsys, "derive", "2,1", "--order", "30")
+    assert code == 3
+    assert out == ""
+    assert "fails against q d/dq at order 30" in err
 
 
 def test_dims_bad_weight(capsys):
@@ -321,7 +332,7 @@ def test_failed_self_verification_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "relations", "--weight", "4", "--length", "2")
     assert code == 3
     assert out == ""
-    assert "kernel vector fails re-evaluation" in err
+    assert "numeric-kernel relation fails to vanish at order 120" in err
 
 
 def test_failed_identity_is_one_fail_line(capsys, monkeypatch):
@@ -353,11 +364,17 @@ def test_environment_format_and_flag_precedence(capsys, monkeypatch):
 
 
 def test_environment_order_out_of_range_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("QBRACKETS_ORDER", "-5")
-    code, out, err = run(capsys, "dims", "--max-weight", "2")
-    assert code == 2
-    assert out == ""
-    assert "default_order must be at least 1, got -5" in err
+    # the error names the variable the user set, not only the Config field
+    for variable, value, reason in [
+            ("ORDER", "-5", "default_order must be at least 1, got -5"),
+            ("MAX_CELLS", "0", "max_cells must be at least 1, got 0")]:
+        with monkeypatch.context() as env:
+            env.setenv(ENV_PREFIX + variable, value)
+            code, out, err = run(capsys, "dims", "--max-weight", "2")
+        assert code == 2
+        assert out == ""
+        assert reason in err
+        assert f"bad value for {ENV_PREFIX}{variable}: '{value}'" in err
 
 
 def test_environment_order_default(capsys, monkeypatch):
@@ -472,6 +489,24 @@ GOLDEN_SHA256 = {
         "0fe8477aa8d4b34d3e16a9b57a28b066d01239c86652095d7c364e49b4c29186",
     "--format json relations --weight 7 --length 7":
         "7421a16e36ee5da999fb9b7153f49429dd87e9e9f524a9dd5c92cb9440efb83f",
+    "product 1 2,1 --order 50":
+        "c016d82e5e7aefacf829bfe5b6676f5c845aba025e2ffe5e48edc3c456a30711",
+    "--format json product 1 2,1 --order 50":
+        "9189fcaab89ca85f6d6e8f6f6261551480b3692ced4f2048519a4cc20a8f3caf",
+    "--format csv product 1 2,1 --order 50":
+        "20381c145d162123ff383ee0d74fb98f39b8740d3faf5b420383fbeef57e6031",
+    "derive 2,1,1 --order 40":
+        "b47888642f72f67d38bbc78bb41eb8babc4d64f82c4717f73d342a14fb49bc48",
+    "--format json derive 2,1,1 --order 40":
+        "708c8ea4c52132f846b1b38f8e592411b3a27b36cd9fb2a9877e0db1121a75ae",
+    "--format csv derive 2,1,1 --order 40":
+        "f9a8d2c189ca5879889f2bd52ef3198c97598a6b0ae7941a1148735442aab1c0",
+    "decompose 1,2 --order 30":
+        "adb3c339c397568cc0f382d284a8cdeae798484374b9b48c2a1f9980669fe3b4",
+    "--format json decompose 1,2 --order 30":
+        "7b6241d4ec706ca38e6bc654a79372d8d5265fd7d2dc10677717dfa2c0dcd237",
+    "--format csv decompose 1,2 --order 30":
+        "902ae573f75087bd7ec4ddd612f0dbf26901d9809beb9d3001cee02322628870",
 }
 
 

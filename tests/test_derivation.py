@@ -100,6 +100,15 @@ def test_leibniz_weight4_matches_split():
     assert rel.normalized() == split.normalized()
 
 
+def test_relation_gate_admits_only_vanishing_bodies():
+    rel = Relation.verified(_ws(REL4), "derivation-split", 60)
+    assert rel.verified_order == 60
+    assert rel.body == _ws(REL4)
+    with pytest.raises(ArithmeticError,
+                       match="^leibniz relation fails to vanish at order 40"):
+        Relation.verified(_ws(REL4) + word(2), "leibniz", 40)
+
+
 def test_relation_metadata_and_json():
     rel = leibniz_relations((1,), (2,), verify_order=50)
     assert rel.status == "proven"

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (ExactMatrix, IntEchelon, ModEchelon,
-                       conjecture_series_check, conjecture_series_expansion,
+from qbrackets import (ExactMatrix, IntEchelon, ModEchelon, Relation,
+                       WordSum, conjecture_series_check,
+                       conjecture_series_expansion,
                        dim_lower_bound, dimension_table, dims_from_dprime,
                        generators, graded_relation_counts,
                        homogeneous_relation_search, relation_in_span,
@@ -315,6 +316,13 @@ def test_dim_lower_bound_weight4():
     assert dim_lower_bound("md", 0, 0) == 1
 
 
+@pytest.mark.parametrize("space, k, l", [("mda", -1, 1), ("md", 2, -1)])
+def test_dim_lower_bound_rejects_negative_cells(space, k, l):
+    # the filtered piece of a negative weight or length is 0, not 1
+    with pytest.raises(ValueError):
+        dim_lower_bound(space, k, l)
+
+
 def test_dimension_table_small():
     table = dimension_table("mda", 4, order=60)
     assert table.value(4, 2) == 6
@@ -360,6 +368,13 @@ def test_graded_relation_counts_low_weights():
     got = graded_relation_counts(6, 4)
     for cell, wanted in RELATION_COUNTS_LOW.items():
         assert got[cell] == wanted, cell
+
+
+def test_graded_relation_counts_skip_a_zero_body():
+    # a zero body projects onto no cell
+    zero = Relation(WordSum(), "leibniz", 0)
+    assert graded_relation_counts(4, relations=[zero]) == \
+        graded_relation_counts(4, relations=[])
 
 
 def test_conjectured_count_series():

@@ -91,6 +91,18 @@ def test_coefficient_rows_keep_the_rank(sums, dependent):
     assert ech.rank == ExactMatrix.from_rows(vectors).rank()
 
 
+@given(word_sums(), st.fractions(min_value=-5, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_normalized_is_the_monic_form_up_to_scale(w, c):
+    if w.is_zero():
+        assert w.normalized().is_zero()
+        return
+    top = max(w.words(), key=canonical_key)
+    assert w.normalized() == w.scale(1 / w.coefficient(top))
+    if c:
+        assert w.scale(c).normalized() == w.normalized()
+
+
 def test_printed_products():
     for w, v, wanted in PRODUCT_EXAMPLES:
         assert quasi_shuffle(word(*w), word(*v)) == _ws(wanted)
