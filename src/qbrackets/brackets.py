@@ -95,8 +95,9 @@ def multiple_divisor_sum(r: Sequence[int], n: int) -> int:
 # primary algorithm: a sweep line over packed suffix rows
 # ---------------------------------------------------------------------------
 
-# comp -> (order, sigma list); sigma[m] is the integer multiple divisor sum
-_SIGMA_CACHE: dict[Parts, tuple[int, list[int]]] = {}
+# comp -> its series at the highest order requested so far: one entry per
+# composition a caller asked for, never a bare suffix of one
+_SERIES_CACHE: dict[Parts, QSeries] = {}
 
 
 def _slot_bytes(nodes: Iterable[Parts], order: int) -> int:
@@ -142,22 +143,14 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
 
     Every command and library call that needs series passes through here,
     so this is the one place the work cap is enforced: a sweep whose nodes
-    (the suffixes of the compositions not already cached) times order exceed
-    max_cells raises ResourceCap before any allocation, and leaves
-    _SIGMA_CACHE as it was.
+    (the suffixes of comps) times order exceed max_cells raises ResourceCap
+    before any allocation.  Only the rows of comps are unpacked and returned;
+    nothing is cached here.
     """
-    out: dict[Parts, list[int]] = {}
-    todo: set[Parts] = set()
-    for comp in comps:
-        cached = _SIGMA_CACHE.get(comp)
-        if cached is not None and cached[0] >= order:
-            out[comp] = cached[1][: order + 1]
-        else:
-            todo.add(comp)
-    if not todo:
-        return out
-
-    nodes = {c[i:] for c in todo for i in range(len(c))}
+    comps = set(comps)
+    if not comps:
+        return {}
+    nodes = {c[i:] for c in comps for i in range(len(c))}
     cells, cap = len(nodes) * order, get_config().max_cells
     if cells > cap:
         raise ResourceCap(f"{len(nodes)} suffix rows x order {order} = "
@@ -180,15 +173,11 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
                 partial[t] += sum(pows[v] * (p >> (step * v)) for v in vs)
 
     size = (order + 1) * width
-    for t in nodes:
+    out: dict[Parts, list[int]] = {}
+    for t in comps:
         packed = partial[t].to_bytes(size, "big")
-        row = [int.from_bytes(packed[i:i + width], "big")
-               for i in range(0, size, width)]
-        cached = _SIGMA_CACHE.get(t)
-        if cached is None or cached[0] < order:
-            _SIGMA_CACHE[t] = (order, row)
-        if t in todo:
-            out[t] = row
+        out[t] = [int.from_bytes(packed[i:i + width], "big")
+                  for i in range(0, size, width)]
     return out
 
 
@@ -205,9 +194,16 @@ def _denominator(comp: Parts) -> int:
 
 
 def _series_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
-    sigma = _sigma_lists([c for c in comps if c], order)
-    return {c: QSeries(order, tuple(sigma[c]), _denominator(c)) if c
-            else QSeries.one(order) for c in comps}
+    """The one reader and writer of _SERIES_CACHE.  A composition cached at
+    this order or higher is served by truncation; the others share one
+    sweep, and their series are stored only after it returns, so a refused
+    sweep leaves the cache as it was."""
+    misses = {c for c in comps if c and (c not in _SERIES_CACHE
+                                         or _SERIES_CACHE[c].order < order)}
+    for c, row in _sigma_lists(misses, order).items():
+        _SERIES_CACHE[c] = QSeries(order, tuple(row), _denominator(c))
+    return {c: _SERIES_CACHE[c].truncate(order) if c else QSeries.one(order)
+            for c in comps}
 
 
 def bracket_series_many(comps: Iterable[Parts], order: int) -> dict[Parts, QSeries]:

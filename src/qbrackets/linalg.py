@@ -627,9 +627,11 @@ def graded_relation_counts(max_weight: int, max_length: int | None = None,
     buckets: Dict[Cell, List[WordSum]] = {}
     for relation in relations:
         k = relation.weight
-        if k > max_weight or relation.body.is_zero():
-            continue  # a zero body projects onto no cell
-        top = [(w, c) for w, c in relation.body.terms() if sum(w) == k]
+        if k > max_weight:
+            continue
+        top = [(w, c) for w, c in relation.body.terms() if w and sum(w) == k]
+        if not top:
+            continue  # a zero or constant body projects onto no cell
         l = max(len(w) for w, _ in top)
         if max_length is not None and l > max_length:
             continue

@@ -84,7 +84,6 @@ def eulerian_polynomial_recurrence(s: int) -> EulerianPolynomial:
     return EulerianPolynomial(s, tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
 def lambda_coeff(a: int, b: int, j: int) -> Fraction:
     """The coefficient lambda^j_{a,b} = (-1)^(b-1) C(a+b-j-1, a-j) B_{a+b-j}/(a+b-j)!.
 

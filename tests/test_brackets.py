@@ -11,11 +11,12 @@ from qbrackets import (Composition, QSeries, ResourceCap, WordSum,
                        bracket_series_oracle, bracket_series_oracle_many,
                        canonical_key, coefficient_growth_report,
                        compositions_up_to, d_general, d_len1, d_len2,
-                       get_config, leibniz_relations, modified_qzeta, mzv,
-                       mzv_oracle, multiple_divisor_sum, partition_counts,
+                       dimension_table, generators, get_config,
+                       leibniz_relations, modified_qzeta, mzv, mzv_oracle,
+                       multiple_divisor_sum, partition_counts,
                        partition_identity_check, set_config, word)
 from qbrackets import brackets
-from qbrackets.brackets import _SIGMA_CACHE, _sigma_lists, _slot_bytes
+from qbrackets.brackets import _SERIES_CACHE, _sigma_lists, _slot_bytes
 from qbrackets.checks import SERIES_EXAMPLES
 
 small_compositions = st.lists(st.integers(min_value=1, max_value=4),
@@ -95,7 +96,7 @@ def test_batched_variants_match_single():
 def test_oracle_agreement_at_high_order(monkeypatch):
     # shared suffixes ((1,), (1, 1), (2, 1, 1), (3,)) under mixed first
     # parts, at an order where a packed slot spans several bytes
-    monkeypatch.setattr(brackets, "_SIGMA_CACHE", {})
+    monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
     comps = [(1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 1, 1), (4, 2, 1, 1),
              (3, 2, 2, 1, 1), (5, 3), (2, 3), (1, 1, 3), (6,)]
     order = 200
@@ -125,7 +126,7 @@ def test_slot_width_bound(comp, order):
 def test_sweep_memory_is_one_row_per_node(monkeypatch):
     # tracemalloc peak of a cold (4, 4, 4) at order 400: 20.9 MB with the
     # earlier list-of-lists suffix recursion, 0.10 MB with the packed sweep
-    monkeypatch.setattr(brackets, "_SIGMA_CACHE", {})
+    monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
     bracket_series((2,), 5)  # first-call work outside the measured span
     tracemalloc.start()
     try:
@@ -142,21 +143,21 @@ def test_series_cache_not_mutated_by_larger_order():
     assert bracket_series((2, 1), 10) == a
 
 
-def test_cache_keeps_a_suffix_row_of_higher_order(monkeypatch):
-    # the sweep stores every suffix node it computes; a lower-order batch
-    # must not replace a longer cached row
-    monkeypatch.setattr(brackets, "_SIGMA_CACHE", {})
+def test_cache_keeps_a_requested_series_of_higher_order(monkeypatch):
+    # a lower-order batch sweeping (2, 1) as a suffix must not replace the
+    # longer cached series, and a suffix nobody requested is not kept
+    monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
     longer = bracket_series((2, 1), 40)
     bracket_series((3, 2, 1), 10)
-    assert brackets._SIGMA_CACHE[(2, 1)][0] == 40
-    assert brackets._SIGMA_CACHE[(1,)][0] == 40
+    assert brackets._SERIES_CACHE[(2, 1)].order == 40
+    assert (1,) not in brackets._SERIES_CACHE
     assert bracket_series((2, 1), 40) == longer
 
 
 @pytest.fixture
 def cap_cells(monkeypatch):
     """A cold sweep cache, and a setter for the active config's max_cells."""
-    monkeypatch.setattr(brackets, "_SIGMA_CACHE", {})
+    monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
     before = get_config()
     yield lambda n: set_config(replace(before, max_cells=n))
     set_config(before)
@@ -169,7 +170,7 @@ def test_sweep_cap_counts_suffix_rows_times_order(cap_cells):
     with pytest.raises(ResourceCap, match="3 suffix rows x order 40 = 120 "
                                           "coefficient cells exceed"):
         bracket_series_many(comps, order)
-    assert brackets._SIGMA_CACHE == {}
+    assert brackets._SERIES_CACHE == {}
     slow = bracket_series_oracle_many(comps, order)  # the oracle is not capped
     cap_cells(120)
     assert bracket_series_many(comps, order) == slow
@@ -180,9 +181,29 @@ def test_sweep_cap_never_counts_cached_rows(cap_cells):
     warm = bracket_series_many(comps, 40)
     cap_cells(1)
     assert bracket_series_many(comps, 40) == warm
-    assert bracket_series((1,), 30) == bracket_series_oracle((1,), 30)
+    assert bracket_series((2, 1), 30) == bracket_series_oracle((2, 1), 30)
     with pytest.raises(ResourceCap):
         bracket_series_many(comps, 41)
+
+
+def test_cache_holds_only_the_requested_compositions(monkeypatch):
+    # a cold mda table sweeps every suffix of its generators, the
+    # non-admissible ones too, but keeps one series per generator
+    monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
+    dimension_table("mda", 7)
+    gens = generators("mda", 7)
+    assert len(gens) == 63
+    assert set(brackets._SERIES_CACHE) == set(gens)
+
+
+def test_cache_hit_at_the_stored_order_is_the_stored_series(cap_cells):
+    # a lower-order hit (checked against the oracle in
+    # test_sweep_cap_never_counts_cached_rows) leaves the entry in place
+    stored = bracket_series((3, 1, 2), 40)
+    cap_cells(1)  # any sweep would now raise ResourceCap
+    assert bracket_series((3, 1, 2), 40) is stored
+    bracket_series((3, 1, 2), 25)
+    assert brackets._SERIES_CACHE[(3, 1, 2)] is stored
 
 
 def test_partition_counts_golden():
@@ -259,8 +280,8 @@ def test_series_entry_points_validate_input(name, comp, order, error, message):
     with pytest.raises(error, match=message):
         COMPOSITION_ENTRY_POINTS[name](comp, order)
     # nothing computed from the bad input reaches the exact cache
-    assert all(type(p) is int and p >= 1 for c in _SIGMA_CACHE for p in c)
-    assert all(type(x) is int for _, row in _SIGMA_CACHE.values() for x in row)
+    assert all(type(p) is int and p >= 1 for c in _SERIES_CACHE for p in c)
+    assert all(type(x) is int for s in _SERIES_CACHE.values() for x in s.nums)
 
 
 @pytest.mark.parametrize("name", SERIES_ENTRY_POINTS)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qbrackets import (SPACES, Config, QSeries, Relation, bracket_series,
                        brackets, derivation, get_config, modular, set_config)
-from qbrackets.checks import Check, CheckFailure
+from qbrackets.checks import Check, CheckFailure, run_suite
 from qbrackets.cli import main
 from qbrackets.config import ENV_PREFIX, _ENV_FIELDS
 
@@ -39,10 +39,10 @@ def run(capsys, *argv):
 def cold_cache(monkeypatch):
     """An empty sweep cache and an empty cache of verified derivatives, so
     a cap test sees every row it asks for."""
-    monkeypatch.setattr(brackets, "_SIGMA_CACHE", {})
+    monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
     monkeypatch.setattr(derivation, "_d_general_cached", functools.lru_cache(
         derivation._d_general_cached.__wrapped__))
-    return brackets._SIGMA_CACHE
+    return brackets._SERIES_CACHE
 
 
 def test_series_text(capsys):
@@ -333,6 +333,17 @@ def test_failed_self_verification_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "numeric-kernel relation fails to vanish at order 120" in err
+
+
+def test_relation_checks_rely_on_the_library_gate(monkeypatch):
+    # split4 and leibniz5 re-evaluate nothing: a gate that refuses every
+    # body is the whole verdict of both
+    monkeypatch.setattr(Relation, "check", lambda self, order: False)
+    results = run_suite(["relation-split4", "relation-leibniz5"])
+    assert [r.name for r in results] == ["relation-split4", "relation-leibniz5"]
+    for r in results:
+        assert not r.passed
+        assert "fails to vanish at order 200" in r.detail
 
 
 def test_failed_identity_is_one_fail_line(capsys, monkeypatch):

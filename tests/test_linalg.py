@@ -377,6 +377,13 @@ def test_graded_relation_counts_skip_a_zero_body():
         graded_relation_counts(4, relations=[])
 
 
+def test_graded_relation_counts_skip_a_constant_body():
+    # the empty word has no first letter and lies in no (k, l) cell
+    one = Relation(WordSum.one(), "leibniz", 0)
+    assert graded_relation_counts(3, relations=[one]) == \
+        graded_relation_counts(3, relations=[])
+
+
 def test_conjectured_count_series():
     assert conjecture_series_expansion(16) == \
         [1, 0, 1, 2, 3, 6, 10, 18, 32, 56, 100, 176, 312, 552, 976, 1728,
