@@ -360,7 +360,7 @@ def check_dims_admissible() -> str:
 
 
 def check_dims_full() -> str:
-    table = dimension_table("md", 6, order=200)
+    table = dimension_table("md", 6)
     for k, row in sorted(DIMS_FULL_EXACT.items()):
         for l, want in enumerate(row):
             got = table.value(k, l)

@@ -11,7 +11,10 @@ only in the final back-substitution.  The dimension tables need ranks only,
 and take them mod the prime 2^31 - 1 with ModEchelon, over rows packed into
 one integer each.  A rank mod p is at most the rank over Q, so a table cell
 is a lower bound by construction, and every cell says whether it is exact
-(all of its generators independent) or a bound.
+(all of its generators independent) or a bound.  A table's default order
+starts a little above the top cell the dimension conjecture predicts and
+grows until the rank stops growing with it (_table_rows); the conjecture
+only picks the order, so it never affects what a cell claims.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import accumulate
+from math import ceil, gcd, lcm
 from typing import (Dict, Iterable, KeysView, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -300,28 +304,29 @@ def generators(space: str, max_weight: int,
                                    max_length=max_length))
 
 
+def _longest(columns: Sequence[Parts]) -> Tuple[int, int]:
+    """(l, l(l+1)/2): the longest column's length, and the power of q of the
+    first coefficient that a bracket of that length can have nonzero."""
+    length = max(map(len, columns), default=0)
+    return length, length * (length + 1) // 2
+
+
 def _series_order(order: int | None, columns: Sequence[Parts],
                   caller: str) -> int:
-    """The order for a column set: by default the larger of the configured
-    order and twice the column count; an explicit order must reach the
-    first coefficient of the longest column, and below twice the count it
-    warns."""
-    recommended = 2 * len(columns)
-    max_length = max(map(len, columns), default=0)
-    least = max_length * (max_length + 1) // 2
+    """The order for a column set.  The default is the larger of the
+    configured order and twice the column count: relation search verifies
+    its candidates at that depth, and the dimension tables never go past it
+    (_table_rows).  An explicit order must be at least 1 and reach the first
+    coefficient of the longest column."""
     if order is None:
-        return max(get_config().default_order, recommended)
+        return max(get_config().default_order, 2 * len(columns))
     if order < 1:
         raise ValueError("order must be at least 1")
+    max_length, least = _longest(columns)
     if order < least:
         raise ValueError(
             f"{caller}: order {order} cannot see a length-{max_length} "
             f"generator (first coefficient at q^{least})")
-    if order < recommended:
-        warnings.warn(
-            f"{caller}: order {order} is below the recommended "
-            f"2 x {len(columns)} generators; the rank may undershoot",
-            RuntimeWarning, stacklevel=3)
     return order
 
 
@@ -333,9 +338,68 @@ def _packed_rows(comps: Sequence[Parts], order: int) -> Dict[Parts, int]:
     return {c: packer.pack(series[c].nums[1:]) for c in comps}
 
 
+def _rank(rows: Iterable[int], order: int) -> int:
+    """The rank mod p of rows packed by _packed_rows at this order."""
+    ech = ModEchelon(order)
+    for row in rows:
+        ech.add(row)
+    return ech.rank
+
+
+def _predicted_top(space: str, k: int) -> int:
+    """The top Fil cell (k, k) that the dimension conjecture predicts: for
+    mda the expansion of conjecture_series_expansion summed through weight
+    k, for md the sum of those mda cells over the weights j <= k (the
+    identity that weight_dims_identity encodes)."""
+    mda = list(accumulate(conjecture_series_expansion(k)))
+    return mda[k] if space == "mda" else sum(mda)
+
+
+def _table_rows(space: str, k: int, gens: Sequence[Parts],
+                order: int | None, caller: str) -> Tuple[int, Dict[Parts, int]]:
+    """The order for the weight-k generators gens of a table, and their rows
+    packed at that order.
+
+    An explicit order is checked by _series_order and used as given.  The
+    default starts a little above the predicted top cell d, at
+    N = max(ceil(1.25 d) + 16, l(l+1)/2) for the longest generator length l,
+    and stops when the rank of all rows has plateaued: the rank at N equals
+    the rank of the same series truncated to floor(0.8 N), served from the
+    series cache without a second sweep.  Otherwise N grows by half, up to
+    the ceiling _series_order(None, ...), where the test is skipped.  The
+    conjecture only picks the orders tried: a rank mod p at any order is a
+    lower bound, and all generators independent is a proof at any order.
+    """
+    if order is not None:
+        order = _series_order(order, gens, caller)
+        return order, _packed_rows(gens, order)
+    ceiling = _series_order(None, gens, caller)
+    n = min(max(ceil(1.25 * _predicted_top(space, k)) + 16,
+                _longest(gens)[1]), ceiling)
+    while n < ceiling:
+        rows = _packed_rows(gens, n)
+        below = 4 * n // 5
+        if (_rank(rows.values(), n)
+                == _rank(_packed_rows(gens, below).values(), below)):
+            return n, rows
+        n = min(ceil(1.5 * n), ceiling)
+    return ceiling, _packed_rows(gens, ceiling)
+
+
+def _warn_if_column_limited(caller: str, rank: int, order: int) -> None:
+    """Warn when the rank reaches the order: every coefficient column is
+    then a pivot, and more coefficients may raise the rank."""
+    if rank >= order:
+        warnings.warn(
+            f"{caller}: the rank reached the order {order}; the values are "
+            f"limited by the coefficient count and may undershoot",
+            RuntimeWarning, stacklevel=3)
+
+
 def dim_lower_bound(space: str, k: int, l: int, order: int | None = None) -> int:
     """1 + rank mod p of the coefficient matrix of the generators with
-    weight <= k and length <= l (the constant series accounts for the 1).
+    weight <= k and length <= l (the constant series accounts for the 1),
+    through q^order (see _table_rows for the default).
 
     A lower bound for the dimension by construction: the rank mod p is at
     most the rank over Q, and more coefficients can only reveal more
@@ -343,12 +407,12 @@ def dim_lower_bound(space: str, k: int, l: int, order: int | None = None) -> int
     """
     if k < 0 or l < 0:
         raise ValueError("dim_lower_bound needs weight and length >= 0")
+    space = _require_space(space)
     gens = generators(space, k, l)
-    order = _series_order(order, gens, "dim_lower_bound")
-    ech = ModEchelon(order)
-    for row in _packed_rows(gens, order).values():
-        ech.add(row)
-    return 1 + ech.rank
+    order, rows = _table_rows(space, k, gens, order, "dim_lower_bound")
+    rank = _rank(rows.values(), order)
+    _warn_if_column_limited("dim_lower_bound", rank, order)
+    return 1 + rank
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +483,7 @@ def dimension_table(space: str, max_weight: int, order: int | None = None,
 
     Fil cell (k, l) is 1 + the rank mod p of the coefficient rows of the
     generators of weight <= k and length <= l, through q^order (see
-    _series_order for the default and the checks on an explicit order).
+    _table_rows for the default and the checks on an explicit order).
     Each is a lower bound by construction, and exact when all of its
     generators are independent mod p, which proves them independent over Q.
     The rows are packed once and shared by the echelons of every weight.
@@ -432,8 +496,8 @@ def dimension_table(space: str, max_weight: int, order: int | None = None,
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     all_gens = generators(space, max_weight)
-    order = _series_order(order, all_gens, "dimension_table")
-    rows = _packed_rows(all_gens, order)
+    order, rows = _table_rows(space, max_weight, all_gens, order,
+                              "dimension_table")
 
     fil: Dict[Cell, Tuple[int, str]] = {}
     for k in range(max_weight + 1):
@@ -449,6 +513,8 @@ def dimension_table(space: str, max_weight: int, order: int | None = None,
             value = 1 + ech.rank
             certainty = "exact" if value == 1 + count else "lower_bound"
             fil[(k, l)] = (value, certainty)
+    _warn_if_column_limited("dimension_table",
+                            fil[(max_weight, max_weight)][0] - 1, order)
     if kind == "fil":
         return DimensionTable(space, "fil", fil)
 
@@ -559,7 +625,17 @@ def weight_dims_identity(dprime: Mapping[Cell, int],
 # relation discovery
 
 
-def _candidate_relations(columns: Sequence[Parts], order: int) -> List[Relation]:
+def _candidate_relations(columns: Sequence[Parts], order: int | None,
+                         caller: str) -> List[Relation]:
+    """Kernel relations among the columns through q^order (see
+    _series_order); an explicit order below twice the column count warns,
+    since a short matrix may leave spurious kernel vectors."""
+    order = _series_order(order, columns, caller)
+    if order < 2 * len(columns):
+        warnings.warn(
+            f"{caller}: order {order} is below the recommended "
+            f"2 x {len(columns)} generators; the rank may undershoot",
+            RuntimeWarning, stacklevel=3)
     series = bracket_series_many(columns, order)
     # column c scaled by common / den_c: common times the coefficient
     # matrix, in integers, with the same kernel basis
@@ -583,8 +659,7 @@ def relation_search(space: str, k: int, l: int,
     if k < 1 or l < 1:
         raise ValueError("relation_search needs weight and length >= 1")
     gens = generators(space, k, l)
-    return _candidate_relations(gens, _series_order(order, gens,
-                                                    "relation_search"))
+    return _candidate_relations(gens, order, "relation_search")
 
 
 def homogeneous_relation_search(k: int, l: int,
@@ -594,8 +669,8 @@ def homogeneous_relation_search(k: int, l: int,
     if k < 1 or l < 1:
         raise ValueError("homogeneous_relation_search needs weight and length >= 1")
     columns = list(compositions(k, l))
-    return _candidate_relations(columns, _series_order(
-        order, columns, "homogeneous_relation_search"))
+    return _candidate_relations(columns, order,
+                                "homogeneous_relation_search")
 
 
 def relation_in_span(target: Relation | WordSum,

@@ -178,6 +178,8 @@ def test_every_sweeping_command_is_capped(capsys, cold_cache, argv):
     assert "coefficient cells exceed the cap of 1" in err
 
 
+# order 2046 = 2 x the generator count of both tables, the order the
+# generator rule would pick
 @pytest.mark.parametrize("space, weight, cells", [
     ("mda", 11, 2_616_834), ("md", 10, 2_093_058)])
 def test_default_cap_refuses_the_large_tables(capsys, monkeypatch,
@@ -185,7 +187,7 @@ def test_default_cap_refuses_the_large_tables(capsys, monkeypatch,
                                               cells):
     monkeypatch.delenv("QBRACKETS_MAX_CELLS", raising=False)
     code, out, err = run(capsys, "dims", "--space", space, "--max-weight",
-                         str(weight))
+                         str(weight), "--order", "2046")
     assert code == 4
     assert out == ""
     assert f"{cells} coefficient cells exceed the cap of 2000000" in err

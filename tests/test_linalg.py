@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -283,8 +284,76 @@ def test_mod_rank_tables_equal_exact(monkeypatch, space, max_weight):
 def test_dimension_table_checks_an_explicit_order():
     with pytest.raises(ValueError, match="cannot see a length-5 generator"):
         dimension_table("mda", 6, order=5)
-    with pytest.warns(RuntimeWarning, match="below the recommended"):
-        dimension_table("mda", 5, order=20)
+    with pytest.warns(RuntimeWarning, match="the rank reached the order 21"):
+        dimension_table("mda", 6, order=21)
+
+
+# sha256 of to_csv() of the default tables, recorded when the default order
+# was max(120, 2 x generators): 510 for mda 9 and 510 for md 8
+DEFAULT_TABLE_CSV_SHA256 = {
+    ("mda", 9, "fil"):
+        "0cdf338801c707ef04807502e2da5f60ab22b509f4731648edf5dd9bf585cd6a",
+    ("mda", 9, "gr"):
+        "d5324cd48faf8ea1b2edc1ba9d79a42dce4b8969975b2070cc2a411962893140",
+    ("md", 8, "fil"):
+        "24af20518a6bbfdeb5b16b055d40602908f10e0352bacf80e4431f3778d3cad3",
+    ("md", 8, "gr"):
+        "5f1579b1736e0796d37409151da188de7910d7d32abba22fda666d59e1a3a723",
+}
+
+
+@pytest.mark.parametrize("space, max_weight, kind",
+                         sorted(DEFAULT_TABLE_CSV_SHA256))
+def test_default_order_gives_the_tables_of_the_generator_rule(
+        space, max_weight, kind):
+    csv = dimension_table(space, max_weight, kind=kind).to_csv()
+    assert (hashlib.sha256(csv.encode()).hexdigest()
+            == DEFAULT_TABLE_CSV_SHA256[(space, max_weight, kind)])
+
+
+def test_predicted_top_cells():
+    assert [linalg._predicted_top("mda", k) for k in range(8, 12)] == [
+        73, 129, 229, 405]
+    assert [linalg._predicted_top("md", k) for k in (6, 8)] == [51, 165]
+
+
+def _record_orders(monkeypatch):
+    """The orders at which linalg packs rows, in call order."""
+    orders = []
+    packed_rows = linalg._packed_rows
+
+    def recording(comps, order):
+        orders.append(order)
+        return packed_rows(comps, order)
+
+    monkeypatch.setattr(linalg, "_packed_rows", recording)
+    return orders
+
+
+def test_default_order_escalates_from_a_low_prediction(monkeypatch):
+    gens = generators("md", 7)
+    ceiling = linalg._series_order(None, gens, "test")
+    assert ceiling == 254
+    expected = {kind: dimension_table("md", 7, order=ceiling, kind=kind)
+                for kind in linalg.TABLE_KINDS}
+    monkeypatch.setattr(linalg, "_predicted_top", lambda space, k: 0)
+    orders = _record_orders(monkeypatch)
+    order, rows = linalg._table_rows("md", 7, gens, None, "test")
+    # 16 is below the first coefficient of [1,...,1] of length 7, q^28
+    assert orders[0] == 28
+    assert len(orders) > 2
+    assert max(orders) <= ceiling and order in orders
+    assert rows == linalg._packed_rows(gens, order)
+    for kind, table in expected.items():
+        assert dimension_table("md", 7, kind=kind) == table
+
+
+def test_default_order_stops_at_the_ceiling(monkeypatch):
+    gens = generators("mda", 7)
+    monkeypatch.setattr(linalg, "_predicted_top", lambda space, k: 10**6)
+    orders = _record_orders(monkeypatch)
+    order, _ = linalg._table_rows("mda", 7, gens, None, "test")
+    assert orders == [order] == [linalg._series_order(None, gens, "test")]
 
 
 @pytest.mark.parametrize("call, message", [
