@@ -347,28 +347,26 @@ def check_partition_identity(order: int = 50) -> str:
     return f"matches the pentagonal recurrence for n <= {order}"
 
 
-def check_dims_admissible() -> str:
-    table = dimension_table("mda", 8)
-    for k, row in sorted(DIMS_ADMISSIBLE_EXACT.items()):
+def _check_dims(space: str, published: Dict[int, Tuple[int, ...]],
+                label: str) -> str:
+    max_weight = max(published)
+    table = dimension_table(space, max_weight)
+    for k, row in sorted(published.items()):
         for l, want in enumerate(row):
             got = table.value(k, l)
             if got != want:
-                raise CheckFailure(f"admissible cell ({k},{l}): computed "
+                raise CheckFailure(f"{label} cell ({k},{l}): computed "
                                    f"{got}, published {want}")
-    cells = sum(len(row) for row in DIMS_ADMISSIBLE_EXACT.values())
-    return f"{cells} proven cells through weight 8 match"
+    cells = sum(len(row) for row in published.values())
+    return f"{cells} proven cells through weight {max_weight} match"
+
+
+def check_dims_admissible() -> str:
+    return _check_dims("mda", DIMS_ADMISSIBLE_EXACT, "admissible")
 
 
 def check_dims_full() -> str:
-    table = dimension_table("md", 6)
-    for k, row in sorted(DIMS_FULL_EXACT.items()):
-        for l, want in enumerate(row):
-            got = table.value(k, l)
-            if got != want:
-                raise CheckFailure(f"full-space cell ({k},{l}): computed "
-                                   f"{got}, published {want}")
-    cells = sum(len(row) for row in DIMS_FULL_EXACT.values())
-    return f"{cells} proven cells through weight 6 match"
+    return _check_dims("md", DIMS_FULL_EXACT, "full-space")
 
 
 def check_homogeneous_relations(order: int = 300) -> str:

@@ -30,6 +30,11 @@ Parts = tuple[int, ...]
 PROVEN_PROVENANCES = ("derivation-split", "leibniz", "modular")
 
 
+def _order(verify_order: int | None) -> int:
+    """The verification order: as given, else the configured default."""
+    return get_config().default_order if verify_order is None else verify_order
+
+
 @dataclass(frozen=True)
 class DerivativeExpression:
     """d[source] written as a WordSum, with the construction recipe named."""
@@ -81,7 +86,7 @@ class Relation:
         """The one gate that admits a relation: the body must vanish through
         q^verify_order (default: the configured order), else ArithmeticError
         naming the provenance and the order."""
-        order = verify_order if verify_order is not None else get_config().default_order
+        order = _order(verify_order)
         rel = Relation(body, provenance, order)
         if not rel.check(order):
             raise ArithmeticError(
@@ -106,7 +111,7 @@ class Relation:
 
 def _verified(source: Parts, expr: WordSum, provenance: str,
               verify_order: int | None) -> DerivativeExpression:
-    order = verify_order if verify_order is not None else get_config().default_order
+    order = _order(verify_order)
     out = DerivativeExpression(source, expr, provenance)
     if not out.check(order):
         raise ArithmeticError(
@@ -180,9 +185,7 @@ def _d_general_cached(c: Parts, verify_order: int) -> DerivativeExpression:
 
 def d_general(c: Parts | list[int], verify_order: int | None = None) -> DerivativeExpression:
     """Expression for d[c], any length; self-verified against q d/dq."""
-    comp = as_composition(c)
-    order = verify_order if verify_order is not None else get_config().default_order
-    return _d_general_cached(comp, order)
+    return _d_general_cached(as_composition(c), _order(verify_order))
 
 
 def d_word_sum(w: WordSum, verify_order: int | None = None) -> WordSum:
@@ -223,10 +226,9 @@ def leibniz_relations(w: Parts | list[int], v: Parts | list[int],
 
 
 def proven_relation_corpus(max_weight: int,
-                           verify_order: int | None = None,
-                           derived: bool = True) -> list[Relation]:
+                           verify_order: int | None = None) -> list[Relation]:
     """Proven relations of weight <= max_weight: splits, Leibniz pairs, and
-    (unless derived=False) their closure under two weight-raising moves.
+    their closure under two weight-raising moves.
 
     Split relations exist from weight 4 on; a Leibniz relation for the pair
     (w, v) has weight wt(w) + wt(v) + 2.  A known relation stays a relation
@@ -241,8 +243,6 @@ def proven_relation_corpus(max_weight: int,
         for v in pairs[i:]:
             if sum(w) + sum(v) + 2 <= max_weight:
                 seeds.append(leibniz_relations(w, v, verify_order))
-    if not derived:
-        return seeds
 
     seen: set[WordSum] = set()
     corpus = []

@@ -15,6 +15,11 @@ is a lower bound by construction, and every cell says whether it is exact
 starts a little above the top cell the dimension conjecture predicts and
 grows until the rank stops growing with it (_table_rows); the conjecture
 only picks the order, so it never affects what a cell claims.
+
+Pivot lemma: the stored rows of an echelon have distinct leading columns
+with zeros before them, and row operations act on every column alike, so
+the rank of the rows added, cut to their first m columns, is the number of
+pivots below m; the pivot set does not depend on the order of the rows.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .words import WordSum, coefficient_rows
 
 Cell = Tuple[int, int]
 Parts = Tuple[int, ...]
+Walk = List[Tuple[int, int]]
 
 SPACES = ("md", "mda")
 TABLE_KINDS = ("fil", "gr")
@@ -232,6 +238,10 @@ class ModEchelon:
     def rank(self) -> int:
         return len(self._rows)
 
+    @property
+    def pivots(self) -> KeysView[int]:
+        return self._rows.keys()
+
     def pack(self, vector: Sequence[int]) -> int:
         """The vector reduced mod p, packed one slot per column."""
         if len(vector) != self._ncols:
@@ -338,14 +348,6 @@ def _packed_rows(comps: Sequence[Parts], order: int) -> Dict[Parts, int]:
     return {c: packer.pack(series[c].nums[1:]) for c in comps}
 
 
-def _rank(rows: Iterable[int], order: int) -> int:
-    """The rank mod p of rows packed by _packed_rows at this order."""
-    ech = ModEchelon(order)
-    for row in rows:
-        ech.add(row)
-    return ech.rank
-
-
 def _predicted_top(space: str, k: int) -> int:
     """The top Fil cell (k, k) that the dimension conjecture predicts: for
     mda the expansion of conjecture_series_expansion summed through weight
@@ -355,45 +357,55 @@ def _predicted_top(space: str, k: int) -> int:
     return mda[k] if space == "mda" else sum(mda)
 
 
-def _table_rows(space: str, k: int, gens: Sequence[Parts],
-                order: int | None, caller: str) -> Tuple[int, Dict[Parts, int]]:
-    """The order for the weight-k generators gens of a table, and their rows
-    packed at that order.
+def _walk(gens: Sequence[Parts], rows: Mapping[Parts, int], order: int,
+          k: int) -> Tuple[Walk, KeysView[int]]:
+    """Add the rows of the generators of weight <= k, packed at this order,
+    to one ModEchelon, length by length: (rank, generator count) after each
+    length 0..k, and the echelon's pivots."""
+    ech = ModEchelon(order)
+    walk = [(0, 0)]
+    for l in range(1, k + 1):
+        layer = [c for c in gens if len(c) == l and sum(c) <= k]
+        for c in layer:
+            ech.add(rows[c])
+        walk.append((ech.rank, walk[-1][1] + len(layer)))
+    return walk, ech.pivots
+
+
+def _table_rows(space: str, k: int, gens: Sequence[Parts], order: int | None,
+                caller: str) -> Tuple[int, Dict[Parts, int], Walk]:
+    """The order for the weight-k generators gens of a table, their rows
+    packed at that order, and the _walk of weight k over them.
 
     An explicit order is checked by _series_order and used as given.  The
     default starts a little above the predicted top cell d, at
     N = max(ceil(1.25 d) + 16, l(l+1)/2) for the longest generator length l,
-    and stops when the rank of all rows has plateaued: the rank at N equals
-    the rank of the same series truncated to floor(0.8 N), served from the
-    series cache without a second sweep.  Otherwise N grows by half, up to
-    the ceiling _series_order(None, ...), where the test is skipped.  The
-    conjecture only picks the orders tried: a rank mod p at any order is a
-    lower bound, and all generators independent is a proof at any order.
+    and stops when the rank at N equals the rank at floor(0.8 N), that is
+    (pivot lemma) when the walk has no pivot at or past floor(0.8 N).
+    Otherwise N grows by half, up to the ceiling _series_order(None, ...),
+    where the test is skipped.  The conjecture only picks the orders tried:
+    a rank mod p at any order is a lower bound, and all generators
+    independent is a proof at any order.  Warns when the rank reaches the
+    order, which more coefficients may raise.
     """
-    if order is not None:
-        order = _series_order(order, gens, caller)
-        return order, _packed_rows(gens, order)
-    ceiling = _series_order(None, gens, caller)
-    n = min(max(ceil(1.25 * _predicted_top(space, k)) + 16,
-                _longest(gens)[1]), ceiling)
-    while n < ceiling:
-        rows = _packed_rows(gens, n)
-        below = 4 * n // 5
-        if (_rank(rows.values(), n)
-                == _rank(_packed_rows(gens, below).values(), below)):
-            return n, rows
-        n = min(ceil(1.5 * n), ceiling)
-    return ceiling, _packed_rows(gens, ceiling)
-
-
-def _warn_if_column_limited(caller: str, rank: int, order: int) -> None:
-    """Warn when the rank reaches the order: every coefficient column is
-    then a pivot, and more coefficients may raise the rank."""
-    if rank >= order:
+    if order is None:
+        ceiling = _series_order(None, gens, caller)
+        order = min(max(ceil(1.25 * _predicted_top(space, k)) + 16,
+                        _longest(gens)[1]), ceiling)
+    else:
+        order = ceiling = _series_order(order, gens, caller)
+    while True:
+        rows = _packed_rows(gens, order)
+        walk, pivots = _walk(gens, rows, order, k)
+        if order == ceiling or max(pivots, default=-1) < 4 * order // 5:
+            break
+        order = min(ceil(1.5 * order), ceiling)
+    if walk[-1][0] >= order:
         warnings.warn(
             f"{caller}: the rank reached the order {order}; the values are "
             f"limited by the coefficient count and may undershoot",
             RuntimeWarning, stacklevel=3)
+    return order, rows, walk
 
 
 def dim_lower_bound(space: str, k: int, l: int, order: int | None = None) -> int:
@@ -408,11 +420,9 @@ def dim_lower_bound(space: str, k: int, l: int, order: int | None = None) -> int
     if k < 0 or l < 0:
         raise ValueError("dim_lower_bound needs weight and length >= 0")
     space = _require_space(space)
-    gens = generators(space, k, l)
-    order, rows = _table_rows(space, k, gens, order, "dim_lower_bound")
-    rank = _rank(rows.values(), order)
-    _warn_if_column_limited("dim_lower_bound", rank, order)
-    return 1 + rank
+    _, _, walk = _table_rows(space, k, generators(space, k, l), order,
+                             "dim_lower_bound")
+    return 1 + walk[-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +496,8 @@ def dimension_table(space: str, max_weight: int, order: int | None = None,
     _table_rows for the default and the checks on an explicit order).
     Each is a lower bound by construction, and exact when all of its
     generators are independent mod p, which proves them independent over Q.
-    The rows are packed once and shared by the echelons of every weight.
+    The rows are packed once and shared by the _walk of every weight; the
+    top weight's walk is the one that _table_rows chose the order with.
     gr cells are differences of Fil cells, so when any of the four inputs is
     itself a bound the tag stays lower_bound, meaning only "computed from
     bounds", not a bound in either direction.
@@ -496,25 +507,14 @@ def dimension_table(space: str, max_weight: int, order: int | None = None,
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     all_gens = generators(space, max_weight)
-    order, rows = _table_rows(space, max_weight, all_gens, order,
-                              "dimension_table")
+    order, rows, top = _table_rows(space, max_weight, all_gens, order,
+                                   "dimension_table")
 
     fil: Dict[Cell, Tuple[int, str]] = {}
     for k in range(max_weight + 1):
-        fil[(k, 0)] = (1, "exact")
-        gens_k = [c for c in all_gens if sum(c) <= k]
-        ech = ModEchelon(order)
-        count = 0
-        for l in range(1, k + 1):
-            for c in gens_k:
-                if len(c) == l:
-                    ech.add(rows[c])
-                    count += 1
-            value = 1 + ech.rank
-            certainty = "exact" if value == 1 + count else "lower_bound"
-            fil[(k, l)] = (value, certainty)
-    _warn_if_column_limited("dimension_table",
-                            fil[(max_weight, max_weight)][0] - 1, order)
+        walk = top if k == max_weight else _walk(all_gens, rows, order, k)[0]
+        for l, (rank, count) in enumerate(walk):
+            fil[(k, l)] = (1 + rank, "exact" if rank == count else "lower_bound")
     if kind == "fil":
         return DimensionTable(space, "fil", fil)
 

@@ -121,7 +121,10 @@ def test_relation_metadata_and_json():
 
 def test_proven_corpus_closure_and_vanishing():
     corpus = proven_relation_corpus(6)
-    seeds = proven_relation_corpus(6, derived=False)
+    pairs = list(compositions_up_to(3))
+    seeds = [rel for k in (4, 5, 6) for rel in split_relations(k)]
+    seeds += [leibniz_relations(w, v) for i, w in enumerate(pairs)
+              for v in pairs[i:] if sum(w) + sum(v) + 2 <= 6]
     assert len(corpus) > len({rel.normalized() for rel in seeds})
     normalized = {rel.normalized() for rel in corpus}
     assert len(normalized) == len(corpus)  # no proportional duplicates

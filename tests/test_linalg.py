@@ -216,6 +216,23 @@ def test_mod_rank_at_most_exact_rank(rows):
     assert rank == len(stored) <= ExactMatrix.from_rows(rows).rank()
 
 
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(mod_entry, min_size=n, max_size=n),
+                       min_size=1, max_size=6)))
+@settings(max_examples=80, deadline=None)
+def test_pivots_below_m_give_the_rank_of_the_first_m_columns(rows):
+    ncols = len(rows[0])
+    echelons = [ModEchelon(ncols) for _ in range(2)]
+    for ech, ordered in zip(echelons, (rows, rows[::-1])):
+        for row in ordered:
+            ech.add(ech.pack(row))
+    for m in range(ncols + 1):
+        cut = [row[:m] for row in rows]
+        assert (sum(p < m for p in echelons[0].pivots)
+                == len(_mod_reference(cut)))
+    assert set(echelons[0].pivots) == set(echelons[1].pivots)
+
+
 def test_mod_rank_undershoot_is_never_exact(monkeypatch):
     # p * e_0 vanishes mod p: rank 1 where the exact rank is 2
     assert _mod_echelon([[P, 0], [0, 1]], 2)[0] == 1
@@ -338,12 +355,13 @@ def test_default_order_escalates_from_a_low_prediction(monkeypatch):
                 for kind in linalg.TABLE_KINDS}
     monkeypatch.setattr(linalg, "_predicted_top", lambda space, k: 0)
     orders = _record_orders(monkeypatch)
-    order, rows = linalg._table_rows("md", 7, gens, None, "test")
+    order, rows, walk = linalg._table_rows("md", 7, gens, None, "test")
     # 16 is below the first coefficient of [1,...,1] of length 7, q^28
     assert orders[0] == 28
     assert len(orders) > 2
     assert max(orders) <= ceiling and order in orders
     assert rows == linalg._packed_rows(gens, order)
+    assert 1 + walk[-1][0] == expected["fil"].value(7, 7)
     for kind, table in expected.items():
         assert dimension_table("md", 7, kind=kind) == table
 
@@ -352,8 +370,35 @@ def test_default_order_stops_at_the_ceiling(monkeypatch):
     gens = generators("mda", 7)
     monkeypatch.setattr(linalg, "_predicted_top", lambda space, k: 10**6)
     orders = _record_orders(monkeypatch)
-    order, _ = linalg._table_rows("mda", 7, gens, None, "test")
+    order, _, _ = linalg._table_rows("mda", 7, gens, None, "test")
     assert orders == [order] == [linalg._series_order(None, gens, "test")]
+
+
+@pytest.mark.parametrize("call, weight", [
+    (lambda: dimension_table("md", 7), 7),
+    (lambda: dim_lower_bound("md", 7, 5), 7),
+    (lambda: dimension_table("mda", 8, order=150), 8),
+], ids=["dims md 7", "dim_lower_bound md 7 5", "dims mda 8 order 150"])
+def test_each_order_tried_is_packed_and_eliminated_once(monkeypatch, call,
+                                                        weight):
+    """With the prediction forced to 0 (so that md 7 escalates, see above),
+    the orders tried are packed once each in strictly increasing order, the
+    top weight is walked once per order tried, and the lower weights of a
+    table only at the chosen order."""
+    monkeypatch.setattr(linalg, "_predicted_top", lambda space, k: 0)
+    orders = _record_orders(monkeypatch)
+    walks = []
+    walk = linalg._walk
+
+    def recording(gens, rows, order, k):
+        walks.append((order, k))
+        return walk(gens, rows, order, k)
+
+    monkeypatch.setattr(linalg, "_walk", recording)
+    call()
+    assert orders == sorted(set(orders))
+    assert [order for order, k in walks if k == weight] == orders
+    assert {order for order, k in walks if k < weight} <= {orders[-1]}
 
 
 @pytest.mark.parametrize("call, message", [
