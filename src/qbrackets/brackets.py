@@ -20,7 +20,6 @@ identity, and the test suite insists on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import index
@@ -239,9 +238,6 @@ class EulerianKernel:
                 break
             total += a * comb(w - 1 - i + self.s - 1, self.s - 1)
         return total
-
-    def coefficient(self, w: int) -> Fraction:
-        return Fraction(self.integer_coefficient(w), factorial(self.s - 1))
 
 
 @lru_cache(maxsize=None)

@@ -36,6 +36,7 @@ from .brackets import bracket_series_many
 from .config import get_config
 from .derivation import Relation, proven_relation_corpus
 from .numbers import compositions, compositions_up_to
+from .series import QSeries
 from .words import WordSum, coefficient_rows
 
 Cell = Tuple[int, int]
@@ -65,11 +66,17 @@ def _require_kind(kind: str) -> str:
 # matrices
 
 
-def _cleared_row(row: Sequence[Fraction]) -> List[int]:
-    den = 1
-    for x in row:
-        den = lcm(den, Fraction(x).denominator)
-    return [int(Fraction(x) * den) for x in row]
+def _cleared_row(row: Sequence[Fraction | int]) -> List[int]:
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _common_numerators(series: Sequence[QSeries]) -> List[List[int]]:
+    """The q^1..q^order numerators of each series over the lcm of their
+    denominators: every series times one integer, so rows built from them
+    have the kernel and unique solutions of the rational coefficients."""
+    common = lcm(*(s.den for s in series))
+    return [[x * (common // s.den) for x in s.nums[1:]] for s in series]
 
 
 @dataclass(frozen=True)
@@ -274,8 +281,8 @@ class ModEchelon:
         return True
 
 
-def solve_unique(rows: Sequence[Sequence[Fraction]],
-                 rhs: Sequence[Fraction]) -> List[Fraction]:
+def solve_unique(rows: Sequence[Sequence[Fraction | int]],
+                 rhs: Sequence[Fraction | int]) -> List[Fraction]:
     """The unique exact solution of (rows) x = rhs.
 
     Raises ArithmeticError when the system is inconsistent or the solution
@@ -637,12 +644,7 @@ def _candidate_relations(columns: Sequence[Parts], order: int | None,
             f"2 x {len(columns)} generators; the rank may undershoot",
             RuntimeWarning, stacklevel=3)
     series = bracket_series_many(columns, order)
-    # column c scaled by common / den_c: common times the coefficient
-    # matrix, in integers, with the same kernel basis
-    common = lcm(*(series[c].den for c in columns))
-    scaled = [[x * (common // series[c].den) for x in series[c].nums[1:]]
-              for c in columns]
-    ech = IntEchelon(zip(*scaled))
+    ech = IntEchelon(zip(*_common_numerators([series[c] for c in columns])))
     return [Relation.verified(WordSum(zip(columns, vec)), "numeric-kernel",
                               order)
             for vec in ech.kernel_basis(len(columns))]

@@ -1,11 +1,13 @@
 """The (quasi-)modular subalgebra inside the bracket algebra.
 
-Eisenstein series are constants plus single brackets, so classical identities
-between them (derivatives of G2, G4, G6, the one-dimensionality of weight-8
-modular forms, representations of the discriminant form) turn into exact
-linear relations between brackets.  Everything is checked coefficient by
-coefficient; the discriminant form is computed independently from its eta
-product so those checks do not assume what they verify.
+Eisenstein series are constants plus single brackets, i.e. words with a term
+on the empty word, so classical identities between them (derivatives of G2,
+G4, G6, the one-dimensionality of weight-8 modular forms) are written with
+quasi-shuffle products and d_word_sum and pass the one relation gate,
+Relation.verified, as proven modular relations.  Representations of the
+discriminant form are solved for on integer series numerators; the form
+itself is computed independently from its eta product (eta24), so those
+checks do not assume what they verify.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .brackets import bracket_series, bracket_series_many, multiple_divisor_sum
-from .linalg import IntEchelon, solve_unique
+from .brackets import bracket_series_many, multiple_divisor_sum
+from .derivation import Relation, d_word_sum
+from .linalg import IntEchelon, _common_numerators, solve_unique
 from .numbers import bernoulli
 from .series import QSeries, eta24
 from .words import WordSum, coefficient_rows, evaluate
@@ -35,58 +38,48 @@ class EisensteinSeries:
     series: QSeries
 
 
-def eisenstein(k: int, order: int) -> EisensteinSeries:
-    """The weight-k Eisenstein series; k = 2 (quasi-modular) is allowed."""
+def _eisenstein_word(k: int) -> WordSum:
+    """G_k as a word sum: its constant on the empty word, plus [k]."""
     if k < 2 or k % 2:
         raise ValueError("Eisenstein weights are the even integers >= 2")
-    constant = -bernoulli(k) / (2 * factorial(k))
-    tail = bracket_series((k,), order)
-    return EisensteinSeries(k, tail + QSeries.monomial(0, order, constant))
+    return WordSum({(): -bernoulli(k) / (2 * factorial(k)), (k,): 1})
 
 
-def _first_mismatch(diff: QSeries) -> int:
-    return next(n for n, x in enumerate(diff.nums) if x)
+def eisenstein(k: int, order: int) -> EisensteinSeries:
+    """The weight-k Eisenstein series; k = 2 (quasi-modular) is allowed."""
+    return EisensteinSeries(k, evaluate(_eisenstein_word(k), order))
 
 
 def verify_quasi_modular_identities(order: int) -> List[dict]:
     """Check the classical derivative and weight-8 identities exactly.
 
-    Returns one report entry per identity.  These are theorems, so any
-    mismatch raises ArithmeticError; the failing coefficient index is in
-    the message.
+    Each identity is written in words (products are quasi-shuffles, d is
+    d_word_sum) and admitted by Relation.verified as a modular relation;
+    returns one report entry per identity.  These are theorems, so any
+    mismatch raises the gate's ArithmeticError.
     """
     if order < 20:
         raise ValueError("order must be at least 20")
-    g2 = eisenstein(2, order).series
-    g4 = eisenstein(4, order).series
-    g6 = eisenstein(6, order).series
-    g8 = eisenstein(8, order).series
-    checks = [
+    g2, g4, g6, g8 = map(_eisenstein_word, (2, 4, 6, 8))
+    identities = [
         ("d G2 = 5 G4 - 2 G2^2",
-         g2.q_d_dq(), g4.scale(5) - (g2 * g2).scale(2)),
+         d_word_sum(g2, order) - 5 * g4 + 2 * g2 * g2),
         # the G6 coefficient is 14: the constant term forces
         # c/60480 = 8/(24*1440) and the q coefficient c/120 = 1/6 - 1/20
         ("d G4 = 14 G6 - 8 G2 G4",
-         g4.q_d_dq(), g6.scale(14) - (g2 * g4).scale(8)),
+         d_word_sum(g4, order) - 14 * g6 + 8 * g2 * g4),
         ("d G6 = 120/7 G4^2 - 12 G2 G6",
-         g6.q_d_dq(), (g4 * g4).scale(Fraction(120, 7)) - (g2 * g6).scale(12)),
+         d_word_sum(g6, order) - Fraction(120, 7) * g4 * g4 + 12 * g2 * g6),
         ("G4^2 = 7/6 G8",
-         g4 * g4, g8.scale(Fraction(7, 6))),
+         g4 * g4 - Fraction(7, 6) * g8),
         ("[8] = 1/40 [4] - 1/252 [2] + 12 [4,4]",
-         bracket_series((8,), order),
-         bracket_series((4,), order).scale(Fraction(1, 40))
-         - bracket_series((2,), order).scale(Fraction(1, 252))
-         + bracket_series((4, 4), order).scale(12)),
+         WordSum({(8,): 1, (4,): Fraction(-1, 40), (2,): Fraction(1, 252),
+                  (4, 4): -12})),
     ]
-    report = []
-    for name, lhs, rhs in checks:
-        diff = lhs - rhs
-        if not diff.is_zero():
-            raise ArithmeticError(
-                f"identity '{name}' fails at coefficient "
-                f"{_first_mismatch(diff)} (order {order})")
-        report.append({"identity": name, "order": diff.order, "pass": True})
-    return report
+    return [{"identity": name,
+             "order": Relation.verified(body, "modular", order).verified_order,
+             "pass": True}
+            for name, body in identities]
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +134,8 @@ def delta_representation(a: int, b: int, order: int = 60) -> DeltaRepresentation
     columns: List[Parts] = [(a,), (b,)] + [(m, 12 - m) for m in range(1, 12)]
     series = bracket_series_many(columns, order)
     delta = eta24(order)
-    rows = list(zip(*(series[c].coeffs for c in columns)))
-    solution = solve_unique(rows, delta.nums[1:])
+    *scaled, rhs = _common_numerators([*(series[c] for c in columns), delta])
+    solution = solve_unique(list(zip(*scaled)), rhs)
 
     expression = WordSum(zip(columns, solution))
     rep = DeltaRepresentation((a, b), expression, order)

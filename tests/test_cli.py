@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (SPACES, Config, QSeries, Relation, bracket_series,
-                       brackets, derivation, get_config, modular, set_config)
+from qbrackets import (SPACES, Config, QSeries, Relation, WordSum,
+                       bracket_series, brackets, derivation, get_config,
+                       modular, set_config)
 from qbrackets.checks import Check, CheckFailure, run_suite
 from qbrackets.cli import main
 from qbrackets.config import ENV_PREFIX, _ENV_FIELDS
@@ -349,18 +350,19 @@ def test_relation_checks_rely_on_the_library_gate(monkeypatch):
 
 
 def test_failed_identity_is_one_fail_line(capsys, monkeypatch):
-    real = modular.bracket_series
+    real = modular._eisenstein_word
 
-    def off_by_one_at_eight(c, order):
-        series = real(c, order)
-        return series + QSeries.monomial(1, order, 1) if c == (8,) else series
+    def g8_off_by_one_bracket(k):
+        w = real(k)
+        return w + WordSum.of((1,)) if k == 8 else w
 
-    monkeypatch.setattr(modular, "bracket_series", off_by_one_at_eight)
+    monkeypatch.setattr(modular, "_eisenstein_word", g8_off_by_one_bracket)
     code, out, err = run(capsys, "verify", "--only",
                          "quasi-modular,tau-congruence")
     assert code == 3
-    assert re.search(r"^FAIL quasi-modular .*fails at coefficient 1", out,
-                     re.MULTILINE)
+    assert len(re.findall(r"^FAIL quasi-modular", out, re.MULTILINE)) == 1
+    assert re.search(r"^FAIL quasi-modular .*modular relation fails to "
+                     r"vanish at order 100", out, re.MULTILINE)
     assert re.search(r"^ok   tau-congruence", out, re.MULTILINE)
     assert "first failure: quasi-modular" in err
 

@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 
 import qbrackets.modular as modular
-from qbrackets import (DELTA_PAIRS, DELTA_SCALE, WordSum, bracket_series,
-                       delta_affine_combination, delta_representation,
-                       delta_representations, deltal2_check,
-                       deltal2_word_sum, eisenstein, eta24, evaluate,
-                       representation_span_rank, tau, tau_congruence,
+from qbrackets import (DELTA_PAIRS, DELTA_SCALE, Relation, WordSum,
+                       bracket_series, delta_affine_combination,
+                       delta_representation, delta_representations,
+                       deltal2_check, deltal2_word_sum, eisenstein, eta24,
+                       evaluate, leibniz_relations, representation_span_rank,
+                       split_relations, tau, tau_congruence,
                        verify_quasi_modular_identities)
+from qbrackets.checks import REL4
+from qbrackets.derivation import PROVEN_PROVENANCES
 
 # length-one coefficients of the six discriminant representations
 PAIR_COEFFS = {
@@ -47,6 +50,37 @@ def test_quasi_modular_identity_report():
     assert "G4^2 = 7/6 G8" in names
     with pytest.raises(ValueError):
         verify_quasi_modular_identities(10)
+
+
+def _admitted(monkeypatch):
+    """Record every relation the gate admits from now on."""
+    admitted = []
+    gate = Relation.verified
+
+    def recording(body, provenance, verify_order=None):
+        admitted.append(gate(body, provenance, verify_order))
+        return admitted[-1]
+
+    monkeypatch.setattr(Relation, "verified", staticmethod(recording))
+    return admitted
+
+
+def test_every_proven_provenance_has_a_producer(monkeypatch):
+    admitted = _admitted(monkeypatch)
+    split_relations(4, 60)
+    leibniz_relations((1,), (2,), 60)
+    verify_quasi_modular_identities(40)
+    assert {rel.provenance for rel in admitted} == set(PROVEN_PROVENANCES)
+    assert all(rel.status == "proven" for rel in admitted)
+
+
+def test_modular_relations_meet_the_split_relations(monkeypatch):
+    admitted = _admitted(monkeypatch)
+    verify_quasi_modular_identities(40)
+    assert [rel.provenance for rel in admitted] == ["modular"] * 5
+    dg2, _, _, g4_squared, eight = admitted
+    assert dg2.normalized() == WordSum(REL4).normalized()
+    assert g4_squared.normalized() == eight.normalized()
 
 
 def test_tau_golden():
