@@ -15,9 +15,9 @@ from .brackets import (Composition, canonical_key, multiple_divisor_sum,
 from .words import (WordSum, word, diamond, quasi_shuffle, evaluate,
                     subalgebra_membership, OnePolynomial, decompose_in_one,
                     SUBALGEBRAS)
-from .derivation import (DerivativeExpression, Relation, d_len1, d_len2,
-                         d_general, d_word_sum, split_relations,
-                         leibniz_relations, proven_relation_corpus)
+from .derivation import (Relation, d_len1, d_len2, d_general, d_word_sum,
+                         split_relations, leibniz_relations,
+                         proven_relation_corpus)
 from .linalg import (SPACES, TABLE_KINDS, ExactMatrix, IntEchelon,
                      ModEchelon, solve_unique, generators, dim_lower_bound,
                      DimensionTable, dimension_table, dims_from_dprime,
@@ -25,7 +25,7 @@ from .linalg import (SPACES, TABLE_KINDS, ExactMatrix, IntEchelon,
                      homogeneous_relation_search, relation_in_span,
                      graded_relation_counts, conjecture_series_expansion,
                      conjecture_series_check)
-from .modular import (DELTA_PAIRS, DELTA_SCALE, EisensteinSeries, eisenstein,
+from .modular import (DELTA_PAIRS, DELTA_SCALE, eisenstein,
                       verify_quasi_modular_identities, tau,
                       DeltaRepresentation, delta_representation,
                       delta_representations, delta_affine_combination,
@@ -48,7 +48,7 @@ __all__ = [
     "WordSum", "word", "diamond", "quasi_shuffle", "evaluate",
     "subalgebra_membership", "OnePolynomial", "decompose_in_one",
     "SUBALGEBRAS",
-    "DerivativeExpression", "Relation", "d_len1", "d_len2", "d_general",
+    "Relation", "d_len1", "d_len2", "d_general",
     "d_word_sum", "split_relations", "leibniz_relations",
     "proven_relation_corpus",
     "SPACES", "TABLE_KINDS", "ExactMatrix", "IntEchelon", "ModEchelon",
@@ -57,7 +57,7 @@ __all__ = [
     "relation_search", "homogeneous_relation_search", "relation_in_span",
     "graded_relation_counts", "conjecture_series_expansion",
     "conjecture_series_check",
-    "DELTA_PAIRS", "DELTA_SCALE", "EisensteinSeries", "eisenstein",
+    "DELTA_PAIRS", "DELTA_SCALE", "eisenstein",
     "verify_quasi_modular_identities", "tau", "DeltaRepresentation",
     "delta_representation", "delta_representations",
     "delta_affine_combination", "representation_span_rank",

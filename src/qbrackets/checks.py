@@ -239,14 +239,14 @@ def check_product_examples(order: int = 100) -> str:
 
 def check_derivative_forms(order: int = 80) -> str:
     for label, parts, wanted in DERIVATIVE_EXAMPLES:
-        expr = d_general(parts, verify_order=order)
-        _expect_words(expr.expression, WordSum(wanted), label)
-    forms = {d_len1(1, 3, verify_order=order).expression,
-             d_len1(2, 2, verify_order=order).expression}
+        _expect_words(d_general(parts, verify_order=order), WordSum(wanted),
+                      label)
+    forms = {d_len1(1, 3, verify_order=order),
+             d_len1(2, 2, verify_order=order)}
     if forms != {WordSum(D2_FORM_A), WordSum(D2_FORM_B)}:
         raise CheckFailure("the two split expressions for d[2] differ from "
                            "the published pair")
-    _expect_words(d_len2(2, 2, verify_order=order).expression,
+    _expect_words(d_len2(2, 2, verify_order=order),
                   WordSum(DERIVATIVE_EXAMPLES[3][2]), "d[2,2] closed form")
     return f"7 closed forms, each certified against q d/dq at order {order}"
 
@@ -331,8 +331,7 @@ def check_mzv_relations() -> str:
 
 
 def check_mzv_kernel_image() -> str:
-    expr = d_general((1, 1)).expression
-    poly = Z_k_alg(expr, 4)
+    poly = Z_k_alg(d_general((1, 1)), 4)
     worst = float(poly.max_abs())
     if worst >= 1e-6:
         raise CheckFailure(f"Z_4 image of d[1,1] has a coefficient of size "

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .brackets import bracket_series
@@ -39,10 +38,6 @@ def parse_parts(text: str) -> Tuple[int, ...]:
                          f"list of integers") from None
 
 
-def _rat(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def _word_label(w: Tuple[int, ...]) -> str:
     return " ".join(map(str, w))
 
@@ -56,15 +51,15 @@ def _series_lines(parts, series, fmt: str) -> List[str]:
         doc = {"composition": list(parts), "series": series.to_json()}
         return [json.dumps(doc, indent=2)]
     if fmt == "csv":
-        lines = ["n,coefficient", f"0,{_rat(series.constant)}"]
-        lines += [f"{n},{_rat(series.coefficient(n))}"
+        lines = ["n,coefficient", f"0,{series.constant}"]
+        lines += [f"{n},{series.coefficient(n)}"
                   for n in range(1, series.order + 1)]
         return lines
     return [series.to_text()]
 
 
 def _word_sum_csv(w: WordSum) -> List[str]:
-    return ["word,coefficient"] + [f"{_word_label(t)},{_rat(c)}"
+    return ["word,coefficient"] + [f"{_word_label(t)},{c}"
                                    for t, c in w.terms()]
 
 
@@ -114,7 +109,7 @@ def cmd_derive(args, cfg: Config) -> int:
     parts = parse_parts(args.parts)
     order = args.order if args.order is not None else cfg.default_order
     # d_general's own check is the verdict: it raises (exit 3) on a mismatch
-    result = d_general(parts, verify_order=order).expression
+    result = d_general(parts, verify_order=order)
     for line in _checked_lines("derive", result, _word_sum_csv(result),
                                cfg.output_format, order, True,
                                "expression matches q d/dq of the series"):
@@ -128,7 +123,7 @@ def cmd_decompose(args, cfg: Config) -> int:
     poly = decompose_in_one(WordSum.of(parts))
     ok = poly.substitute_one(order) == bracket_series(parts, order)
     rows = ["power,word,coefficient"]
-    rows += [f"{j},{_word_label(t)},{_rat(c)}"
+    rows += [f"{j},{_word_label(t)},{c}"
              for j, p in enumerate(poly.powers) for t, c in p.terms()]
     for line in _checked_lines("decompose", poly, rows, cfg.output_format,
                                order, ok, "substituting the series [1] for T "
@@ -152,8 +147,13 @@ def cmd_dims(args, cfg: Config) -> int:
     else:
         text = table.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -170,7 +170,7 @@ def cmd_relations(args, cfg: Config) -> int:
         lines = ["relation,word,coefficient"]
         for i, rel in enumerate(rels):
             for t, c in rel.normalized().terms():
-                lines.append(f"{i},{_word_label(t)},{_rat(c)}")
+                lines.append(f"{i},{_word_label(t)},{c}")
         print("\n".join(lines))
     else:
         if not rels:

@@ -1,8 +1,8 @@
 """The derivation d = q d/dq at the expression level.
 
 Applying d to a bracket lands back in the span of brackets, with weight up by
-two and length up by at most one.  Three constructors produce expression-level
-derivatives: closed forms for lengths one and two, and a general coefficient
+two and length up by at most one.  Three constructors return d[c] as a
+WordSum: closed forms for lengths one and two, and a general coefficient
 extraction that works for every composition.  Each construction is verified
 against q d/dq on the actual series before it is returned, so a formula bug
 cannot silently leak wrong relations.
@@ -14,7 +14,7 @@ relations between brackets; those are packaged as Relation values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -22,7 +22,6 @@ from math import comb
 from .brackets import bracket_series
 from .config import get_config
 from .numbers import as_composition, compositions_up_to
-from .series import QSeries
 from .words import WordSum, evaluate, quasi_shuffle, word
 
 Parts = tuple[int, ...]
@@ -33,19 +32,6 @@ PROVEN_PROVENANCES = ("derivation-split", "leibniz", "modular")
 def _order(verify_order: int | None) -> int:
     """The verification order: as given, else the configured default."""
     return get_config().default_order if verify_order is None else verify_order
-
-
-@dataclass(frozen=True)
-class DerivativeExpression:
-    """d[source] written as a WordSum, with the construction recipe named."""
-
-    source: Parts
-    expression: WordSum
-    provenance: str
-
-    def check(self, order: int) -> bool:
-        return evaluate(self.expression, order) == \
-            bracket_series(self.source, order).q_d_dq()
 
 
 @dataclass(frozen=True)
@@ -109,18 +95,19 @@ class Relation:
                         data["provenance"], int(data["verified_order"]))
 
 
-def _verified(source: Parts, expr: WordSum, provenance: str,
-              verify_order: int | None) -> DerivativeExpression:
+def _verified(source: Parts, expr: WordSum, recipe: str,
+              verify_order: int | None) -> WordSum:
+    """expr, once it matches q d/dq of [source] through the verification
+    order; else ArithmeticError naming the construction recipe."""
     order = _order(verify_order)
-    out = DerivativeExpression(source, expr, provenance)
-    if not out.check(order):
+    if evaluate(expr, order) != bracket_series(source, order).q_d_dq():
         raise ArithmeticError(
-            f"derivative expression for {source} ({provenance}) fails "
+            f"derivative expression for {source} ({recipe}) fails "
             f"against q d/dq at order {order}")
-    return out
+    return expr
 
 
-def d_len1(s1: int, s2: int, verify_order: int | None = None) -> DerivativeExpression:
+def d_len1(s1: int, s2: int, verify_order: int | None = None) -> WordSum:
     """An expression for d[s] with s = s1+s2-2, one for every split of s+2.
 
     Different splits give different expressions for the same series; their
@@ -138,7 +125,7 @@ def d_len1(s1: int, s2: int, verify_order: int | None = None) -> DerivativeExpre
     return _verified((s,), expr, f"len1-split({s1},{s2})", verify_order)
 
 
-def d_len2(s1: int, s2: int, verify_order: int | None = None) -> DerivativeExpression:
+def d_len2(s1: int, s2: int, verify_order: int | None = None) -> WordSum:
     """Closed form for d[s1,s2]."""
     s1, s2 = as_composition((s1, s2))
     terms = [*quasi_shuffle(word(2), word(s1, s2)).terms(),
@@ -179,11 +166,11 @@ def _d_general_body(c: Parts) -> WordSum:
 
 
 @lru_cache(maxsize=None)
-def _d_general_cached(c: Parts, verify_order: int) -> DerivativeExpression:
+def _d_general_cached(c: Parts, verify_order: int) -> WordSum:
     return _verified(c, _d_general_body(c), "general-extraction", verify_order)
 
 
-def d_general(c: Parts | list[int], verify_order: int | None = None) -> DerivativeExpression:
+def d_general(c: Parts | list[int], verify_order: int | None = None) -> WordSum:
     """Expression for d[c], any length; self-verified against q d/dq."""
     return _d_general_cached(as_composition(c), _order(verify_order))
 
@@ -191,7 +178,7 @@ def d_general(c: Parts | list[int], verify_order: int | None = None) -> Derivati
 def d_word_sum(w: WordSum, verify_order: int | None = None) -> WordSum:
     """Termwise derivative of a WordSum (the empty word maps to zero)."""
     return WordSum((u, coeff * k) for t, coeff in w.terms() if t
-                   for u, k in d_general(t, verify_order).expression.terms())
+                   for u, k in d_general(t, verify_order).terms())
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +191,7 @@ def split_relations(k: int, verify_order: int | None = None) -> list[Relation]:
     if k < 4:
         raise ValueError("split relations need weight k >= 4")
     exprs = [d_len1(s1, k - s1, verify_order) for s1 in range(1, k // 2 + 1)]
-    head = exprs[0].expression
-    return [Relation.verified(head - e.expression, "derivation-split",
-                              verify_order)
+    return [Relation.verified(exprs[0] - e, "derivation-split", verify_order)
             for e in exprs[1:]]
 
 
@@ -216,8 +201,8 @@ def leibniz_relations(w: Parts | list[int], v: Parts | list[int],
     expression level."""
     w = tuple(w)
     v = tuple(v)
-    dw = d_general(w, verify_order).expression
-    dv = d_general(v, verify_order).expression
+    dw = d_general(w, verify_order)
+    dv = d_general(v, verify_order)
     product = quasi_shuffle(WordSum.of(w), WordSum.of(v))
     body = quasi_shuffle(dw, WordSum.of(v)) \
         + quasi_shuffle(WordSum.of(w), dv) \

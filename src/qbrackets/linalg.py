@@ -480,7 +480,7 @@ class DimensionTable:
             return f"{value}+" if certainty == "lower_bound" else str(value)
 
         weights = sorted({k for k, _ in self.cells})
-        max_l = max(l for _, l in self.cells)
+        max_l = max((l for _, l in self.cells), default=-1)
         header = ["k\\l"] + [str(l) for l in range(max_l + 1)]
         rows = [header]
         for k in weights:

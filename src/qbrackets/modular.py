@@ -1,10 +1,11 @@
 """The (quasi-)modular subalgebra inside the bracket algebra.
 
 Eisenstein series are constants plus single brackets, i.e. words with a term
-on the empty word, so classical identities between them (derivatives of G2,
-G4, G6, the one-dimensionality of weight-8 modular forms) are written with
-quasi-shuffle products and d_word_sum and pass the one relation gate,
-Relation.verified, as proven modular relations.  Representations of the
+on the empty word; eisenstein(k, order) returns the QSeries of that word.
+Classical identities between them (derivatives of G2, G4, G6, the
+one-dimensionality of weight-8 modular forms) are written with quasi-shuffle
+products and d_word_sum and pass the one relation gate, Relation.verified,
+as proven modular relations.  Representations of the
 discriminant form are solved for on integer series numerators; the form
 itself is computed independently from its eta product (eta24), so those
 checks do not assume what they verify.
@@ -30,14 +31,6 @@ DELTA_PAIRS = ((2, 4), (4, 6), (6, 8), (8, 10), (10, 11), (11, 12))
 DELTA_SCALE = Fraction(1, 2**6 * 5 * 691)
 
 
-@dataclass(frozen=True)
-class EisensteinSeries:
-    """G_k = -(1/2) B_k / k! + [k], exact through the series order."""
-
-    weight: int
-    series: QSeries
-
-
 def _eisenstein_word(k: int) -> WordSum:
     """G_k as a word sum: its constant on the empty word, plus [k]."""
     if k < 2 or k % 2:
@@ -45,9 +38,10 @@ def _eisenstein_word(k: int) -> WordSum:
     return WordSum({(): -bernoulli(k) / (2 * factorial(k)), (k,): 1})
 
 
-def eisenstein(k: int, order: int) -> EisensteinSeries:
-    """The weight-k Eisenstein series; k = 2 (quasi-modular) is allowed."""
-    return EisensteinSeries(k, evaluate(_eisenstein_word(k), order))
+def eisenstein(k: int, order: int) -> QSeries:
+    """The weight-k Eisenstein series G_k = -(1/2) B_k / k! + [k] through
+    q^order; k = 2 (quasi-modular) is allowed."""
+    return evaluate(_eisenstein_word(k), order)
 
 
 def verify_quasi_modular_identities(order: int) -> List[dict]:

@@ -280,21 +280,6 @@ class OnePolynomial:
     def coefficient(self, j: int) -> WordSum:
         return self._powers[j] if 0 <= j < len(self._powers) else WordSum.zero()
 
-    def __add__(self, other: "OnePolynomial") -> "OnePolynomial":
-        n = max(len(self._powers), len(other._powers))
-        return OnePolynomial([self.coefficient(j) + other.coefficient(j)
-                              for j in range(n)])
-
-    def scale(self, c: Fraction | int) -> "OnePolynomial":
-        return OnePolynomial([p.scale(c) for p in self._powers])
-
-    def shift(self) -> "OnePolynomial":
-        """Multiply by T."""
-        return OnePolynomial([WordSum.zero(), *self._powers])
-
-    def is_zero(self) -> bool:
-        return not self._powers
-
     def __eq__(self, other) -> bool:
         return isinstance(other, OnePolynomial) and self._powers == other._powers
 
@@ -337,6 +322,18 @@ class OnePolynomial:
         return OnePolynomial([WordSum.from_json(p) for p in data["powers"]])
 
 
+def _combine(parts: Iterable[tuple[Word, Fraction, int]]) -> OnePolynomial:
+    """The sum of coeff * T^shift * (decomposition of word) over the
+    (word, coeff, shift) parts, each power of T built as one WordSum."""
+    powers: list[list[tuple[Word, Fraction]]] = []
+    for word_, coeff, shift in parts:
+        for j, p in enumerate(_decompose_word(word_).powers, shift):
+            while len(powers) <= j:
+                powers.append([])
+            powers[j] += [(w, c * coeff) for w, c in p.terms()]
+    return OnePolynomial(WordSum(terms) for terms in powers)
+
+
 @lru_cache(maxsize=None)
 def _decompose_word(word_: Word) -> OnePolynomial:
     if not word_ or word_[0] > 1:
@@ -351,13 +348,11 @@ def _decompose_word(word_: Word) -> OnePolynomial:
     if self_coeff != m:
         raise ArithmeticError(f"peeling invariant broken at {word_}")
     inv_m = Fraction(1, m)
-    # T * decomposition of the shorter word
-    result = _decompose_word((1,) * (m - 1) + tail).shift().scale(inv_m)
-    for other, c in produced:
-        if other == word_:
-            continue  # its coefficient is exactly m
-        result = result + _decompose_word(other).scale(-c * inv_m)
-    return result
+    # T * decomposition of the shorter word, less the rest; the word's own
+    # coefficient is exactly m
+    return _combine([((1,) * (m - 1) + tail, inv_m, 1),
+                     *((other, -c * inv_m, 0)
+                       for other, c in produced if other != word_)])
 
 
 def decompose_in_one(w: WordSum) -> OnePolynomial:
@@ -366,5 +361,4 @@ def decompose_in_one(w: WordSum) -> OnePolynomial:
     The result satisfies substitute_one(order) == evaluate(w, order) for any
     order, and every coefficient passes subalgebra_membership 'admissible'.
     """
-    return sum((_decompose_word(word_).scale(c) for word_, c in w.terms()),
-               OnePolynomial())
+    return _combine((word_, c, 0) for word_, c in w.terms())

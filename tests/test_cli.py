@@ -149,6 +149,17 @@ def test_dims_out_file(tmp_path, capsys):
     assert content.startswith("space,kind,k,l,value,certainty")
 
 
+def test_dims_out_into_a_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.txt"
+    code, out, err = run(capsys, "dims", "--max-weight", "2",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot write {target}")
+    assert len(err.splitlines()) == 1
+
+
 def test_dims_resource_cap(capsys, cold_cache):
     code, _, err = run(capsys, "--max-cells", "50", "dims", "--space", "mda",
                        "--max-weight", "6")
@@ -237,8 +248,8 @@ def test_derive_verifies_at_the_requested_order(capsys, cold_cache):
 def test_derive_relies_on_the_library_gate(capsys, monkeypatch, cold_cache):
     # the command has no check of its own: a failed self-verification in
     # d_general is the whole verdict
-    monkeypatch.setattr(derivation.DerivativeExpression, "check",
-                        lambda self, order: False)
+    monkeypatch.setattr(derivation, "evaluate",
+                        lambda w, order: QSeries.zero(order))
     code, out, err = run(capsys, "derive", "2,1", "--order", "30")
     assert code == 3
     assert out == ""
@@ -522,6 +533,12 @@ GOLDEN_SHA256 = {
         "7b6241d4ec706ca38e6bc654a79372d8d5265fd7d2dc10677717dfa2c0dcd237",
     "--format csv decompose 1,2 --order 30":
         "902ae573f75087bd7ec4ddd612f0dbf26901d9809beb9d3001cee02322628870",
+    "decompose 1,1,1,2 --order 30":
+        "2d8d578d42307be8f55d421d16def8508944942d2e8e404c52a1fff6e70eebfd",
+    "--format json decompose 1,1,1,2 --order 30":
+        "cf179330a53ea7973c5107c9129de52b2a1edededbc6881d19d23816234c80be",
+    "--format csv decompose 1,1,1,2 --order 30":
+        "1b62169a59393aae09555cb42ed66fbdb5c57b670a0407b543433958640541ca",
 }
 
 

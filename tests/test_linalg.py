@@ -537,6 +537,12 @@ def test_dims_from_dprime_reassembles_tables():
     assert table.value(6, 2) == 12
 
 
+def test_table_without_cells_renders_its_header():
+    table = dims_from_dprime({})
+    assert table.to_csv() == "space,kind,k,l,value,certainty\n"
+    assert table.to_text() == "k\\l\n"
+
+
 def test_weight_dims_identity_agrees():
     for k, graded_md, fil_mda in weight_dims_identity(DPRIME, max_weight=6):
         assert graded_md == fil_mda

@@ -25,10 +25,10 @@ PAIR_COEFFS = {
 
 
 def test_eisenstein_constants():
-    assert eisenstein(2, 10).series.constant == Fraction(-1, 24)
-    assert eisenstein(4, 10).series.constant == Fraction(1, 1440)
-    assert eisenstein(6, 10).series.constant == Fraction(-1, 60480)
-    assert eisenstein(8, 10).series.constant == Fraction(1, 2419200)
+    assert eisenstein(2, 10).constant == Fraction(-1, 24)
+    assert eisenstein(4, 10).constant == Fraction(1, 1440)
+    assert eisenstein(6, 10).constant == Fraction(-1, 60480)
+    assert eisenstein(8, 10).constant == Fraction(1, 2419200)
     with pytest.raises(ValueError):
         eisenstein(3, 10)
     with pytest.raises(ValueError):
@@ -38,8 +38,7 @@ def test_eisenstein_constants():
 def test_eisenstein_tail_is_bracket():
     g = eisenstein(4, 20)
     b = bracket_series((4,), 20)
-    assert g.series.coeffs == b.coeffs
-    assert g.weight == 4
+    assert g.coeffs == b.coeffs
 
 
 def test_quasi_modular_identity_report():

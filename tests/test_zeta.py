@@ -125,7 +125,7 @@ def test_mzv_pinned_values(index, value, bound):
 
 
 def test_z_symbolic_kernel_of_derivative():
-    image = Z_k_symbolic(d_general((1,)).expression, 3)
+    image = Z_k_symbolic(d_general((1,)), 3)
     assert image.combination == {(3,): 1, (2, 1): -1}
     assert abs(image.value) <= image.error_bound + mpf("1e-30")
 
@@ -152,7 +152,7 @@ def test_z_alg_on_weight8_relation():
 
 
 def test_z_alg_derivative_image_vanishes():
-    poly = Z_k_alg(d_general((1, 1)).expression, 4)
+    poly = Z_k_alg(d_general((1, 1)), 4)
     assert poly.weight == 4
     assert poly.degree() <= 4
     assert float(poly.max_abs()) < 1e-6
@@ -184,7 +184,7 @@ def test_modified_qzeta_identities():
         word(4) - word(3) + word(2).scale(Fraction(1, 3)), order)
     assert modified_qzeta((2, 2), order) == bracket_series((2, 2), order)
     assert modified_qzeta((2, 2, 2), order) == bracket_series((2, 2, 2), order)
-    d1 = d_general((1,)).expression
+    d1 = d_general((1,))
     assert modified_qzeta((2, 1), order) == evaluate(
         word(2, 1) - word(2) + d1, order)
 
