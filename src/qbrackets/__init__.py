@@ -7,24 +7,20 @@ from .numbers import (bernoulli, eulerian_number, eulerian_polynomial,
                       lambda_coeff, count_generators, compositions,
                       compositions_up_to)
 from .series import QSeries, eta24
-from .brackets import (Composition, canonical_key, multiple_divisor_sum,
-                       bracket_series, bracket_series_many,
-                       bracket_series_oracle, bracket_series_oracle_many,
-                       EulerianKernel, partition_counts,
-                       partition_identity_check)
+from .brackets import (canonical_key, multiple_divisor_sum, bracket_series,
+                       bracket_series_many, bracket_series_oracle,
+                       bracket_series_oracle_many, EulerianKernel,
+                       partition_counts, partition_identity_check)
 from .words import (WordSum, word, diamond, quasi_shuffle, evaluate,
-                    subalgebra_membership, OnePolynomial, decompose_in_one,
-                    SUBALGEBRAS)
+                    OnePolynomial, decompose_in_one)
 from .derivation import (Relation, d_len1, d_len2, d_general, d_word_sum,
                          split_relations, leibniz_relations,
                          proven_relation_corpus)
 from .linalg import (SPACES, TABLE_KINDS, ExactMatrix, IntEchelon,
                      ModEchelon, solve_unique, generators, dim_lower_bound,
-                     DimensionTable, dimension_table, dims_from_dprime,
-                     weight_dims_identity, relation_search,
+                     DimensionTable, dimension_table, relation_search,
                      homogeneous_relation_search, relation_in_span,
-                     graded_relation_counts, conjecture_series_expansion,
-                     conjecture_series_check)
+                     graded_relation_counts, conjecture_series_expansion)
 from .modular import (DELTA_PAIRS, DELTA_SCALE, eisenstein,
                       verify_quasi_modular_identities, tau,
                       DeltaRepresentation, delta_representation,
@@ -32,8 +28,7 @@ from .modular import (DELTA_PAIRS, DELTA_SCALE, eisenstein,
                       representation_span_rank, deltal2_word_sum,
                       deltal2_check, tau_congruence)
 from .zeta import (MzvValue, mzv, mzv_oracle, ZImage, Z_k_symbolic,
-                   ZPolynomial, Z_k_alg, LimitEstimate, limit_diagnostic,
-                   modified_qzeta, coefficient_growth_report)
+                   ZPolynomial, Z_k_alg, modified_qzeta)
 from .config import Config, ResourceCap, load_config, get_config, set_config
 from .checks import REGISTRY, CheckResult, first_failure, run_suite
 
@@ -41,30 +36,27 @@ __all__ = [
     "bernoulli", "eulerian_number", "eulerian_polynomial", "lambda_coeff",
     "count_generators", "compositions", "compositions_up_to",
     "QSeries", "eta24",
-    "Composition", "canonical_key", "multiple_divisor_sum",
+    "canonical_key", "multiple_divisor_sum",
     "bracket_series", "bracket_series_many",
     "bracket_series_oracle", "bracket_series_oracle_many",
     "EulerianKernel", "partition_counts", "partition_identity_check",
     "WordSum", "word", "diamond", "quasi_shuffle", "evaluate",
-    "subalgebra_membership", "OnePolynomial", "decompose_in_one",
-    "SUBALGEBRAS",
+    "OnePolynomial", "decompose_in_one",
     "Relation", "d_len1", "d_len2", "d_general",
     "d_word_sum", "split_relations", "leibniz_relations",
     "proven_relation_corpus",
     "SPACES", "TABLE_KINDS", "ExactMatrix", "IntEchelon", "ModEchelon",
     "solve_unique", "generators", "dim_lower_bound", "DimensionTable",
-    "dimension_table", "dims_from_dprime", "weight_dims_identity",
-    "relation_search", "homogeneous_relation_search", "relation_in_span",
-    "graded_relation_counts", "conjecture_series_expansion",
-    "conjecture_series_check",
+    "dimension_table", "relation_search", "homogeneous_relation_search",
+    "relation_in_span", "graded_relation_counts",
+    "conjecture_series_expansion",
     "DELTA_PAIRS", "DELTA_SCALE", "eisenstein",
     "verify_quasi_modular_identities", "tau", "DeltaRepresentation",
     "delta_representation", "delta_representations",
     "delta_affine_combination", "representation_span_rank",
     "deltal2_word_sum", "deltal2_check", "tau_congruence",
     "MzvValue", "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic", "ZPolynomial",
-    "Z_k_alg", "LimitEstimate", "limit_diagnostic", "modified_qzeta",
-    "coefficient_growth_report",
+    "Z_k_alg", "modified_qzeta",
     "Config", "ResourceCap", "load_config", "get_config", "set_config",
     "REGISTRY", "CheckResult", "first_failure", "run_suite",
 ]

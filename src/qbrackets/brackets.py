@@ -32,30 +32,6 @@ from .series import QSeries
 Parts = tuple[int, ...]
 
 
-class Composition(tuple):
-    """A tuple of positive integer parts; () stands for the empty bracket."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts: Iterable[int] = ()):
-        return super().__new__(cls, as_composition(parts))
-
-    @property
-    def weight(self) -> int:
-        return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
-
-    @property
-    def admissible(self) -> bool:
-        return len(self) == 0 or self[0] > 1
-
-    def __repr__(self) -> str:
-        return "[" + ",".join(str(p) for p in self) + "]"
-
-
 def canonical_key(parts: Sequence[int]) -> tuple[int, int, Parts]:
     """Sort key for the canonical composition order: ascending weight, then
     ascending length, then lexicographic on the parts."""

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, gcd, lcm
-from typing import (Dict, Iterable, KeysView, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, KeysView, List, Mapping, Sequence, Tuple
 
 from .brackets import bracket_series_many
 from .config import get_config
@@ -45,7 +44,6 @@ Walk = List[Tuple[int, int]]
 
 SPACES = ("md", "mda")
 TABLE_KINDS = ("fil", "gr")
-CERTAINTIES = ("exact", "lower_bound", "unknown")
 
 
 def _require_space(space: str) -> str:
@@ -358,8 +356,8 @@ def _packed_rows(comps: Sequence[Parts], order: int) -> Dict[Parts, int]:
 def _predicted_top(space: str, k: int) -> int:
     """The top Fil cell (k, k) that the dimension conjecture predicts: for
     mda the expansion of conjecture_series_expansion summed through weight
-    k, for md the sum of those mda cells over the weights j <= k (the
-    identity that weight_dims_identity encodes)."""
+    k, for md the sum of those mda cells over the weights j <= k (MD is
+    MDa[[1]], and [1]^(k-j) lifts the weight-j part of MDa to weight k)."""
     mda = list(accumulate(conjecture_series_expansion(k)))
     return mda[k] if space == "mda" else sum(mda)
 
@@ -440,25 +438,24 @@ def dim_lower_bound(space: str, k: int, l: int, order: int | None = None) -> int
 class DimensionTable:
     """Values for the cells (k, l) of one dimension table.
 
-    Every cell carries a certainty tag: exact, lower_bound, or unknown
-    (unknown cells have value None and never compare equal to a number).
+    Every cell carries a certainty tag: exact or lower_bound.
     """
 
     space: str
     kind: str
-    cells: Mapping[Cell, Tuple[Optional[int], str]]
+    cells: Mapping[Cell, Tuple[int, str]]
 
     @property
     def max_weight(self) -> int:
         return max((k for k, _ in self.cells), default=-1)
 
-    def value(self, k: int, l: int) -> Optional[int]:
+    def value(self, k: int, l: int) -> int:
         return self.cells[(k, l)][0]
 
     def certainty(self, k: int, l: int) -> str:
         return self.cells[(k, l)][1]
 
-    def row(self, k: int) -> List[Optional[int]]:
+    def row(self, k: int) -> List[int]:
         cols = sorted(l for kk, l in self.cells if kk == k)
         return [self.value(k, l) for l in cols]
 
@@ -466,17 +463,13 @@ class DimensionTable:
         lines = ["space,kind,k,l,value,certainty"]
         for (k, l) in sorted(self.cells):
             value, certainty = self.cells[(k, l)]
-            text = "" if value is None else str(value)
-            lines.append(f"{self.space},{self.kind},{k},{l},{text},{certainty}")
+            lines.append(f"{self.space},{self.kind},{k},{l},{value},{certainty}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        """Grid with one row per weight; lower bounds are suffixed with '+',
-        unknown cells shown as '?'."""
-        def shown(cell: Tuple[Optional[int], str]) -> str:
+        """Grid with one row per weight; lower bounds are suffixed with '+'."""
+        def shown(cell: Tuple[int, str]) -> str:
             value, certainty = cell
-            if value is None:
-                return "?"
             return f"{value}+" if certainty == "lower_bound" else str(value)
 
         weights = sorted({k for k, _ in self.cells})
@@ -538,94 +531,6 @@ def dimension_table(space: str, max_weight: int, order: int | None = None,
             exact = exact and cell[1] == "exact"
         gr[(k, l)] = (total, "exact" if exact else "lower_bound")
     return DimensionTable(space, "gr", gr)
-
-
-def dims_from_dprime(dprime: Mapping[Cell, int], space: str = "mda",
-                     kind: str = "fil", max_weight: int | None = None,
-                     exact_cells: Iterable[Cell] | None = None) -> DimensionTable:
-    """Build any of the four tables from the graded dimensions of the
-    admissible space.
-
-    dprime maps (k, l) with 0 <= l <= k to the dimension of the (k, l) graded
-    piece; cells outside the triangle are structurally zero, and the (0, 0)
-    cell is structurally 1 (the constants) whether or not it is supplied.  A
-    cell of the output that needs a missing dprime value becomes unknown,
-    never a silent zero.  exact_cells (default: all given) marks which inputs
-    are proven; anything derived from an unproven input is tagged lower_bound.
-    """
-    space = _require_space(space)
-    kind = _require_kind(kind)
-    if max_weight is None:
-        max_weight = max((k for k, _ in dprime), default=-1)
-    exact = set(dprime if exact_cells is None else exact_cells)
-
-    def core(j: int, i: int) -> Tuple[Optional[int], bool]:
-        """(value, proven) of the graded (j, i) piece; value None = unknown."""
-        if i < 0 or j < 0 or i > j:
-            return 0, True
-        if space == "md":
-            total, proven = 0, True
-            for r in range(min(j, i) + 1):
-                value, p = _mda_core(j - r, i - r)
-                if value is None:
-                    return None, False
-                total += value
-                proven = proven and p
-            return total, proven
-        return _mda_core(j, i)
-
-    def _mda_core(j: int, i: int) -> Tuple[Optional[int], bool]:
-        if i < 0 or j < 0 or i > j:
-            return 0, True
-        if j == 0 and i == 0:
-            return 1, True
-        if (j, i) in dprime:
-            return dprime[(j, i)], (j, i) in exact
-        return None, False
-
-    cells: Dict[Cell, Tuple[Optional[int], str]] = {}
-    for k in range(max_weight + 1):
-        for l in range(k + 1):
-            if kind == "gr":
-                value, proven = core(k, l)
-            else:
-                value, proven = 0, True
-                for j in range(k + 1):
-                    for i in range(l + 1):
-                        v, p = core(j, i)
-                        if v is None:
-                            value = None
-                            break
-                        value += v
-                        proven = proven and p
-                    if value is None:
-                        break
-            if value is None:
-                cells[(k, l)] = (None, "unknown")
-            else:
-                cells[(k, l)] = (value, "exact" if proven else "lower_bound")
-    return DimensionTable(space, kind, cells)
-
-
-def weight_dims_identity(dprime: Mapping[Cell, int],
-                         max_weight: int) -> List[Tuple[int, Optional[int], Optional[int]]]:
-    """(k, weight-graded dim of the full space, weight-filtered dim of the
-    admissible space) for k <= max_weight; the two numbers agree whenever
-    both are known."""
-    md_gr = dims_from_dprime(dprime, space="md", kind="gr", max_weight=max_weight)
-    mda_fil = dims_from_dprime(dprime, space="mda", kind="fil", max_weight=max_weight)
-
-    out = []
-    for k in range(max_weight + 1):
-        graded = 0
-        for l in range(k + 1):
-            value = md_gr.value(k, l)
-            if value is None:
-                graded = None
-                break
-            graded += value
-        out.append((k, graded, mda_fil.value(k, k)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -744,26 +649,3 @@ def conjecture_series_expansion(max_k: int) -> List[int]:
         coeffs.append(c)
     return coeffs
 
-
-def conjecture_series_check(max_k: int,
-                            dprime_totals: Sequence[int] | None = None) -> List[dict]:
-    """Compare the conjectured generating series with weight totals of the
-    graded admissible dimensions.
-
-    Returns one entry per weight with the expansion coefficient, the given
-    total (None when not supplied), and whether they match.  This reports on
-    the conjecture; nothing here asserts it.
-    """
-    expansion = conjecture_series_expansion(max_k)
-    report = []
-    for k in range(max_k + 1):
-        given = None
-        if dprime_totals is not None and k < len(dprime_totals):
-            given = dprime_totals[k]
-        report.append({
-            "k": k,
-            "expansion": expansion[k],
-            "computed": given,
-            "match": None if given is None else given == expansion[k],
-        })
-    return report

@@ -225,7 +225,7 @@ def coefficient_rows(sums: Iterable[WordSum]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and membership
+# evaluation
 # ---------------------------------------------------------------------------
 
 def evaluate(w: WordSum, order: int) -> QSeries:
@@ -235,23 +235,6 @@ def evaluate(w: WordSum, order: int) -> QSeries:
     for word_, c in w.terms():
         total = total + series[word_].scale(c)
     return total
-
-
-SUBALGEBRAS = ("admissible", "all-even", "all-greater-one")
-
-
-def subalgebra_membership(w: WordSum, which: str) -> bool:
-    """Test every term against one of the three subalgebra conditions:
-    'admissible' (first letter > 1), 'all-even', 'all-greater-one'."""
-    if which == "admissible":
-        ok = lambda t: not t or t[0] > 1
-    elif which == "all-even":
-        ok = lambda t: all(p % 2 == 0 for p in t)
-    elif which == "all-greater-one":
-        ok = lambda t: all(p > 1 for p in t)
-    else:
-        raise ValueError(f"unknown subalgebra {which!r}; pick from {SUBALGEBRAS}")
-    return all(ok(t) for t in w.words())
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +342,7 @@ def decompose_in_one(w: WordSum) -> OnePolynomial:
     """Write w as a polynomial in the word [1] with admissible coefficients.
 
     The result satisfies substitute_one(order) == evaluate(w, order) for any
-    order, and every coefficient passes subalgebra_membership 'admissible'.
+    order, and every coefficient is admissible: each of its words is empty or
+    starts with a letter > 1.
     """
     return _combine((word_, c, 0) for word_, c in w.terms())

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log2, perm
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from math import comb, perm
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from mpmath import mp, mpf, workdps
 
-from .brackets import bracket_series
 from .config import get_config
 from .numbers import as_composition, bernoulli
 from .series import QSeries
@@ -316,53 +315,7 @@ def Z_k_alg(w: WordSum, k: int,
 
 
 # ---------------------------------------------------------------------------
-# numeric q -> 1 diagnostics
-
-
-class LimitEstimate(NamedTuple):
-    value: float
-    spread: float
-
-
-def limit_diagnostic(s: QSeries, k: int) -> LimitEstimate:
-    """Richardson estimate of lim (1-q)^k s(q) for q -> 1.
-
-    The truncated series is evaluated exactly at q = 1 - 2^-m for
-    m = 2..8 and the ladder is extrapolated; the spread of the last
-    extrapolation stages is reported alongside.  Diagnostic only: the
-    truncation error at the largest m is not controlled.
-    """
-    if s.order < 200:
-        raise ValueError("limit diagnostics need series order >= 200")
-    ladder: List[mpf] = []
-    for m in range(2, 9):
-        # q = a / 2^m, so (1-q)^k s(q) is
-        # sum nums[n] a^n 2^(m(order-n)) over den 2^(m(order+k))
-        a, num = 2 ** m - 1, 0
-        for n in range(s.order, -1, -1):
-            num = num * a + (s.nums[n] << m * (s.order - n))
-        value = Fraction(num, s.den << m * (s.order + k))
-        ladder.append(mpf(value.numerator) / value.denominator)
-    rows = [ladder]
-    for j in range(1, len(ladder)):
-        prev = rows[-1]
-        rows.append([prev[i + 1] + (prev[i + 1] - prev[i]) / (2 ** j - 1)
-                     for i in range(len(prev) - 1)])
-    # entries built on q with q^order not negligible see the truncation,
-    # not the limit; a table cell at (j, i) uses m = 2+i .. 2+i+j
-    n_clean = sum(1 for m in range(2, 9)
-                  if s.order * -log2(1 - 2.0 ** -m) >= 25)
-    best = None
-    for j in range(1, len(rows)):
-        for i in range(len(rows[j])):
-            if i + j > n_clean - 1:
-                continue
-            delta = abs(rows[j][i] - rows[j - 1][i + 1])
-            if best is None or delta < best[0]:
-                best = (delta, j, i)
-    delta, j, i = best
-    spread = delta + abs(rows[j][i] - rows[j - 1][i])
-    return LimitEstimate(float(rows[j][i]), float(spread))
+# modified q-analogues of multiple zeta values
 
 
 def modified_qzeta(c: Sequence[int], order: int) -> QSeries:
@@ -392,23 +345,3 @@ def modified_qzeta(c: Sequence[int], order: int) -> QSeries:
                         out[base + e] += factor * inner[e]
     return QSeries(order, tuple(partial[0]))
 
-
-def coefficient_growth_report(c: Sequence[int], order: int = 400) -> dict:
-    """Heuristic growth trend of the bracket coefficients: samples of
-    a_n / n^(k-1) at a few n.  Reported, never asserted; logarithmic and
-    subleading factors are invisible at finite order."""
-    comp = as_composition(c)
-    if order < 4:
-        raise ValueError("growth report needs order >= 4")
-    k = sum(comp)
-    series = bracket_series(comp, order)
-    points = sorted({order // 4, order // 2, 3 * order // 4, order})
-    samples = [(n, float(series.coefficient(n)) / n ** (k - 1))
-               for n in points]
-    ratio = samples[-1][1] / samples[0][1] if samples[0][1] else float("inf")
-    return {
-        "composition": list(comp),
-        "weight": k,
-        "normalized_samples": samples,
-        "last_over_first": ratio,
-    }

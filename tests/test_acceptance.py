@@ -151,7 +151,7 @@ def test_criterion_09_generator_count_report():
         print()
         for k in range(9):
             row = [table.value(k, l) for l in range(k + 1)]
-            total = sum(v for v in row if v is not None)
+            total = sum(row)
             verdict = "agree" if total == expansion[k] else "DISAGREE"
             print(f"  weight {k}: computed generator count {total}, "
                   f"series coefficient {expansion[k]} -> {verdict}")

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (Composition, QSeries, ResourceCap, WordSum,
-                       bracket_series, bracket_series_many,
-                       bracket_series_oracle, bracket_series_oracle_many,
-                       canonical_key, coefficient_growth_report,
+from qbrackets import (QSeries, ResourceCap, WordSum, bracket_series,
+                       bracket_series_many, bracket_series_oracle,
+                       bracket_series_oracle_many, canonical_key,
                        compositions_up_to, d_general, d_len1, d_len2,
                        dimension_table, generators, get_config,
                        leibniz_relations, modified_qzeta, mzv, mzv_oracle,
@@ -21,15 +20,6 @@ from qbrackets.checks import SERIES_EXAMPLES
 
 small_compositions = st.lists(st.integers(min_value=1, max_value=4),
                               min_size=1, max_size=4).map(tuple)
-
-
-def test_composition_validation():
-    assert Composition([2, 1]).weight == 3
-    assert Composition([2, 1]).length == 2
-    assert Composition([2, 1]).admissible
-    assert not Composition([1, 2]).admissible
-    with pytest.raises(ValueError):
-        Composition([0, 1])
 
 
 def test_canonical_key_orders_by_weight_length_lex():
@@ -236,17 +226,16 @@ SERIES_ENTRY_POINTS = {
 # the pair (s1, s2), padded here with a valid 2
 COMPOSITION_ENTRY_POINTS = {
     **SERIES_ENTRY_POINTS,
-    "Composition": lambda c, n: Composition(c),
     "WordSum.of": lambda c, n: WordSum.of(c),
     "word": lambda c, n: word(*c),
     "d_general": lambda c, n: d_general(c, 40),
     "d_len1": lambda c, n: d_len1(*(tuple(c) + (2,))[:2], 40),
     "d_len2": lambda c, n: d_len2(*(tuple(c) + (2,))[:2], 40),
     "leibniz_relations": lambda c, n: leibniz_relations(c, (2,), 40),
+    "leibniz_relations v": lambda c, n: leibniz_relations((2,), c, 40),
     "mzv": lambda c, n: mzv(c),
     "mzv_oracle": mzv_oracle,
     "modified_qzeta": modified_qzeta,
-    "coefficient_growth_report": coefficient_growth_report,
 }
 
 BAD_INPUT = [

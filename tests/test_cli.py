@@ -135,7 +135,7 @@ def test_dims_csv_and_json_agree(capsys):
     by_cell = {(c["k"], c["l"]): c["value"] for c in doc["cells"]}
     for line in csv_out.splitlines()[1:]:
         space, kind, k, l, value, certainty = line.split(",")
-        assert by_cell[(int(k), int(l))] == (int(value) if value else None)
+        assert by_cell[(int(k), int(l))] == int(value)
 
 
 def test_dims_out_file(tmp_path, capsys):

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (ExactMatrix, IntEchelon, ModEchelon, Relation,
-                       WordSum, conjecture_series_check,
-                       conjecture_series_expansion,
-                       dim_lower_bound, dimension_table, dims_from_dprime,
-                       generators, graded_relation_counts,
-                       homogeneous_relation_search, relation_in_span,
-                       relation_search, solve_unique, weight_dims_identity)
+from qbrackets import (SPACES, TABLE_KINDS, DimensionTable, ExactMatrix,
+                       IntEchelon, ModEchelon, Relation, WordSum,
+                       compositions_up_to, conjecture_series_expansion,
+                       dim_lower_bound, dimension_table, generators,
+                       graded_relation_counts, homogeneous_relation_search,
+                       relation_in_span, relation_search, solve_unique)
 from qbrackets import linalg
 from qbrackets.checks import RELATION_COUNTS_LOW
 
@@ -424,6 +423,16 @@ def test_generators_listing():
         generators("bogus", 3)
 
 
+@pytest.mark.parametrize("space", SPACES)
+def test_generators_are_the_compositions_of_the_space(space):
+    # md is spanned by every bracket, mda by the admissible ones, whose
+    # first part exceeds 1
+    members = [c for c in compositions_up_to(6)
+               if space == "md" or c[0] > 1]
+    assert generators(space, 6) == members
+    assert len(members) == (63 if space == "md" else 31)
+
+
 def test_dim_lower_bound_weight4():
     assert dim_lower_bound("mda", 4, 2, order=60) == 6
     assert dim_lower_bound("mda", 4, 3, order=60) == 7
@@ -503,8 +512,7 @@ def test_conjectured_count_series():
         [1, 0, 1, 2, 3, 6, 10, 18, 32, 56, 100, 176, 312, 552, 976, 1728,
          3056]
     totals = [sum(row) for _, row in sorted(DPRIME_ROWS.items())]
-    report = conjecture_series_check(6, totals)
-    assert all(entry["match"] for entry in report)
+    assert conjecture_series_expansion(6) == totals
 
 
 # graded dimensions of the admissible space, rows k = 0..6
@@ -517,32 +525,63 @@ DPRIME_ROWS = {
     5: (0, 1, 2, 2, 1, 0),
     6: (0, 1, 2, 3, 3, 1, 0),
 }
-DPRIME = {(k, l): v for k, row in DPRIME_ROWS.items()
-          for l, v in enumerate(row)}
 
 
-def test_dims_from_dprime_reassembles_tables():
-    mda = dims_from_dprime(DPRIME, space="mda", max_weight=6)
-    assert mda.row(4) == [1, 4, 6, 7, 7]
-    assert mda.row(6) == [1, 6, 12, 18, 22, 23, 23]
-    md = dims_from_dprime(DPRIME, space="md", max_weight=6)
-    assert md.row(4) == [1, 5, 10, 14, 15]
-    assert md.row(6) == [1, 7, 18, 32, 44, 50, 51]
-    # a missing graded cell propagates as unknown, not as zero
-    partial = dict(DPRIME)
-    del partial[(6, 3)]
-    table = dims_from_dprime(partial, space="mda", max_weight=6)
-    assert table.value(6, 3) is None
-    assert table.certainty(6, 3) == "unknown"
-    assert table.value(6, 2) == 12
+def test_graded_mda_table_is_the_graded_dimensions():
+    table = dimension_table("mda", 6, kind="gr")
+    assert {k: tuple(table.row(k)) for k in range(7)} == DPRIME_ROWS
+
+
+@pytest.mark.parametrize("space, row4, row6", [
+    ("mda", [1, 4, 6, 7, 7], [1, 6, 12, 18, 22, 23, 23]),
+    ("md", [1, 5, 10, 14, 15], [1, 7, 18, 32, 44, 50, 51]),
+], ids=["mda", "md"])
+def test_fil_cells_are_sums_of_the_graded_cells(space, row4, row6):
+    fil = dimension_table(space, 6)
+    gr = dimension_table(space, 6, kind="gr")
+    for (k, l) in fil.cells:
+        assert fil.value(k, l) == sum(
+            gr.value(kk, ll) for kk in range(k + 1)
+            for ll in range(min(l, kk) + 1))
+    assert fil.row(4) == row4
+    assert fil.row(6) == row6
+
+
+def test_md_graded_cells_are_mda_graded_cells_times_powers_of_one():
+    # MD = MDa[[1]] with [1] of weight 1 and length 1: the graded piece
+    # (k, l) of md is the sum over i of the mda pieces (k - i, l - i)
+    md = dimension_table("md", 6, kind="gr")
+    mda = dimension_table("mda", 6, kind="gr")
+    for (k, l) in md.cells:
+        assert md.value(k, l) == sum(mda.value(k - i, l - i)
+                                     for i in range(l + 1))
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_table_cells_are_integers_with_a_known_certainty(space, kind):
+    table = dimension_table(space, 5, kind=kind)
+    assert len(table.cells) == 21
+    for cell in table.cells.values():
+        assert type(cell[0]) is int
+        assert cell[1] in ("exact", "lower_bound")
+    for line in table.to_csv().splitlines()[1:]:
+        _, _, k, l, value, certainty = line.split(",")
+        assert table.cells[(int(k), int(l))] == (int(value), certainty)
+    assert "?" not in table.to_text()
 
 
 def test_table_without_cells_renders_its_header():
-    table = dims_from_dprime({})
+    table = DimensionTable("mda", "fil", {})
     assert table.to_csv() == "space,kind,k,l,value,certainty\n"
     assert table.to_text() == "k\\l\n"
 
 
-def test_weight_dims_identity_agrees():
-    for k, graded_md, fil_mda in weight_dims_identity(DPRIME, max_weight=6):
-        assert graded_md == fil_mda
+def test_md_top_cells_sum_the_mda_top_cells():
+    # MD = MDa[[1]]: the md cell (k, k) is the sum of the mda cells (j, j)
+    # over j <= k, the identity _predicted_top relies on for md
+    md, mda = dimension_table("md", 6), dimension_table("mda", 6)
+    tops = [md.value(k, k) for k in range(7)]
+    assert tops == [sum(mda.value(j, j) for j in range(k + 1))
+                    for k in range(7)]
+    assert tops == [1, 2, 4, 8, 15, 28, 51]

@@ -5,10 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, pi, workdps, zeta as mp_zeta
 
-from qbrackets import (MzvValue, WordSum, Z_k_alg, Z_k_symbolic,
-                       bracket_series, coefficient_growth_report, d_general,
-                       evaluate, limit_diagnostic, modified_qzeta, mzv,
-                       mzv_oracle, word)
+from qbrackets import (Z_k_alg, Z_k_symbolic, bracket_series, d_general,
+                       evaluate, modified_qzeta, mzv, mzv_oracle, word)
 from qbrackets import zeta
 
 
@@ -163,21 +161,6 @@ def test_z_alg_rejects_overweight():
         Z_k_alg(word(3, 2), 4)
 
 
-def test_limit_diagnostic_calibration():
-    s = bracket_series((2,), 400).scale(Fraction(1))
-    est = limit_diagnostic(s.scale(Fraction(1, 1)), 2)
-    zeta2 = 1.6449340668482264
-    assert abs(est.value - zeta2) <= max(3 * est.spread, 0.05)
-    with pytest.raises(ValueError):
-        limit_diagnostic(bracket_series((2,), 100), 2)
-
-
-def test_limit_diagnostic_detects_faster_decay():
-    # [2] scaled as a weight-3 normalization tends to zero
-    est = limit_diagnostic(bracket_series((2,), 400), 3)
-    assert abs(est.value) < 0.05
-
-
 def test_modified_qzeta_identities():
     order = 80
     assert modified_qzeta((4,), order) == evaluate(
@@ -187,18 +170,3 @@ def test_modified_qzeta_identities():
     d1 = d_general((1,))
     assert modified_qzeta((2, 1), order) == evaluate(
         word(2, 1) - word(2) + d1, order)
-
-
-def test_growth_report_shape():
-    report = coefficient_growth_report((3,), order=200)
-    assert report["weight"] == 3
-    samples = report["normalized_samples"]
-    assert samples[-1][0] == 200
-    assert 0.5 < report["last_over_first"] < 2.0
-
-
-def test_growth_report_needs_four_coefficients():
-    # below order 4 the first sample point would be n = 0
-    with pytest.raises(ValueError, match="order >= 4"):
-        coefficient_growth_report((3,), order=3)
-    assert coefficient_growth_report((3,), order=4)["normalized_samples"][0][0] == 1
