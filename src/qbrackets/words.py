@@ -20,6 +20,18 @@ from .series import QSeries
 Word = tuple[int, ...]
 
 
+def _normal_form(terms: Iterable[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
+    """Equal words summed, coefficients as Fractions, zero terms dropped,
+    words in canonical order."""
+    summed: dict[Word, Fraction] = {}
+    for word, coeff in terms:
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        summed[word] = summed[word] + coeff if word in summed else coeff
+    return {w: summed[w] for w in sorted(summed, key=canonical_key)
+            if summed[w]}
+
+
 class WordSum:
     """An immutable rational linear combination of words (compositions)."""
 
@@ -27,14 +39,16 @@ class WordSum:
 
     def __init__(self, terms: Mapping[Word, Fraction] | Iterable[tuple[Word, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        summed: dict[Word, Fraction] = {}
-        for word, coeff in items:
-            word = as_composition(word)
-            if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
-            summed[word] = summed[word] + coeff if word in summed else coeff
-        self._terms = {w: summed[w] for w in sorted(summed, key=canonical_key)
-                       if summed[w]}
+        self._terms = _normal_form((as_composition(word), coeff)
+                                   for word, coeff in items)
+
+    @staticmethod
+    def _of_valid(terms: Iterable[tuple[Word, Fraction]]) -> "WordSum":
+        """A WordSum of terms whose words are already compositions: taken
+        from WordSums or built from their letters, so not checked again."""
+        out = WordSum.__new__(WordSum)
+        out._terms = _normal_form(terms)
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -90,19 +104,19 @@ class WordSum:
     def __add__(self, other: "WordSum") -> "WordSum":
         if not isinstance(other, WordSum):
             return NotImplemented
-        return WordSum([*self.terms(), *other.terms()])
+        return WordSum._of_valid([*self.terms(), *other.terms()])
 
     def __sub__(self, other: "WordSum") -> "WordSum":
         return self + (-other)
 
     def __neg__(self) -> "WordSum":
-        return WordSum({w: -c for w, c in self._terms.items()})
+        return WordSum._of_valid((w, -c) for w, c in self._terms.items())
 
     def scale(self, c: Fraction | int) -> "WordSum":
         c = Fraction(c)
         if c == 0:
             return WordSum()
-        return WordSum({w: cc * c for w, cc in self._terms.items()})
+        return WordSum._of_valid((w, cc * c) for w, cc in self._terms.items())
 
     def normalized(self) -> "WordSum":
         """The normal form up to scale: coefficient 1 at the canonically
@@ -184,7 +198,7 @@ def _shuffle_words(w: Word, v: Word) -> "tuple[tuple[Word, Fraction], ...]":
     a, wt = w[0], w[1:]
     b, vt = v[0], v[1:]
     inner = _shuffle_words(wt, vt)
-    return tuple(WordSum([
+    return tuple(WordSum._of_valid([
         *(((a,) + u, c) for u, c in _shuffle_words(wt, v)),
         *(((b,) + u, c) for u, c in _shuffle_words(w, vt)),
         *(((letter,) + u, lam * c)
@@ -200,7 +214,7 @@ def quasi_shuffle(w: WordSum, v: WordSum) -> WordSum:
         for vv, cv in v.terms():
             c = cw * cv
             terms += [(u, c * k) for u, k in _shuffle_words(ww, vv)]
-    return WordSum(terms)
+    return WordSum._of_valid(terms)
 
 
 def coefficient_rows(sums: Iterable[WordSum]) -> list[list[int]]:
@@ -314,13 +328,13 @@ def _combine(parts: Iterable[tuple[Word, Fraction, int]]) -> OnePolynomial:
             while len(powers) <= j:
                 powers.append([])
             powers[j] += [(w, c * coeff) for w, c in p.terms()]
-    return OnePolynomial(WordSum(terms) for terms in powers)
+    return OnePolynomial(WordSum._of_valid(terms) for terms in powers)
 
 
 @lru_cache(maxsize=None)
 def _decompose_word(word_: Word) -> OnePolynomial:
     if not word_ or word_[0] > 1:
-        return OnePolynomial([WordSum.of(word_)])
+        return OnePolynomial([WordSum._of_valid([(word_, 1)])])
     m = 0
     while m < len(word_) and word_[m] == 1:
         m += 1

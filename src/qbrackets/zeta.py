@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, perm
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from mpmath import mp, mpf, workdps
@@ -41,14 +43,22 @@ def _require_admissible(c: Sequence[int]) -> Parts:
     return c
 
 
-def _psi_expansion(sigma: int, cutoff: int, emax: int):
+# An expansion holds at most 16 mpf terms, about 3.3 KB at any level; every
+# index up to weight 12 needs 259 of them per level, so 1024 (about 3.4 MB)
+# hold that set at nearly four levels.
+@lru_cache(maxsize=1024)
+def _psi_expansion(sigma: int, cutoff: int, emax: int, prec: int):
     """Expansion of psi(m) = sum_{n>m} n^-sigma valid for m >= cutoff:
     returns (terms, env_c, env_e) with psi(m) = sum terms[e] m^-e + r(m),
     |r(m)| <= env_c * m^-env_e.  Euler-Maclaurin runs to the fixed order
     _MAX_EM_TERMS.  x^-sigma is completely monotone, so the remainder is
     bounded by the first omitted term at any order.  Consecutive bounds
     shrink by a factor below ((sigma+2j+2)/(2 pi cutoff))^2, so whenever
-    sigma + 28 < 2 pi cutoff this is also the order that minimizes it."""
+    sigma + 28 < 2 pi cutoff this is also the order that minimizes it.
+
+    prec is the working precision, mp.prec, and only keys the cache: the
+    expansion depends on nothing else, so every index shares it, and terms
+    is a read-only mapping."""
     if sigma < 2:
         raise ValueError("tail exponent must be at least 2")
     j = _MAX_EM_TERMS
@@ -65,7 +75,25 @@ def _psi_expansion(sigma: int, cutoff: int, emax: int):
         terms[sigma + 2 * i - 1] = (mpf(b.numerator) / b.denominator
                                     / mp.factorial(2 * i)
                                     * perm(sigma + 2 * i - 2, 2 * i - 1))
-    return _cap_terms(terms, env_c, sigma + 2 * j + 1, cutoff, emax)
+    kept, env_c, env_e = _cap_terms(terms, env_c, sigma + 2 * j + 1,
+                                    cutoff, emax)
+    return MappingProxyType(kept), env_c, env_e
+
+
+# A row is about 61 KB at level 0 (cutoff 256, 60 digits) and 1.2 MB at
+# level 4 (cutoff 4096, 140 digits).  Every letter up to weight 12 at one
+# level needs 12 rows; 24 hold them at two levels (29 MB at worst, if all
+# are level-4 rows).
+@lru_cache(maxsize=24)
+def _inverse_powers(s: int, cutoff: int, prec: int):
+    """The row (1^-s, ..., cutoff^-s) and its sum, added from m = cutoff
+    down to 1; prec is the working precision, mp.prec, and only keys the
+    cache.  Every index with the letter s shares the row."""
+    row = tuple(mpf(m) ** (-s) for m in range(1, cutoff + 1))
+    total = mpf(0)
+    for m in range(cutoff, 0, -1):
+        total += row[m - 1]
+    return row, total
 
 
 def _fold_envelopes(envs, cutoff):
@@ -99,7 +127,7 @@ def _tail_sum(terms, env_c, env_e, cutoff, emax):
     # integral comparison: sum_{n>m} n^-e <= m^(1-e)/(e-1)
     envs = [(env_c / (env_e - 1), env_e - 1)]
     for e, a in terms.items():
-        t, c2, e2 = _psi_expansion(e, cutoff, emax)
+        t, c2, e2 = _psi_expansion(e, cutoff, emax, mp.prec)
         for e_out, a_out in t.items():
             out[e_out] = out.get(e_out, mpf(0)) + a * a_out
         envs.append((abs(a) * c2, e2))
@@ -117,11 +145,12 @@ def _nested_value(comp: Parts, cutoff: int):
     """Value of the nested sum and a rigorous error bound, both mpf."""
     lead = comp[0] - 1
     terms, env_c, env_e = _psi_expansion(comp[0], cutoff,
-                                         lead + _EXTRA_EXPONENTS)
+                                         lead + _EXTRA_EXPONENTS, mp.prec)
     table: List[mpf] = [mpf(0)] * (cutoff + 1)
     table[cutoff], err = _evaluate_expansion(terms, env_c, env_e, cutoff)
+    powers, _ = _inverse_powers(comp[0], cutoff, mp.prec)
     for m in range(cutoff, 0, -1):
-        table[m - 1] = table[m] + mpf(m) ** (-comp[0])
+        table[m - 1] = table[m] + powers[m - 1]
     for s in comp[1:]:
         lead += s - 1
         terms = {e + s: a for e, a in terms.items()}
@@ -130,10 +159,9 @@ def _nested_value(comp: Parts, cutoff: int):
                                         lead + _EXTRA_EXPONENTS)
         nxt: List[mpf] = [mpf(0)] * (cutoff + 1)
         nxt[cutoff], tail_err = _evaluate_expansion(terms, env_c, env_e, cutoff)
-        weight_sum = mpf(0)
+        powers, weight_sum = _inverse_powers(s, cutoff, mp.prec)
         for m in range(cutoff, 0, -1):
-            nxt[m - 1] = nxt[m] + mpf(m) ** (-s) * table[m]
-            weight_sum += mpf(m) ** (-s)
+            nxt[m - 1] = nxt[m] + powers[m - 1] * table[m]
         err = tail_err + err * weight_sum
         table = nxt
     # generous cushion for rounding in ~cutoff*len(comp) float operations

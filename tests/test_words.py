@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbrackets import (ExactMatrix, IntEchelon, OnePolynomial, WordSum,
                        bracket_series, canonical_key, decompose_in_one,
                        diamond, evaluate, quasi_shuffle, word)
+from qbrackets import words
 from qbrackets.words import coefficient_rows
 from qbrackets.checks import PRODUCT_EXAMPLES
 
@@ -41,6 +43,35 @@ def test_zero_terms_are_dropped():
     assert s == WordSum.zero()
     assert len(s) == 0
     assert s.to_text() == "0"
+
+
+def test_words_are_checked_where_they_enter(monkeypatch):
+    a = word(1, 2) + word(3).scale(Fraction(1, 2))
+    b = word(2, 1) - word(1)
+    c = word(1, 1)
+    # the single-letter products are built once per pair of letters
+    for x in range(1, 8):
+        for y in range(1, 8):
+            diamond(x, y)
+    checked = []
+    check = words.as_composition
+    monkeypatch.setattr(words, "as_composition",
+                        lambda parts: checked.append(parts) or check(parts))
+    # words taken from WordSums are not checked again
+    derived = [a + b, a - b, -a, a.scale(3), a.normalized(), a * b]
+    poly = decompose_in_one(a * b * c)
+    assert checked == []
+    assert derived[0] == WordSum([*a.terms(), *b.terms()])
+    assert poly.substitute_one(20) == evaluate(a * b * c, 20)
+    # words from outside the type are, with the same errors as before
+    checked.clear()
+    assert list(WordSum([([2, 1], 1)]).words()) == [(2, 1)]
+    assert checked == [[2, 1]]
+    for bad, error in [((0,), ValueError), ((2, 1.5), TypeError)]:
+        with pytest.raises(error):
+            WordSum([(bad, 1)])
+        with pytest.raises(error):
+            WordSum.from_json({"terms": [{"parts": list(bad), "coeff": "1"}]})
 
 
 # few words and few coefficients, so words repeat and terms cancel
