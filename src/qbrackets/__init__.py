@@ -1,7 +1,12 @@
 """Exact arithmetic for the algebra spanned by multiple divisor sum
 generating functions: q-series, quasi-shuffle products, the derivation
 q d/dq, dimension and relation tables, the modular subalgebra, and the
-bridge to multiple zeta values."""
+bridge to multiple zeta values.
+
+The zeta layer, and mpmath with it, is imported on first use of one of
+its names: the exact-arithmetic layers never load it."""
+
+import importlib
 
 from .numbers import (bernoulli, eulerian_number, eulerian_polynomial,
                       lambda_coeff, count_generators, compositions,
@@ -27,8 +32,6 @@ from .modular import (DELTA_PAIRS, DELTA_SCALE, eisenstein,
                       delta_representations, delta_affine_combination,
                       representation_span_rank, deltal2_word_sum,
                       deltal2_check, tau_congruence)
-from .zeta import (MzvValue, mzv, mzv_oracle, ZImage, Z_k_symbolic,
-                   ZPolynomial, Z_k_alg, modified_qzeta)
 from .config import Config, ResourceCap, load_config, get_config, set_config
 from .checks import REGISTRY, CheckResult, first_failure, run_suite
 
@@ -60,3 +63,20 @@ __all__ = [
     "Config", "ResourceCap", "load_config", "get_config", "set_config",
     "REGISTRY", "CheckResult", "first_failure", "run_suite",
 ]
+
+_ZETA_NAMES = frozenset({"MzvValue", "mzv", "mzv_oracle", "ZImage",
+                         "Z_k_symbolic", "ZPolynomial", "Z_k_alg",
+                         "modified_qzeta"})
+
+
+def __getattr__(name):
+    # import_module, not `from . import zeta`: the latter asks this hook for
+    # "zeta" again through the import system's fromlist handling.
+    if name == "zeta" or name in _ZETA_NAMES:
+        zeta = importlib.import_module(".zeta", __name__)
+        return zeta if name == "zeta" else getattr(zeta, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
