@@ -22,16 +22,14 @@ from .derivation import (Relation, d_len1, d_len2, d_general, d_word_sum,
                          split_relations, leibniz_relations,
                          proven_relation_corpus)
 from .linalg import (SPACES, TABLE_KINDS, ExactMatrix, IntEchelon,
-                     ModEchelon, solve_unique, generators, dim_lower_bound,
-                     DimensionTable, dimension_table, relation_search,
+                     ModEchelon, solve_unique, generators, DimensionTable,
+                     dimension_table, relation_search,
                      homogeneous_relation_search, relation_in_span,
                      graded_relation_counts, conjecture_series_expansion)
 from .modular import (DELTA_PAIRS, DELTA_SCALE, eisenstein,
-                      verify_quasi_modular_identities, tau,
-                      DeltaRepresentation, delta_representation,
-                      delta_representations, delta_affine_combination,
-                      representation_span_rank, deltal2_word_sum,
-                      deltal2_check, tau_congruence)
+                      verify_quasi_modular_identities, delta_representation,
+                      delta_representations, representation_span_rank,
+                      deltal2_word_sum)
 from .config import Config, ResourceCap, load_config, get_config, set_config
 from .checks import REGISTRY, CheckResult, first_failure, run_suite
 
@@ -49,15 +47,13 @@ __all__ = [
     "d_word_sum", "split_relations", "leibniz_relations",
     "proven_relation_corpus",
     "SPACES", "TABLE_KINDS", "ExactMatrix", "IntEchelon", "ModEchelon",
-    "solve_unique", "generators", "dim_lower_bound", "DimensionTable",
+    "solve_unique", "generators", "DimensionTable",
     "dimension_table", "relation_search", "homogeneous_relation_search",
     "relation_in_span", "graded_relation_counts",
     "conjecture_series_expansion",
     "DELTA_PAIRS", "DELTA_SCALE", "eisenstein",
-    "verify_quasi_modular_identities", "tau", "DeltaRepresentation",
-    "delta_representation", "delta_representations",
-    "delta_affine_combination", "representation_span_rank",
-    "deltal2_word_sum", "deltal2_check", "tau_congruence",
+    "verify_quasi_modular_identities", "delta_representation",
+    "delta_representations", "representation_span_rank", "deltal2_word_sum",
     "MzvValue", "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic", "ZPolynomial",
     "Z_k_alg", "modified_qzeta",
     "Config", "ResourceCap", "load_config", "get_config", "set_config",

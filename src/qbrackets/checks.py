@@ -16,14 +16,15 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .brackets import bracket_series, bracket_series_many, \
-    bracket_series_oracle_many, partition_identity_check
+    bracket_series_oracle_many, multiple_divisor_sum, partition_identity_check
 from .derivation import d_general, d_len1, d_len2, leibniz_relations, \
     split_relations
 from .linalg import ExactMatrix, dimension_table, graded_relation_counts, \
-    homogeneous_relation_search
-from .modular import deltal2_check, delta_representations, \
-    representation_span_rank, tau_congruence, verify_quasi_modular_identities
+    homogeneous_relation_search, relation_in_span
+from .modular import DELTA_SCALE, deltal2_word_sum, delta_representations, \
+    representation_span_rank, verify_quasi_modular_identities
 from .numbers import compositions_up_to
+from .series import eta24
 from .words import WordSum, evaluate, quasi_shuffle, word
 
 Parts = Tuple[int, ...]
@@ -292,30 +293,37 @@ def check_rank_example() -> str:
 
 
 def check_quasi_modular(order: int = 100) -> str:
-    report = verify_quasi_modular_identities(order)
-    return f"{len(report)} identities exact at order {order}"
+    relations = verify_quasi_modular_identities(order)
+    return f"{len(relations)} identities exact at order {order}"
 
 
 def check_delta_representations(order: int = 60) -> str:
-    reps = delta_representations(order)
-    span = representation_span_rank(reps)
+    span = representation_span_rank(delta_representations(order))
     _expect_equal(span, 5, "affine span rank of discriminant representations")
     return f"6 representations solved at order {order}, affine span rank 5"
 
 
 def check_deltal2(order: int = 50) -> str:
-    report = deltal2_check(order)
-    if not report["pass"]:
+    # rescaled to the form, the combination must be R_0 + sum_i m_i (R_i - R_0)
+    # for the standard representations R_i (see the modular docstring)
+    combo = deltal2_word_sum()
+    exact = evaluate(combo, order) == eta24(order).scale(-DELTA_SCALE)
+    base, *others = delta_representations(max(60, order))
+    affine = relation_in_span(combo.scale(-1 / DELTA_SCALE) - base,
+                              [rep - base for rep in others])
+    if not (exact and affine):
         raise CheckFailure("length-2 discriminant representation fails "
-                           f"(exact={report['exact_series_match']})")
+                           f"(exact={exact})")
     return f"exact through q^{order}, affine weights sum to 1"
 
 
 def check_tau_congruence(order: int = 100) -> str:
-    report = tau_congruence(order)
-    if not report["pass"]:
+    taus = eta24(order).nums
+    failures = [n for n in range(1, order + 1)
+                if (taus[n] - multiple_divisor_sum((11,), n)) % 691]
+    if failures:
         raise CheckFailure(f"tau(n) = sigma_11(n) mod 691 fails at "
-                           f"n = {report['failures'][:3]}")
+                           f"n = {failures[:3]}")
     return f"holds for n <= {order}"
 
 

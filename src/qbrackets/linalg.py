@@ -32,9 +32,9 @@ from math import ceil, gcd, lcm
 from typing import Dict, Iterable, KeysView, List, Mapping, Sequence, Tuple
 
 from .brackets import bracket_series_many
-from .config import get_config
+from .config import ResourceCap, get_config
 from .derivation import Relation, proven_relation_corpus
-from .numbers import compositions, compositions_up_to
+from .numbers import compositions, compositions_up_to, count_generators
 from .series import QSeries
 from .words import WordSum, coefficient_rows
 
@@ -310,12 +310,30 @@ def solve_unique(rows: Sequence[Sequence[Fraction | int]],
 # generators and their coefficient rows
 
 
+def _refuse_past_the_cap(counts: Iterable[int]) -> None:
+    """Raise ResourceCap once the generator counts add up past max_cells,
+    before any generator is listed.  Every generator is at least one suffix
+    row of the sweep that expands it, at an order of at least 1, so the
+    sweep would refuse them all the same, after the listing."""
+    cap = get_config().max_cells
+    for total in accumulate(counts):
+        if total > cap:
+            raise ResourceCap(f"at least {total} generators, one or more "
+                              f"coefficient cells each, exceed the cap of "
+                              f"{cap} (raise --max-cells)")
+
+
 def generators(space: str, max_weight: int,
                max_length: int | None = None) -> List[Parts]:
     """Nonempty compositions spanning the (max_weight, max_length) piece,
-    in canonical order; first part > 1 when the space is mda."""
-    space = _require_space(space)
-    return list(compositions_up_to(max_weight, admissible=(space == "mda"),
+    in canonical order; first part > 1 when the space is mda.  Raises
+    ResourceCap, before listing any, when they outnumber max_cells."""
+    admissible = _require_space(space) == "mda"
+    longest = max_weight if max_length is None else max_length
+    _refuse_past_the_cap(count_generators(k, l, admissible)
+                         for k in range(1, max_weight + 1)
+                         for l in range(1, min(k, longest) + 1))
+    return list(compositions_up_to(max_weight, admissible=admissible,
                                    max_length=max_length))
 
 
@@ -413,23 +431,6 @@ def _table_rows(space: str, k: int, gens: Sequence[Parts], order: int | None,
     return order, rows, walk
 
 
-def dim_lower_bound(space: str, k: int, l: int, order: int | None = None) -> int:
-    """1 + rank mod p of the coefficient matrix of the generators with
-    weight <= k and length <= l (the constant series accounts for the 1),
-    through q^order (see _table_rows for the default).
-
-    A lower bound for the dimension by construction: the rank mod p is at
-    most the rank over Q, and more coefficients can only reveal more
-    independence, never less.
-    """
-    if k < 0 or l < 0:
-        raise ValueError("dim_lower_bound needs weight and length >= 0")
-    space = _require_space(space)
-    _, _, walk = _table_rows(space, k, generators(space, k, l), order,
-                             "dim_lower_bound")
-    return 1 + walk[-1][0]
-
-
 # ---------------------------------------------------------------------------
 # dimension tables
 
@@ -444,10 +445,6 @@ class DimensionTable:
     space: str
     kind: str
     cells: Mapping[Cell, Tuple[int, str]]
-
-    @property
-    def max_weight(self) -> int:
-        return max((k for k, _ in self.cells), default=-1)
 
     def value(self, k: int, l: int) -> int:
         return self.cells[(k, l)][0]
@@ -575,6 +572,7 @@ def homogeneous_relation_search(k: int, l: int,
     exactly l (all of them, not only those of the admissible space)."""
     if k < 1 or l < 1:
         raise ValueError("homogeneous_relation_search needs weight and length >= 1")
+    _refuse_past_the_cap([count_generators(k, l)])
     columns = list(compositions(k, l))
     return _candidate_relations(columns, order,
                                 "homogeneous_relation_search")

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbrackets import (SPACES, Config, QSeries, Relation, WordSum,
-                       bracket_series, brackets, derivation, get_config,
-                       modular, set_config)
-from qbrackets.checks import Check, CheckFailure, run_suite
+                       bracket_series, brackets, checks, derivation,
+                       get_config, linalg, modular, set_config)
+from qbrackets.checks import REL4, Check, CheckFailure, run_suite
 from qbrackets.cli import main
 from qbrackets.config import ENV_PREFIX, _ENV_FIELDS
 
@@ -165,6 +165,19 @@ def test_dims_resource_cap(capsys, cold_cache):
                        "--max-weight", "6")
     assert code == 4
     assert "exceed" in err
+
+
+def test_dims_refuses_before_listing_its_generators(capsys, monkeypatch):
+    # 2047 admissible generators of weight <= 12 need more than 100 cells
+    listed = []
+    monkeypatch.setattr(linalg, "compositions_up_to",
+                        lambda *args, **kwargs: listed.append(args) or [])
+    code, out, err = run(capsys, "--max-cells", "100", "dims", "--space",
+                         "mda", "--max-weight", "12")
+    assert code == 4
+    assert out == ""
+    assert "exceed the cap of 100" in err
+    assert listed == []
 
 
 def test_series_resource_cap(capsys, cold_cache):
@@ -378,6 +391,47 @@ def test_failed_identity_is_one_fail_line(capsys, monkeypatch):
     assert "first failure: quasi-modular" in err
 
 
+def _one_fail_line(capsys, name):
+    code, out, err = run(capsys, "verify", "--only", name)
+    assert code == 3
+    assert len(out.splitlines()) == 1
+    assert out.startswith(f"FAIL {name} ")
+    assert f"first failure: {name}" in err
+    return out
+
+
+def test_failed_delta_length2_is_one_fail_line(capsys, monkeypatch):
+    # adding the weight-4 relation keeps the series exact, but the sum is
+    # no longer an affine combination of the standard representations
+    real = checks.deltal2_word_sum
+    monkeypatch.setattr(checks, "deltal2_word_sum",
+                        lambda: real() + WordSum(REL4))
+    out = _one_fail_line(capsys, "delta-length2")
+    assert "length-2 discriminant representation fails (exact=True)" in out
+
+
+def test_failed_tau_congruence_is_one_fail_line(capsys, monkeypatch):
+    real = checks.multiple_divisor_sum
+    monkeypatch.setattr(checks, "multiple_divisor_sum",
+                        lambda parts, n: real(parts, n) + (n in (5, 7)))
+    out = _one_fail_line(capsys, "tau-congruence")
+    assert "tau(n) = sigma_11(n) mod 691 fails at n = [5, 7]" in out
+
+
+def test_failed_delta_representations_is_one_fail_line(capsys, monkeypatch):
+    # a repeated representation leaves the differences one rank short
+    real = checks.delta_representations
+
+    def first_one_twice(order):
+        reps = real(order)
+        return [*reps[:5], reps[0]]
+
+    monkeypatch.setattr(checks, "delta_representations", first_one_twice)
+    out = _one_fail_line(capsys, "delta-representations")
+    assert ("affine span rank of discriminant representations: got 4, "
+            "expected 5") in out
+
+
 def test_environment_format_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("QBRACKETS_FORMAT", "csv")
     code, out, _ = run(capsys, "series", "1", "--order", "2")
@@ -482,6 +536,7 @@ def fuzzed_argv(draw):
 
 
 @pytest.mark.filterwarnings("ignore:.*below the recommended:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:.*rank reached the order:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(argv=fuzzed_argv())
 def test_fuzzed_command_lines_end_in_an_exit_code(argv):
@@ -507,6 +562,8 @@ GOLDEN_SHA256 = {
         "dea775fb02dd5aebcb06c612e406c9683e8722ff59463472ba839d12cf075daa",
     "--format json verify --quick":
         "5f4bb3451157e43d68d2138ec31e330f923d90d11747672bdd700ea4b059e246",
+    "--format csv verify --quick":
+        "28b6b3ffb34b0d63c9cd4ddc182c9830960f26f560412646c89dbf3a9d983483",
     "--format json dims --space mda --max-weight 8":
         "3e196a1128a28e83e0acb14c2626d817c065c952c219f48e293eb66c0adb5575",
     "dims --space md --max-weight 7 --kind gr":

@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ZETA_NAMES = ("MzvValue", "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic",
               "ZPolynomial", "Z_k_alg", "modified_qzeta")
 
-# The package's public API as it stood when the zeta names became lazy.
+# The package's public API: the names it had when the zeta names became
+# lazy, less those the modular layer and dim_lower_bound no longer have.
 PUBLIC_API = (
     "bernoulli", "eulerian_number", "eulerian_polynomial", "lambda_coeff",
     "count_generators", "compositions", "compositions_up_to", "QSeries",
@@ -28,14 +29,13 @@ PUBLIC_API = (
     "Relation", "d_len1", "d_len2", "d_general", "d_word_sum",
     "split_relations", "leibniz_relations", "proven_relation_corpus",
     "SPACES", "TABLE_KINDS", "ExactMatrix", "IntEchelon", "ModEchelon",
-    "solve_unique", "generators", "dim_lower_bound", "DimensionTable",
+    "solve_unique", "generators", "DimensionTable",
     "dimension_table", "relation_search", "homogeneous_relation_search",
     "relation_in_span", "graded_relation_counts",
     "conjecture_series_expansion", "DELTA_PAIRS", "DELTA_SCALE",
-    "eisenstein", "verify_quasi_modular_identities", "tau",
-    "DeltaRepresentation", "delta_representation", "delta_representations",
-    "delta_affine_combination", "representation_span_rank",
-    "deltal2_word_sum", "deltal2_check", "tau_congruence", "MzvValue",
+    "eisenstein", "verify_quasi_modular_identities",
+    "delta_representation", "delta_representations",
+    "representation_span_rank", "deltal2_word_sum", "MzvValue",
     "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic", "ZPolynomial",
     "Z_k_alg", "modified_qzeta", "Config", "ResourceCap", "load_config",
     "get_config", "set_config", "REGISTRY", "CheckResult", "first_failure",

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from qbrackets import (SPACES, TABLE_KINDS, DimensionTable, ExactMatrix,
                        IntEchelon, ModEchelon, Relation, WordSum,
                        compositions_up_to, conjecture_series_expansion,
-                       dim_lower_bound, dimension_table, generators,
+                       dimension_table, generators,
                        graded_relation_counts, homogeneous_relation_search,
                        relation_in_span, relation_search, solve_unique)
-from qbrackets import linalg
+from qbrackets import Config, ResourceCap, config, linalg
 from qbrackets.checks import RELATION_COUNTS_LOW
 
 P = 2**31 - 1
@@ -375,9 +375,8 @@ def test_default_order_stops_at_the_ceiling(monkeypatch):
 
 @pytest.mark.parametrize("call, weight", [
     (lambda: dimension_table("md", 7), 7),
-    (lambda: dim_lower_bound("md", 7, 5), 7),
     (lambda: dimension_table("mda", 8, order=150), 8),
-], ids=["dims md 7", "dim_lower_bound md 7 5", "dims mda 8 order 150"])
+], ids=["dims md 7", "dims mda 8 order 150"])
 def test_each_order_tried_is_packed_and_eliminated_once(monkeypatch, call,
                                                         weight):
     """With the prediction forced to 0 (so that md 7 escalates, see above),
@@ -415,6 +414,23 @@ def test_searches_reject_bad_input_before_looking_for_generators(call,
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: homogeneous_relation_search(12, 6),
+    lambda: relation_search("md", 12, 12),
+], ids=["homogeneous 12 6", "search md 12 12"])
+def test_searches_refuse_more_generators_than_cells_before_listing(
+        monkeypatch, call):
+    # 462 and 4095 generators, each at least one cell of its sweep
+    def listing(*args, **kwargs):
+        raise AssertionError("generators were listed")
+
+    monkeypatch.setattr(config, "_ACTIVE", Config(max_cells=100))
+    monkeypatch.setattr(linalg, "compositions", listing)
+    monkeypatch.setattr(linalg, "compositions_up_to", listing)
+    with pytest.raises(ResourceCap, match="exceed the cap of 100"):
+        call()
+
+
 def test_generators_listing():
     gens = generators("mda", 4, 2)
     assert gens == [(2,), (3,), (2, 1), (4,), (2, 2), (3, 1)]
@@ -433,17 +449,11 @@ def test_generators_are_the_compositions_of_the_space(space):
     assert len(members) == (63 if space == "md" else 31)
 
 
-def test_dim_lower_bound_weight4():
-    assert dim_lower_bound("mda", 4, 2, order=60) == 6
-    assert dim_lower_bound("mda", 4, 3, order=60) == 7
-    assert dim_lower_bound("md", 0, 0) == 1
-
-
-@pytest.mark.parametrize("space, k, l", [("mda", -1, 1), ("md", 2, -1)])
-def test_dim_lower_bound_rejects_negative_cells(space, k, l):
-    # the filtered piece of a negative weight or length is 0, not 1
-    with pytest.raises(ValueError):
-        dim_lower_bound(space, k, l)
+def test_dimension_table_weight4_cells():
+    table = dimension_table("mda", 4, order=60)
+    assert table.value(4, 2) == 6
+    assert table.value(4, 3) == 7
+    assert dimension_table("md", 0).value(0, 0) == 1
 
 
 def test_dimension_table_small():

@@ -4,13 +4,12 @@ import pytest
 
 import qbrackets.modular as modular
 from qbrackets import (DELTA_PAIRS, DELTA_SCALE, Relation, WordSum,
-                       bracket_series, delta_affine_combination,
-                       delta_representation, delta_representations,
-                       deltal2_check, deltal2_word_sum, eisenstein, eta24,
-                       evaluate, leibniz_relations, representation_span_rank,
-                       split_relations, tau, tau_congruence,
+                       bracket_series, delta_representation,
+                       delta_representations, deltal2_word_sum, eisenstein,
+                       eta24, evaluate, leibniz_relations, relation_in_span,
+                       representation_span_rank, split_relations,
                        verify_quasi_modular_identities)
-from qbrackets.checks import REL4
+from qbrackets.checks import REL4, check_tau_congruence
 from qbrackets.derivation import PROVEN_PROVENANCES
 
 # length-one coefficients of the six discriminant representations
@@ -22,6 +21,16 @@ PAIR_COEFFS = {
     (10, 11): {10: Fraction(2973915, 4), 11: Fraction(-7611975, 2)},
     (11, 12): {11: Fraction(29384775, 4), 12: Fraction(-163565325, 4)},
 }
+
+
+def _length_one(rep, pair):
+    return {s: rep.coefficient((s,)) for s in pair}
+
+
+def _is_affine_combination(target, reps):
+    """target = R_0 + sum_i m_i (R_i - R_0) for some rationals m_i."""
+    base, *others = reps
+    return relation_in_span(target - base, [rep - base for rep in others])
 
 
 def test_eisenstein_constants():
@@ -41,12 +50,14 @@ def test_eisenstein_tail_is_bracket():
     assert g.coeffs == b.coeffs
 
 
-def test_quasi_modular_identity_report():
-    report = verify_quasi_modular_identities(40)
-    assert len(report) == 5
-    assert all(entry["pass"] for entry in report)
-    names = {entry["identity"] for entry in report}
-    assert "G4^2 = 7/6 G8" in names
+def test_quasi_modular_identities_are_admitted_relations():
+    relations = verify_quasi_modular_identities(40)
+    assert len(relations) == 5
+    assert all(rel.provenance == "modular" and rel.verified_order == 40
+               for rel in relations.values())
+    assert relations["[8] = 1/40 [4] - 1/252 [2] + 12 [4,4]"].body == \
+        WordSum({(8,): 1, (4,): Fraction(-1, 40), (2,): Fraction(1, 252),
+                 (4, 4): -12})
     with pytest.raises(ValueError):
         verify_quasi_modular_identities(10)
 
@@ -73,34 +84,28 @@ def test_every_proven_provenance_has_a_producer(monkeypatch):
     assert all(rel.status == "proven" for rel in admitted)
 
 
-def test_modular_relations_meet_the_split_relations(monkeypatch):
-    admitted = _admitted(monkeypatch)
-    verify_quasi_modular_identities(40)
-    assert [rel.provenance for rel in admitted] == ["modular"] * 5
-    dg2, _, _, g4_squared, eight = admitted
+def test_modular_relations_meet_the_split_relations():
+    relations = verify_quasi_modular_identities(40)
+    dg2 = relations["d G2 = 5 G4 - 2 G2^2"]
     assert dg2.normalized() == WordSum(REL4).normalized()
-    assert g4_squared.normalized() == eight.normalized()
-
-
-def test_tau_golden():
-    assert [tau(n) for n in range(1, 8)] == \
-        [1, -24, 252, -1472, 4830, -6048, -16744]
-
-
-def test_tau_extends_past_its_cached_order(monkeypatch):
-    monkeypatch.setattr(modular, "_TAU", [])
-    wanted = eta24(300)
-    assert tau(1) == wanted.coefficient(1)
-    assert tau(300) == wanted.coefficient(300)
-    assert [tau(n) for n in range(1, 301)] == list(wanted.nums[1:])
+    assert relations["G4^2 = 7/6 G8"].normalized() == \
+        relations["[8] = 1/40 [4] - 1/252 [2] + 12 [4,4]"].normalized()
 
 
 def test_delta_representation_golden_pair():
     rep = delta_representation(2, 4)
-    assert rep.length_one_coefficients() == PAIR_COEFFS[(2, 4)]
-    assert rep.pair_coefficients_closed_form() == PAIR_COEFFS[(2, 4)]
-    assert rep.verified_order >= 60
-    assert evaluate(rep.expression, 60) == eta24(60)
+    assert _length_one(rep, (2, 4)) == PAIR_COEFFS[(2, 4)]
+    assert set(rep.words()) <= {(2,), (4,), *((m, 12 - m)
+                                              for m in range(1, 12))}
+    assert evaluate(rep, 60) == eta24(60)
+
+
+def test_delta_representation_checks_the_closed_form(monkeypatch):
+    assert modular._pair_coefficients(2, 4) == PAIR_COEFFS[(2, 4)]
+    monkeypatch.setattr(modular, "_pair_coefficients",
+                        lambda a, b: {a: Fraction(11, 2), b: Fraction(-26)})
+    with pytest.raises(ArithmeticError, match="do not match the closed form"):
+        delta_representation(2, 4)
 
 
 def test_delta_representation_rejects_unknown_pair():
@@ -111,30 +116,27 @@ def test_delta_representation_rejects_unknown_pair():
 
 
 def test_all_delta_closed_forms():
-    reps = {rep.pair: rep for rep in delta_representations()}
-    assert set(reps) == set(DELTA_PAIRS)
-    for pair, rep in reps.items():
-        assert rep.length_one_coefficients() == PAIR_COEFFS[pair]
+    reps = delta_representations()
+    assert len(reps) == len(DELTA_PAIRS)
+    for pair, rep in zip(DELTA_PAIRS, reps):
+        assert _length_one(rep, pair) == PAIR_COEFFS[pair]
 
 
 def test_delta_representations_span():
     reps = delta_representations()
     assert representation_span_rank(reps) == 5
-    weights = delta_affine_combination(reps[0].expression, reps)
-    assert weights is not None
-    assert sum(weights) == 1
+    assert _is_affine_combination(reps[0], reps)
+    assert _is_affine_combination((reps[1] + reps[2]).scale(Fraction(1, 2)),
+                                  reps)
     # twice a representation needs weights summing to 2: not affine
-    assert delta_affine_combination(reps[0].expression.scale(2), reps) is None
+    assert not _is_affine_combination(reps[0].scale(2), reps)
 
 
 def test_deltal2_exact():
     combo = deltal2_word_sum()
-    scaled = eta24(50).scale(-DELTA_SCALE)
-    assert evaluate(combo, 50) == scaled
-    report = deltal2_check(50)
-    assert report["pass"] is True
-    assert report["exact_series_match"] is True
-    assert sum(Fraction(w) for w in report["affine_weights"]) == 1
+    assert evaluate(combo, 50) == eta24(50).scale(-DELTA_SCALE)
+    reps = delta_representations()
+    assert _is_affine_combination(combo.scale(-1 / DELTA_SCALE), reps)
 
 
 def test_deltal2_combination_shape():
@@ -146,6 +148,4 @@ def test_deltal2_combination_shape():
 
 
 def test_tau_congruence_mod_691():
-    report = tau_congruence(80)
-    assert report["pass"] is True
-    assert report["failures"] == []
+    assert check_tau_congruence(80) == "holds for n <= 80"
