@@ -207,9 +207,8 @@ class EulerianKernel:
         """Coefficient of z^w in z P_{s-1}(z)/(1-z)^s; equals w^{s-1}."""
         if w < 1:
             return 0
-        poly = eulerian_polynomial(self.s - 1)
         total = 0
-        for i, a in enumerate(poly.coefficients):
+        for i, a in enumerate(eulerian_polynomial(self.s - 1)):
             if i > w - 1:
                 break
             total += a * comb(w - 1 - i + self.s - 1, self.s - 1)

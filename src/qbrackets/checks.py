@@ -183,14 +183,13 @@ HOMOGENEOUS_10 = {
     (7, 1, 2): -1, (7, 2, 1): 1,
 }
 
-MZV_RELATIONS: Tuple[Tuple[str, Dict[Parts, Fraction | int], float], ...] = (
-    ("zeta(3) = zeta(2,1)", {(3,): 1, (2, 1): -1}, 1e-8),
-    ("zeta(4) = 4 zeta(3,1)", {(4,): 1, (3, 1): -4}, 1e-8),
-    ("zeta(4) = 4/3 zeta(2,2)", {(4,): 1, (2, 2): Fraction(-4, 3)}, 1e-8),
-    ("zeta(8) = 12 zeta(4,4)", {(8,): 1, (4, 4): -12}, 1e-8),
+MZV_RELATIONS: Tuple[Tuple[str, Dict[Parts, Fraction | int]], ...] = (
+    ("zeta(3) = zeta(2,1)", {(3,): 1, (2, 1): -1}),
+    ("zeta(4) = 4 zeta(3,1)", {(4,): 1, (3, 1): -4}),
+    ("zeta(4) = 4/3 zeta(2,2)", {(4,): 1, (2, 2): Fraction(-4, 3)}),
+    ("zeta(8) = 12 zeta(4,4)", {(8,): 1, (4, 4): -12}),
     ("5197/691 zeta(12) = 168 zeta(5,7) + 150 zeta(7,5) + 28 zeta(9,3)",
-     {(12,): Fraction(5197, 691), (5, 7): -168, (7, 5): -150, (9, 3): -28},
-     1e-6),
+     {(12,): Fraction(5197, 691), (5, 7): -168, (7, 5): -150, (9, 3): -28}),
 )
 
 
@@ -211,7 +210,8 @@ def check_series_examples() -> str:
     return f"{len(SERIES_EXAMPLES)} expansions exact at printed orders"
 
 
-def check_series_oracle(max_weight: int = 6, order: int = 80) -> str:
+def check_series_oracle() -> str:
+    max_weight, order = 6, 80
     comps = list(compositions_up_to(max_weight))
     fast = bracket_series_many(comps, order)
     slow = bracket_series_oracle_many(comps, order)
@@ -222,7 +222,8 @@ def check_series_oracle(max_weight: int = 6, order: int = 80) -> str:
     return f"{len(comps)} compositions of weight <= {max_weight}, order {order}"
 
 
-def check_product_examples(order: int = 100) -> str:
+def check_product_examples() -> str:
+    order = 100
     for w, v, wanted in PRODUCT_EXAMPLES:
         got = quasi_shuffle(word(*w), word(*v))
         _expect_words(got, WordSum(wanted), f"[{w}]*[{v}]")
@@ -237,7 +238,8 @@ def check_product_examples(order: int = 100) -> str:
     return f"3 closed forms plus {len(pairs)} homomorphism checks at order {order}"
 
 
-def check_derivative_forms(order: int = 80) -> str:
+def check_derivative_forms() -> str:
+    order = 80
     for label, parts, wanted in DERIVATIVE_EXAMPLES:
         _expect_words(d_general(parts, verify_order=order), WordSum(wanted),
                       label)
@@ -251,7 +253,8 @@ def check_derivative_forms(order: int = 80) -> str:
     return f"7 closed forms, each certified against q d/dq at order {order}"
 
 
-def check_relation_split4(order: int = 200) -> str:
+def check_relation_split4() -> str:
+    order = 200
     rels = split_relations(4, verify_order=order)
     goal = WordSum(REL4).normalized()
     if goal not in [r.body.normalized() for r in rels]:
@@ -259,7 +262,8 @@ def check_relation_split4(order: int = 200) -> str:
     return f"{len(rels)} relation(s), zero through q^{order}"
 
 
-def check_relation_leibniz5(order: int = 200) -> str:
+def check_relation_leibniz5() -> str:
+    order = 200
     rel = leibniz_relations((1,), (2,), verify_order=order)
     if rel.body.normalized() != WordSum(REL_W5).normalized():
         raise CheckFailure("the weight-5 Leibniz relation differs from the "
@@ -292,23 +296,26 @@ def check_rank_example() -> str:
     return "7x8 coefficient matrix reproduced, rank 6"
 
 
-def check_quasi_modular(order: int = 100) -> str:
+def check_quasi_modular() -> str:
+    order = 100
     relations = verify_quasi_modular_identities(order)
     return f"{len(relations)} identities exact at order {order}"
 
 
-def check_delta_representations(order: int = 60) -> str:
+def check_delta_representations() -> str:
+    order = 60
     span = representation_span_rank(delta_representations(order))
     _expect_equal(span, 5, "affine span rank of discriminant representations")
     return f"6 representations solved at order {order}, affine span rank 5"
 
 
-def check_deltal2(order: int = 50) -> str:
+def check_deltal2() -> str:
+    order = 50
     # rescaled to the form, the combination must be R_0 + sum_i m_i (R_i - R_0)
     # for the standard representations R_i (see the modular docstring)
     combo = deltal2_word_sum()
     exact = evaluate(combo, order) == eta24(order).scale(-DELTA_SCALE)
-    base, *others = delta_representations(max(60, order))
+    base, *others = delta_representations(60)
     affine = relation_in_span(combo.scale(-1 / DELTA_SCALE) - base,
                               [rep - base for rep in others])
     if not (exact and affine):
@@ -317,7 +324,8 @@ def check_deltal2(order: int = 50) -> str:
     return f"exact through q^{order}, affine weights sum to 1"
 
 
-def check_tau_congruence(order: int = 100) -> str:
+def check_tau_congruence() -> str:
+    order = 100
     taus = eta24(order).nums
     failures = [n for n in range(1, order + 1)
                 if (taus[n] - multiple_divisor_sum((11,), n)) % 691]
@@ -329,26 +337,29 @@ def check_tau_congruence(order: int = 100) -> str:
 
 def check_mzv_relations() -> str:
     from . import zeta  # mpmath loads only when an MZV check runs
-    for label, combo, tol in MZV_RELATIONS:
-        total = 0.0
-        for parts, coeff in combo.items():
-            total += float(coeff) * float(zeta.mzv(parts).value)
-        if abs(total) >= tol:
-            raise CheckFailure(f"{label}: residual {total:.3e} >= {tol:g}")
-    return f"{len(MZV_RELATIONS)} relations verified numerically"
+    for label, combo in MZV_RELATIONS:
+        relation = WordSum(combo)
+        image = zeta.Z_k_symbolic(relation, relation.weight)
+        if abs(image.value) > image.error_bound:
+            raise CheckFailure(f"{label}: residual {float(image.value):.3e} "
+                               f"exceeds its bound "
+                               f"{float(image.error_bound):.3e}")
+    return f"{len(MZV_RELATIONS)} relations vanish within their error bounds"
 
 
 def check_mzv_kernel_image() -> str:
     from . import zeta
     poly = zeta.Z_k_alg(d_general((1, 1)), 4)
-    worst = float(poly.max_abs())
-    if worst >= 1e-6:
-        raise CheckFailure(f"Z_4 image of d[1,1] has a coefficient of size "
-                           f"{worst:.3e}")
-    return f"Z_4(d[1,1]) vanishes coefficientwise (max {worst:.1e})"
+    for j, (value, bound) in enumerate(poly.coefficients):
+        if abs(value) > bound:
+            raise CheckFailure(f"Z_4 image of d[1,1] has a T^{j} coefficient "
+                               f"of size {float(value):.3e}, beyond its "
+                               f"bound {float(bound):.3e}")
+    return f"Z_4(d[1,1]) vanishes coefficientwise (max {poly.max_abs():.1e})"
 
 
-def check_partition_identity(order: int = 50) -> str:
+def check_partition_identity() -> str:
+    order = 50
     if not partition_identity_check(order):
         raise CheckFailure("sum over lengths of [1,...,1] does not match "
                            "the partition numbers")
@@ -377,7 +388,8 @@ def check_dims_full() -> str:
     return _check_dims("md", DIMS_FULL_EXACT, "full-space")
 
 
-def check_homogeneous_relations(order: int = 300) -> str:
+def check_homogeneous_relations() -> str:
+    order = 300
     for k, wanted in ((9, HOMOGENEOUS_9), (10, HOMOGENEOUS_10)):
         rels = homogeneous_relation_search(k, 3, order)
         if len(rels) != 1:

@@ -20,7 +20,7 @@ from .config import FORMATS, Config, ResourceCap, load_config, set_config
 from .derivation import d_general
 from .linalg import SPACES, TABLE_KINDS, dimension_table, relation_search
 from .words import OnePolynomial, WordSum, decompose_in_one, evaluate, \
-    quasi_shuffle
+    quasi_shuffle, word
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,7 +96,7 @@ def cmd_product(args, cfg: Config) -> int:
     w = parse_parts(args.left)
     v = parse_parts(args.right)
     order = args.order if args.order is not None else cfg.default_order
-    result = quasi_shuffle(WordSum.of(w), WordSum.of(v))
+    result = quasi_shuffle(word(*w), word(*v))
     ok = evaluate(result, order) == bracket_series(w, order) * bracket_series(v, order)
     for line in _checked_lines("product", result, _word_sum_csv(result),
                                cfg.output_format, order, ok,
@@ -120,7 +120,7 @@ def cmd_derive(args, cfg: Config) -> int:
 def cmd_decompose(args, cfg: Config) -> int:
     parts = parse_parts(args.parts)
     order = args.order if args.order is not None else cfg.default_order
-    poly = decompose_in_one(WordSum.of(parts))
+    poly = decompose_in_one(word(*parts))
     ok = poly.substitute_one(order) == bracket_series(parts, order)
     rows = ["power,word,coefficient"]
     rows += [f"{j},{_word_label(t)},{c}"

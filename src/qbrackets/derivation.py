@@ -89,11 +89,6 @@ class Relation:
             "verified_order": self.verified_order,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "Relation":
-        return Relation(WordSum.from_json({"terms": data["terms"]}),
-                        data["provenance"], int(data["verified_order"]))
-
 
 def _verified(source: Parts, expr: WordSum, recipe: str,
               verify_order: int | None) -> WordSum:
@@ -148,7 +143,7 @@ def _d_general_body(c: Parts) -> WordSum:
     each with the combinatorial multiplicity the extraction dictates.
     """
     l = len(c)
-    terms = [*quasi_shuffle(word(2), WordSum.of(c)).terms()]
+    terms = [*quasi_shuffle(word(2), word(*c)).terms()]
     # raised by one with appended 1, and the appended 2
     terms += [(c[:i] + (c[i] + 1,) + c[i + 1:] + (1,), -c[i]) for i in range(l)]
     terms.append((c + (2,), -1))
@@ -203,15 +198,14 @@ def leibniz_relations(w: Parts | list[int], v: Parts | list[int],
     v = tuple(v)
     dw = d_general(w, verify_order)
     dv = d_general(v, verify_order)
-    product = quasi_shuffle(WordSum.of(w), WordSum.of(v))
-    body = quasi_shuffle(dw, WordSum.of(v)) \
-        + quasi_shuffle(WordSum.of(w), dv) \
+    product = quasi_shuffle(word(*w), word(*v))
+    body = quasi_shuffle(dw, word(*v)) \
+        + quasi_shuffle(word(*w), dv) \
         - d_word_sum(product, verify_order)
     return Relation.verified(body, "leibniz", verify_order)
 
 
-def proven_relation_corpus(max_weight: int,
-                           verify_order: int | None = None) -> list[Relation]:
+def proven_relation_corpus(max_weight: int) -> list[Relation]:
     """Proven relations of weight <= max_weight: splits, Leibniz pairs, and
     their closure under two weight-raising moves.
 
@@ -219,15 +213,16 @@ def proven_relation_corpus(max_weight: int,
     (w, v) has weight wt(w) + wt(v) + 2.  A known relation stays a relation
     when multiplied by a bracket or hit with d, so the corpus is closed under
     both moves up to the weight bound.  Proportional duplicates are dropped.
+    Every relation passes Relation.verified at the configured order.
     """
     seeds = []
     for k in range(4, max_weight + 1):
-        seeds.extend(split_relations(k, verify_order))
+        seeds.extend(split_relations(k))
     pairs = list(compositions_up_to(max_weight - 3))
     for i, w in enumerate(pairs):
         for v in pairs[i:]:
             if sum(w) + sum(v) + 2 <= max_weight:
-                seeds.append(leibniz_relations(w, v, verify_order))
+                seeds.append(leibniz_relations(w, v))
 
     seen: set[WordSum] = set()
     corpus = []
@@ -240,17 +235,16 @@ def proven_relation_corpus(max_weight: int,
     while frontier:
         grown = []
         for relation in frontier:
-            bodies = [quasi_shuffle(relation.body, WordSum.of(c))
+            bodies = [quasi_shuffle(relation.body, word(*c))
                       for c in compositions_up_to(max_weight - relation.weight)]
             if relation.weight + 2 <= max_weight:
-                bodies.append(d_word_sum(relation.body, verify_order))
+                bodies.append(d_word_sum(relation.body))
             for body in bodies:
                 key = body.normalized()
                 if key in seen:
                     continue
                 seen.add(key)
-                grown.append(Relation.verified(body, relation.provenance,
-                                               verify_order))
+                grown.append(Relation.verified(body, relation.provenance))
         corpus.extend(grown)
         frontier = grown
     return corpus

@@ -589,8 +589,8 @@ def relation_in_span(target: Relation | WordSum,
 
 
 def graded_relation_counts(max_weight: int, max_length: int | None = None,
-                           relations: Iterable[Relation] | None = None,
-                           verify_order: int | None = None) -> Dict[Cell, int]:
+                           relations: Iterable[Relation] | None = None
+                           ) -> Dict[Cell, int]:
     """Independent relation counts per graded (k, l) piece of the admissible
     space, from the proven corpus (splits and Leibniz by default).
 
@@ -603,7 +603,7 @@ def graded_relation_counts(max_weight: int, max_length: int | None = None,
     there.
     """
     if relations is None:
-        relations = proven_relation_corpus(max_weight, verify_order)
+        relations = proven_relation_corpus(max_weight)
     buckets: Dict[Cell, List[WordSum]] = {}
     for relation in relations:
         k = relation.weight

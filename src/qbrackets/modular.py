@@ -18,6 +18,7 @@ R_i - R_0, which linalg.relation_in_span decides.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
@@ -119,9 +120,13 @@ def delta_representation(a: int, b: int, order: int = 60) -> WordSum:
     return expression
 
 
-def delta_representations(order: int = 60) -> List[WordSum]:
-    """delta_representation of each pair, in the order of DELTA_PAIRS."""
-    return [delta_representation(a, b, order) for a, b in DELTA_PAIRS]
+@lru_cache(maxsize=1)
+def delta_representations(order: int = 60) -> Tuple[WordSum, ...]:
+    """delta_representation of each pair, in the order of DELTA_PAIRS.
+
+    The last call's result is kept, so the checks that share it solve the
+    six systems once."""
+    return tuple(delta_representation(a, b, order) for a, b in DELTA_PAIRS)
 
 
 def representation_span_rank(reps: Sequence[WordSum]) -> int:

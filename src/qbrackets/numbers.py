@@ -9,7 +9,6 @@ product expansion downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -38,32 +37,20 @@ def eulerian_number(s: int, n: int) -> int:
     return sum((-1) ** i * comb(s + 1, i) * (n + 1 - i) ** s for i in range(n + 1))
 
 
-@dataclass(frozen=True)
-class EulerianPolynomial:
-    """P_s(t) = sum_n A_{s,n} t^n; satisfies sum_{v>0} v^s z^v = z P_s(z)/(1-z)^{s+1}."""
-
-    s: int
-    coefficients: tuple[int, ...]
-
-    def __call__(self, t: Fraction | int) -> Fraction:
-        value = Fraction(0)
-        for c in reversed(self.coefficients):
-            value = value * t + c
-        return value
-
-
 @lru_cache(maxsize=None)
-def eulerian_polynomial(s: int) -> EulerianPolynomial:
-    """The s-th Eulerian polynomial, coefficients from the closed form A_{s,n}."""
+def eulerian_polynomial(s: int) -> tuple[int, ...]:
+    """Coefficients A_{s,0}, A_{s,1}, ... of the s-th Eulerian polynomial
+    P_s(t) = sum_n A_{s,n} t^n, from the closed form A_{s,n}; P_s satisfies
+    sum_{v>0} v^s z^v = z P_s(z)/(1-z)^{s+1}."""
     if s < 0:
         raise ValueError("Eulerian polynomial index must be non-negative")
     if s == 0:
-        return EulerianPolynomial(0, (1,))
-    return EulerianPolynomial(s, tuple(eulerian_number(s, n) for n in range(s)))
+        return (1,)
+    return tuple(eulerian_number(s, n) for n in range(s))
 
 
-def eulerian_polynomial_recurrence(s: int) -> EulerianPolynomial:
-    """Same polynomial computed by P_{k+1} = P_k (1 + k t) + t (1 - t) P_k'.
+def eulerian_polynomial_recurrence(s: int) -> tuple[int, ...]:
+    """Same coefficients computed by P_{k+1} = P_k (1 + k t) + t (1 - t) P_k'.
 
     Kept public as an independent cross-check of the closed form.
     """
@@ -81,7 +68,7 @@ def eulerian_polynomial_recurrence(s: int) -> EulerianPolynomial:
         while len(nxt) > 1 and nxt[-1] == 0:
             nxt.pop()
         coeffs = nxt
-    return EulerianPolynomial(s, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def lambda_coeff(a: int, b: int, j: int) -> Fraction:

@@ -3,8 +3,8 @@
 A QSeries holds the integer numerators of its coefficients for q^0 .. q^order
 over one positive common denominator, and exposes the coefficients as
 Fractions.  Binary operations on series of different orders silently truncate
-to the smaller order; asking a question beyond the recorded order
-(agree_to_order, coefficient) is an error, never a guess.
+to the smaller order; asking for a coefficient beyond the recorded order is
+an error, never a guess.
 """
 
 from __future__ import annotations
@@ -56,27 +56,13 @@ class QSeries:
 
     @staticmethod
     def from_coefficients(constant: RationalLike,
-                          coeffs: "list[RationalLike] | tuple[RationalLike, ...]",
-                          order: int | None = None) -> "QSeries":
+                          coeffs: "list[RationalLike] | tuple[RationalLike, ...]"
+                          ) -> "QSeries":
+        """The series constant + coeffs[0] q + ..., of order len(coeffs)."""
         cs = [Fraction(constant), *map(Fraction, coeffs)]
-        if order is None:
-            order = len(cs) - 1
-        del cs[order + 1:]
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
         den = lcm(*(c.denominator for c in cs))
-        return QSeries(order, tuple(c.numerator * (den // c.denominator)
-                                    for c in cs), den)
-
-    @staticmethod
-    def monomial(n: int, order: int, c: RationalLike = 1) -> "QSeries":
-        """c * q^n truncated at the given order."""
-        if n < 0:
-            raise ValueError("monomial exponent must be non-negative")
-        p, q = c.as_integer_ratio()
-        nums = [0] * (order + 1)
-        if n <= order:
-            nums[n] = p
-        return QSeries(order, tuple(nums), q)
+        return QSeries(len(coeffs), tuple(c.numerator * (den // c.denominator)
+                                          for c in cs), den)
 
     # -- access ------------------------------------------------------------
 
@@ -152,17 +138,7 @@ class QSeries:
         return QSeries(self.order, tuple(n * a for n, a in enumerate(self.nums)),
                        self.den)
 
-    # -- comparison / io -----------------------------------------------------
-
-    def agree_to_order(self, other: "QSeries", n: int) -> bool:
-        """True iff coefficients of q^0..q^n all coincide exactly."""
-        if n > min(self.order, other.order):
-            raise ValueError(
-                f"comparison to order {n} exceeds available orders "
-                f"{self.order}, {other.order}")
-        da, db = self.den, other.den
-        return all(a * db == b * da
-                   for a, b in zip(self.nums[:n + 1], other.nums[:n + 1]))
+    # -- io ------------------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
@@ -171,17 +147,7 @@ class QSeries:
             "coeffs": [_rat_str(x, self.den) for x in self.nums[1:]],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "QSeries":
-        order = int(data["order"])
-        coeffs = [Fraction(c) for c in data["coeffs"]]
-        if len(coeffs) != order:
-            raise ValueError(
-                f"series of order {order} needs exactly {order} "
-                f"coefficients, got {len(coeffs)}")
-        return QSeries.from_coefficients(Fraction(data["constant"]), coeffs)
-
-    def to_text(self, var: str = "q") -> str:
+    def to_text(self) -> str:
         parts: list[str] = []
         for n, x in enumerate(self.nums):
             if not x:
@@ -191,7 +157,7 @@ class QSeries:
             if n == 0:
                 parts.append(c)
                 continue
-            mono = var if n == 1 else f"{var}^{n}"
+            mono = "q" if n == 1 else f"q^{n}"
             if c == "1":
                 term = mono
             elif c == "-1":
@@ -204,7 +170,7 @@ class QSeries:
         text = parts[0]
         for term in parts[1:]:
             text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return f"{text} + O({var}^{self.order + 1})"
+        return f"{text} + O(q^{self.order + 1})"
 
 
 def _to_common(da: int, db: int) -> tuple[int, int, int]:

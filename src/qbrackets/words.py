@@ -50,21 +50,6 @@ class WordSum:
         out._terms = _normal_form(terms)
         return out
 
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def of(word: Iterable[int], coeff: Fraction | int = 1) -> "WordSum":
-        return WordSum([(tuple(word), coeff)])
-
-    @staticmethod
-    def zero() -> "WordSum":
-        return WordSum()
-
-    @staticmethod
-    def one() -> "WordSum":
-        """The empty word, the unit of the algebra."""
-        return WordSum([((), Fraction(1))])
-
     # -- mapping style access --------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Word, Fraction]]:
@@ -164,15 +149,11 @@ class WordSum:
                            "coeff": f"{c.numerator}/{c.denominator}"}
                           for w, c in self._terms.items()]}
 
-    @staticmethod
-    def from_json(data: dict) -> "WordSum":
-        return WordSum([(tuple(t["parts"]), Fraction(t["coeff"]))
-                        for t in data["terms"]])
-
 
 def word(*letters: int) -> WordSum:
-    """Convenience constructor: word(2, 1) is the single word z_2 z_1."""
-    return WordSum.of(letters)
+    """The single word z_{letters[0]} z_{letters[1]} ...: word(2, 1) is
+    z_2 z_1, and word() the empty word, the unit of the algebra."""
+    return WordSum([(letters, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +256,7 @@ class OnePolynomial:
         return len(self._powers) - 1
 
     def coefficient(self, j: int) -> WordSum:
-        return self._powers[j] if 0 <= j < len(self._powers) else WordSum.zero()
+        return self._powers[j] if 0 <= j < len(self._powers) else WordSum()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OnePolynomial) and self._powers == other._powers
@@ -313,10 +294,6 @@ class OnePolynomial:
 
     def to_json(self) -> dict:
         return {"powers": [p.to_json() for p in self._powers]}
-
-    @staticmethod
-    def from_json(data: dict) -> "OnePolynomial":
-        return OnePolynomial([WordSum.from_json(p) for p in data["powers"]])
 
 
 def _combine(parts: Iterable[tuple[Word, Fraction, int]]) -> OnePolynomial:

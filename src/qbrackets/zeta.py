@@ -180,13 +180,6 @@ class MzvValue:
     def __post_init__(self) -> None:
         _require_admissible(self.index)
 
-    def to_json(self) -> dict:
-        return {
-            "index": list(self.index),
-            "value": mp.nstr(self.value, 30),
-            "error_bound": mp.nstr(self.error_bound, 5),
-        }
-
 
 # (index, level) -> the value at cutoff _CUTOFF << level and _DPS + 20 * level
 # digits; at most _LEVELS entries per index, whatever targets are asked for
@@ -219,10 +212,11 @@ def mzv(c: Sequence[int], target_error: float | None = None) -> MzvValue:
         f"could not reach error {target_error} for zeta{comp}")
 
 
-def mzv_oracle(c: Sequence[int], n_max: int = 20000) -> float:
-    """Plain truncated nested summation in double precision; slow and
-    crude on purpose, used once to validate the accelerated evaluator."""
+def mzv_oracle(c: Sequence[int]) -> float:
+    """Plain nested summation over n1 <= 20000 in double precision; slow
+    and crude on purpose, used once to validate the accelerated evaluator."""
     comp = _require_admissible(c)
+    n_max = 20000
     inner = [1.0] * (n_max + 1)
     for s in reversed(comp[1:]):
         acc = 0.0
@@ -248,39 +242,45 @@ class ZImage:
     value: mpf
     error_bound: mpf
 
-    def to_json(self) -> dict:
-        return {
-            "weight": self.weight,
-            "combination": {",".join(map(str, w)): str(c)
-                            for w, c in sorted(self.combination.items())},
-            "value": mp.nstr(self.value, 30),
-            "error_bound": mp.nstr(self.error_bound, 5),
-        }
+
+# The digits of the deepest mzv level: a sum taken at this precision rounds
+# far below the bound of any value it adds up.
+_SUM_DPS = _DPS + 20 * (_LEVELS - 1)
 
 
-def _combination_value(combination: Mapping[Parts, Fraction],
-                       target_error: float):
+def _combination_value(combination: Mapping[Parts, Fraction]):
+    """The sum of coeff * zeta(word) and a bound on its error: the bounds
+    of the zeta values, weighted by |coeff|, plus the rounding of the sum.
+
+    Each term is rounded at most three times (the coefficient, the product,
+    the running sum), each time by a relative 2^-prec; 4 n 2^-prec times the
+    sum of |terms| covers the n terms and the rounding of that sum itself.
+    """
     if not combination:
         return mpf(0), mpf(0)
-    per_term = target_error / len(combination)
-    value, err = mpf(0), mpf(0)
-    for word_, coeff in sorted(combination.items()):
-        z = mzv(word_, per_term / max(1.0, abs(float(coeff))))
-        c = mpf(coeff.numerator) / coeff.denominator
-        value += c * z.value
-        err += abs(c) * z.error_bound
+    per_term = get_config().mzv_target_error / len(combination)
+    with workdps(_SUM_DPS):
+        value, err, size = mpf(0), mpf(0), mpf(0)
+        for word_, coeff in sorted(combination.items()):
+            z = mzv(word_, per_term / max(1.0, abs(float(coeff))))
+            c = mpf(coeff.numerator) / coeff.denominator
+            term = c * z.value
+            value += term
+            size += abs(term)
+            err += abs(c) * z.error_bound
+        err += 4 * len(combination) * size * mpf(2) ** (-mp.prec)
     return value, err
 
 
-def Z_k_symbolic(w: WordSum, k: int,
-                 target_error: float | None = None) -> ZImage:
+def Z_k_symbolic(w: WordSum, k: int) -> ZImage:
     """Map the weight-k terms of w to zeta values; lower weights go to 0.
 
     Every term must be admissible and of weight at most k.  When no term
     has weight exactly k the image is exactly zero and nothing is summed.
+    Each zeta value is asked for within the configured mzv_target_error
+    over the number of terms and the size of its coefficient; the sum is
+    taken at _SUM_DPS (140) digits, with its rounding inside error_bound.
     """
-    if target_error is None:
-        target_error = get_config().mzv_target_error
     combination: Dict[Parts, Fraction] = {}
     for word_, coeff in w.terms():
         if word_ and word_[0] == 1:
@@ -289,7 +289,7 @@ def Z_k_symbolic(w: WordSum, k: int,
             raise ValueError(f"term {word_} has weight above {k}")
         if word_ and sum(word_) == k:
             combination[word_] = coeff
-    value, err = _combination_value(combination, float(target_error))
+    value, err = _combination_value(combination)
     return ZImage(k, combination, value, err)
 
 
@@ -301,30 +301,12 @@ class ZPolynomial:
     weight: int
     coefficients: Tuple[Tuple[mpf, mpf], ...]
 
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coefficient(self, j: int) -> Tuple[mpf, mpf]:
-        if 0 <= j < len(self.coefficients):
-            return self.coefficients[j]
-        return mpf(0), mpf(0)
-
     def max_abs(self) -> float:
         return max((abs(float(v)) for v, _ in self.coefficients),
                    default=0.0)
 
-    def to_json(self) -> dict:
-        return {
-            "weight": self.weight,
-            "coefficients": [
-                {"power": j, "value": mp.nstr(v, 30),
-                 "error_bound": mp.nstr(e, 5)}
-                for j, (v, e) in enumerate(self.coefficients)],
-        }
 
-
-def Z_k_alg(w: WordSum, k: int,
-            target_error: float | None = None) -> ZPolynomial:
+def Z_k_alg(w: WordSum, k: int) -> ZPolynomial:
     """Decompose w as a polynomial in the word [1], then apply the
     weight-(k-j) map to the coefficient of the j-th power."""
     if w.weight > k:
@@ -332,7 +314,7 @@ def Z_k_alg(w: WordSum, k: int,
     poly = decompose_in_one(w)
     coefficients: List[Tuple[mpf, mpf]] = []
     for j in range(max(0, poly.degree()) + 1):
-        image = Z_k_symbolic(poly.coefficient(j), k - j, target_error)
+        image = Z_k_symbolic(poly.coefficient(j), k - j)
         coefficients.append((image.value, image.error_bound))
     while len(coefficients) > 1 and coefficients[-1][0] == 0 \
             and coefficients[-1][1] == 0:

@@ -1,0 +1,100 @@
+"""No knob that nobody turns: every defaulted parameter of a function in the
+package is passed, by position or by keyword, by some call in the package
+or in the benchmark.  A default that every caller leaves alone is a
+constant, and belongs in the body.
+
+Calls are matched to definitions by name only (a method by its attribute
+name, __init__ by its class name), so the scan can miss a knob whose name
+another callee shares; it never flags one that is turned.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qbrackets"
+CALLERS = (ROOT / "src", ROOT / "bench")
+
+# The test seam: tests hand load_config an environment of their own.
+ALLOWED = {"config.load_config(environ)"}
+
+
+def _callee(call: ast.Call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _calls_by_name():
+    calls = {}
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call) and _callee(node):
+                    calls.setdefault(_callee(node), []).append(node)
+    return calls
+
+
+def _definitions():
+    """(qualified name, callee name, function node, number of bound
+    leading parameters) for every function and method of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    owner[item] = node.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls = owner.get(node)
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            bound = 1 if cls is not None and not static else 0
+            name = cls if node.name == "__init__" else node.name
+            qualified = ".".join([path.stem] + [cls] * (cls is not None)
+                                 + [node.name])
+            yield qualified, name, node, bound
+
+
+def _defaulted(fn: ast.FunctionDef):
+    """(parameter, its positional index or None) for each defaulted one."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, index, bound: int) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index - bound
+
+
+def unset_defaults():
+    calls = _calls_by_name()
+    unset = set()
+    for qualified, name, fn, bound in _definitions():
+        for param, index in _defaulted(fn):
+            if not any(_passes(c, param, index, bound)
+                       for c in calls.get(name, ())):
+                unset.add(f"{qualified}({param})")
+    return unset
+
+
+def test_every_default_is_set_by_some_caller():
+    knobs = sorted(unset_defaults() - ALLOWED)
+    assert not knobs, ("defaulted parameters no caller in src/ or bench/ "
+                       "sets: " + ", ".join(knobs))
+
+
+def test_the_allowed_seam_is_still_a_default():
+    assert ALLOWED <= unset_defaults()

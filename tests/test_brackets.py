@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (QSeries, ResourceCap, WordSum, bracket_series,
+from qbrackets import (QSeries, ResourceCap, bracket_series,
                        bracket_series_many, bracket_series_oracle,
                        bracket_series_oracle_many, canonical_key,
                        compositions_up_to, d_general, d_len1, d_len2,
@@ -226,7 +226,6 @@ SERIES_ENTRY_POINTS = {
 # the pair (s1, s2), padded here with a valid 2
 COMPOSITION_ENTRY_POINTS = {
     **SERIES_ENTRY_POINTS,
-    "WordSum.of": lambda c, n: WordSum.of(c),
     "word": lambda c, n: word(*c),
     "d_general": lambda c, n: d_general(c, 40),
     "d_len1": lambda c, n: d_len1(*(tuple(c) + (2,))[:2], 40),
@@ -234,7 +233,7 @@ COMPOSITION_ENTRY_POINTS = {
     "leibniz_relations": lambda c, n: leibniz_relations(c, (2,), 40),
     "leibniz_relations v": lambda c, n: leibniz_relations((2,), c, 40),
     "mzv": lambda c, n: mzv(c),
-    "mzv_oracle": mzv_oracle,
+    "mzv_oracle": lambda c, n: mzv_oracle(c),
     "modified_qzeta": modified_qzeta,
 }
 

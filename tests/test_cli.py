@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qbrackets import (SPACES, Config, QSeries, Relation, WordSum,
                        bracket_series, brackets, checks, derivation,
-                       get_config, linalg, modular, set_config)
+                       get_config, linalg, modular, set_config, word)
 from qbrackets.checks import REL4, Check, CheckFailure, run_suite
 from qbrackets.cli import main
 from qbrackets.config import ENV_PREFIX, _ENV_FIELDS
@@ -58,7 +58,11 @@ def test_series_json_round_trips(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["composition"] == [4, 2]
-    assert QSeries.from_json(doc["series"]) == bracket_series((4, 2), 12)
+    series = doc["series"]
+    assert series["order"] == 12
+    assert QSeries.from_coefficients(
+        Fraction(series["constant"]),
+        [Fraction(c) for c in series["coeffs"]]) == bracket_series((4, 2), 12)
 
 
 def test_series_csv(capsys):
@@ -378,7 +382,7 @@ def test_failed_identity_is_one_fail_line(capsys, monkeypatch):
 
     def g8_off_by_one_bracket(k):
         w = real(k)
-        return w + WordSum.of((1,)) if k == 8 else w
+        return w + word(1) if k == 8 else w
 
     monkeypatch.setattr(modular, "_eisenstein_word", g8_off_by_one_bracket)
     code, out, err = run(capsys, "verify", "--only",
@@ -430,6 +434,15 @@ def test_failed_delta_representations_is_one_fail_line(capsys, monkeypatch):
     out = _one_fail_line(capsys, "delta-representations")
     assert ("affine span rank of discriminant representations: got 4, "
             "expected 5") in out
+
+
+def test_failed_mzv_relation_is_one_fail_line(capsys, monkeypatch):
+    # off by 1e-30 zeta(3,1): far inside any float tolerance, far outside
+    # the bound of the image
+    almost = {(4,): 1, (3, 1): -4 - Fraction(1, 10**30)}
+    monkeypatch.setattr(checks, "MZV_RELATIONS", (("almost", almost),))
+    out = _one_fail_line(capsys, "mzv-relations")
+    assert "almost: residual -2.706e-31 exceeds its bound" in out
 
 
 def test_environment_format_and_flag_precedence(capsys, monkeypatch):
@@ -559,11 +572,11 @@ GOLDEN_SHA256 = {
     "series 4,2 --order 40":
         "bfd2136da9f013c36a7ddda79508dce2cda9d84a547be255a6e2264b1a1938ca",
     "verify --quick":
-        "dea775fb02dd5aebcb06c612e406c9683e8722ff59463472ba839d12cf075daa",
+        "29674c09f814b4c98f6e402a4f0a498c415f755eaca6dd02ad31f33b772a7506",
     "--format json verify --quick":
-        "5f4bb3451157e43d68d2138ec31e330f923d90d11747672bdd700ea4b059e246",
+        "95b34ac292246ea8f5e61899d3b141d1429ad3ecd5579a1ee5883e67f0177949",
     "--format csv verify --quick":
-        "28b6b3ffb34b0d63c9cd4ddc182c9830960f26f560412646c89dbf3a9d983483",
+        "6ba3c2bcd3676073c650c88125c4f23861641e68009fe9d50b0f262f39283abc",
     "--format json dims --space mda --max-weight 8":
         "3e196a1128a28e83e0acb14c2626d817c065c952c219f48e293eb66c0adb5575",
     "dims --space md --max-weight 7 --kind gr":

@@ -109,9 +109,11 @@ def test_relation_metadata_and_json():
     assert rel.status == "proven"
     assert rel.weight == 5
     assert rel.verified_order == 50
-    back = Relation.from_json(rel.to_json())
-    assert back.body == rel.body
-    assert back.provenance == rel.provenance
+    doc = rel.to_json()
+    assert (doc["weight"], doc["provenance"], doc["verified_order"]) == \
+        (5, "leibniz", 50)
+    assert WordSum((tuple(t["parts"]), Fraction(t["coeff"]))
+                   for t in doc["terms"]) == rel.body
 
 
 def test_proven_corpus_closure_and_vanishing():

@@ -512,7 +512,7 @@ def test_graded_relation_counts_skip_a_zero_body():
 
 def test_graded_relation_counts_skip_a_constant_body():
     # the empty word has no first letter and lies in no (k, l) cell
-    one = Relation(WordSum.one(), "leibniz", 0)
+    one = Relation(WordSum({(): 1}), "leibniz", 0)
     assert graded_relation_counts(3, relations=[one]) == \
         graded_relation_counts(3, relations=[])
 

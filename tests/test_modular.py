@@ -9,7 +9,7 @@ from qbrackets import (DELTA_PAIRS, DELTA_SCALE, Relation, WordSum,
                        eta24, evaluate, leibniz_relations, relation_in_span,
                        representation_span_rank, split_relations,
                        verify_quasi_modular_identities)
-from qbrackets.checks import REL4, check_tau_congruence
+from qbrackets.checks import REL4, check_tau_congruence, run_suite
 from qbrackets.derivation import PROVEN_PROVENANCES
 
 # length-one coefficients of the six discriminant representations
@@ -148,4 +148,22 @@ def test_deltal2_combination_shape():
 
 
 def test_tau_congruence_mod_691():
-    assert check_tau_congruence(80) == "holds for n <= 80"
+    assert check_tau_congruence() == "holds for n <= 100"
+
+
+def test_verify_solves_the_discriminant_representations_once(monkeypatch):
+    solved = []
+    real = modular.delta_representation
+
+    def spy(a, b, order=60):
+        solved.append((a, b))
+        return real(a, b, order)
+
+    monkeypatch.setattr(modular, "delta_representation", spy)
+    modular.delta_representations.cache_clear()
+    try:
+        results = run_suite(["delta-representations", "delta-length2"])
+    finally:
+        modular.delta_representations.cache_clear()
+    assert [r.passed for r in results] == [True, True]
+    assert solved == list(DELTA_PAIRS)

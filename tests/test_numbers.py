@@ -37,11 +37,9 @@ def test_eulerian_row_sums_to_factorial(s):
     assert sum(eulerian_number(s, n) for n in range(s)) == math.factorial(s)
 
 
-@given(st.integers(min_value=1, max_value=8),
-       st.fractions(min_value=-4, max_value=4))
-@settings(max_examples=40, deadline=None)
-def test_eulerian_polynomial_matches_recurrence(s, t):
-    assert eulerian_polynomial(s)(t) == eulerian_polynomial_recurrence(s)(t)
+def test_eulerian_polynomial_matches_recurrence():
+    for s in range(12):
+        assert eulerian_polynomial(s) == eulerian_polynomial_recurrence(s)
 
 
 def test_lambda_coeff_bounds():
