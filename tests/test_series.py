@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -28,8 +29,9 @@ def test_basic_accessors():
         s.coefficient(4)
 
 
-def test_units():
+def test_monomial_and_units():
     q2 = QSeries(5, (0, 0, 1, 0, 0, 0))
+    assert q2.coefficient(2) == 1
     assert q2 * QSeries.one(5) == q2
     assert (q2 + QSeries.zero(5)) == q2
 
@@ -52,7 +54,17 @@ def test_derivation_product_rule(a, b):
     assert lhs == rhs
 
 
-def test_truncate():
+@given(qseries())
+@settings(max_examples=30, deadline=None)
+def test_json_round_trip(s):
+    # the printed JSON carries every coefficient exactly
+    doc = json.loads(json.dumps(s.to_json()))
+    assert doc["order"] == s.order
+    assert QSeries.from_coefficients(
+        Fraction(doc["constant"]), [Fraction(c) for c in doc["coeffs"]]) == s
+
+
+def test_truncate_and_agreement():
     s = QSeries.from_coefficients(Fraction(1),
                                   tuple(Fraction(n) for n in range(1, 6)))
     t = s.truncate(3)

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (ExactMatrix, IntEchelon, WordSum,
+from qbrackets import (ExactMatrix, IntEchelon, OnePolynomial, WordSum,
                        bracket_series, canonical_key, decompose_in_one,
                        diamond, evaluate, quasi_shuffle, word)
 from qbrackets import words
@@ -172,6 +173,17 @@ def test_evaluate_is_linear():
         bracket_series((2, 1), 20).scale(Fraction(3, 2)) - bracket_series((3,), 20)
 
 
+def _word_sum_from_json(doc):
+    return WordSum((tuple(t["parts"]), Fraction(t["coeff"])) for t in doc["terms"])
+
+
+@given(word_sums())
+@settings(max_examples=25, deadline=None)
+def test_word_sum_json_round_trip(w):
+    # the printed JSON carries every word and coefficient exactly
+    assert _word_sum_from_json(json.loads(json.dumps(w.to_json()))) == w
+
+
 def test_decompose_golden():
     poly = decompose_in_one(word(1, 2))
     assert poly.degree() == 1
@@ -189,3 +201,8 @@ def test_decompose_substitutes_back(parts):
     for j in range(poly.degree() + 1):
         assert all(not w or w[0] > 1 for w in poly.coefficient(j).words())
 
+
+def test_one_polynomial_json_round_trip():
+    poly = decompose_in_one(word(1, 1, 2))
+    doc = json.loads(json.dumps(poly.to_json()))
+    assert OnePolynomial(map(_word_sum_from_json, doc["powers"])) == poly
