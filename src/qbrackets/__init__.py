@@ -14,8 +14,8 @@ from .numbers import (bernoulli, eulerian_number, eulerian_polynomial,
 from .series import QSeries, eta24
 from .brackets import (canonical_key, multiple_divisor_sum, bracket_series,
                        bracket_series_many, bracket_series_oracle,
-                       bracket_series_oracle_many, EulerianKernel,
-                       partition_counts, partition_identity_check)
+                       bracket_series_oracle_many, partition_counts,
+                       partition_identity_check)
 from .words import (WordSum, word, diamond, quasi_shuffle, evaluate,
                     OnePolynomial, decompose_in_one)
 from .derivation import (Relation, d_len1, d_len2, d_general, d_word_sum,
@@ -40,7 +40,7 @@ __all__ = [
     "canonical_key", "multiple_divisor_sum",
     "bracket_series", "bracket_series_many",
     "bracket_series_oracle", "bracket_series_oracle_many",
-    "EulerianKernel", "partition_counts", "partition_identity_check",
+    "partition_counts", "partition_identity_check",
     "WordSum", "word", "diamond", "quasi_shuffle", "evaluate",
     "OnePolynomial", "decompose_in_one",
     "Relation", "d_len1", "d_len2", "d_general",
@@ -55,14 +55,13 @@ __all__ = [
     "verify_quasi_modular_identities", "delta_representation",
     "delta_representations", "representation_span_rank", "deltal2_word_sum",
     "MzvValue", "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic", "ZPolynomial",
-    "Z_k_alg", "modified_qzeta",
+    "Z_k_alg",
     "Config", "ResourceCap", "load_config", "get_config", "set_config",
     "REGISTRY", "CheckResult", "first_failure", "run_suite",
 ]
 
 _ZETA_NAMES = frozenset({"MzvValue", "mzv", "mzv_oracle", "ZImage",
-                         "Z_k_symbolic", "ZPolynomial", "Z_k_alg",
-                         "modified_qzeta"})
+                         "Z_k_symbolic", "ZPolynomial", "Z_k_alg"})
 
 
 def __getattr__(name):

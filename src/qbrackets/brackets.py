@@ -19,7 +19,6 @@ identity, and the test suite insists on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import index
@@ -196,29 +195,16 @@ def bracket_series(c: Sequence[int], order: int) -> QSeries:
 # oracle algorithm: prefix recursion with Eulerian-kernel factors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EulerianKernel:
-    """The factor z P_{s-1}(z)/((s-1)! (1-z)^s), i.e. the generating function
-    of v^{s-1}/(s-1)! summed over v >= 1, expanded without power sums."""
-
-    s: int
-
-    def integer_coefficient(self, w: int) -> int:
-        """Coefficient of z^w in z P_{s-1}(z)/(1-z)^s; equals w^{s-1}."""
-        if w < 1:
-            return 0
-        total = 0
-        for i, a in enumerate(eulerian_polynomial(self.s - 1)):
-            if i > w - 1:
-                break
-            total += a * comb(w - 1 - i + self.s - 1, self.s - 1)
-        return total
-
-
 @lru_cache(maxsize=None)
 def _kernel_row(s: int, n_max: int) -> tuple[int, ...]:
-    kernel = EulerianKernel(s)
-    return tuple(kernel.integer_coefficient(w) for w in range(n_max + 1))
+    """Coefficients of z^0 .. z^n_max in z P_{s-1}(z)/(1-z)^s, the factor
+    generating v^{s-1} summed over v >= 1 (its (s-1)! is divided out later),
+    expanded through the Eulerian polynomial P_{s-1} and binomials instead
+    of power sums; the coefficient of z^w is w^{s-1}."""
+    eulerian = eulerian_polynomial(s - 1)
+    return (0, *(sum(a * comb(w - 1 - i + s - 1, s - 1)
+                     for i, a in enumerate(eulerian[:w]))
+                 for w in range(1, n_max + 1)))
 
 
 def bracket_series_oracle(c: Sequence[int], order: int) -> QSeries:

@@ -21,8 +21,9 @@ from .derivation import d_general, d_len1, d_len2, leibniz_relations, \
     split_relations
 from .linalg import ExactMatrix, dimension_table, graded_relation_counts, \
     homogeneous_relation_search, relation_in_span
-from .modular import DELTA_SCALE, deltal2_word_sum, delta_representations, \
-    representation_span_rank, verify_quasi_modular_identities
+from .modular import DELTA_ORDER, DELTA_SCALE, deltal2_word_sum, \
+    delta_representations, representation_span_rank, \
+    verify_quasi_modular_identities
 from .numbers import compositions_up_to
 from .series import eta24
 from .words import WordSum, evaluate, quasi_shuffle, word
@@ -303,10 +304,10 @@ def check_quasi_modular() -> str:
 
 
 def check_delta_representations() -> str:
-    order = 60
-    span = representation_span_rank(delta_representations(order))
+    span = representation_span_rank(delta_representations())
     _expect_equal(span, 5, "affine span rank of discriminant representations")
-    return f"6 representations solved at order {order}, affine span rank 5"
+    return (f"6 representations solved at order {DELTA_ORDER}, affine span "
+            "rank 5")
 
 
 def check_deltal2() -> str:
@@ -315,7 +316,7 @@ def check_deltal2() -> str:
     # for the standard representations R_i (see the modular docstring)
     combo = deltal2_word_sum()
     exact = evaluate(combo, order) == eta24(order).scale(-DELTA_SCALE)
-    base, *others = delta_representations(60)
+    base, *others = delta_representations()
     affine = relation_in_span(combo.scale(-1 / DELTA_SCALE) - base,
                               [rep - base for rep in others])
     if not (exact and affine):

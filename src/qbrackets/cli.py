@@ -51,10 +51,8 @@ def _series_lines(parts, series, fmt: str) -> List[str]:
         doc = {"composition": list(parts), "series": series.to_json()}
         return [json.dumps(doc, indent=2)]
     if fmt == "csv":
-        lines = ["n,coefficient", f"0,{series.constant}"]
-        lines += [f"{n},{series.coefficient(n)}"
-                  for n in range(1, series.order + 1)]
-        return lines
+        return ["n,coefficient"] + [f"{n},{series.coefficient(n)}"
+                                    for n in range(series.order + 1)]
     return [series.to_text()]
 
 
@@ -184,9 +182,18 @@ def cmd_relations(args, cfg: Config) -> int:
 
 def cmd_verify(args, cfg: Config) -> int:
     if args.list:
-        for check in REGISTRY:
-            kind = "quick" if check.quick else "full "
-            print(f"{kind} {check.name:<28} {check.description}")
+        if cfg.output_format == "json":
+            print(json.dumps([{"name": c.name, "quick": c.quick,
+                               "description": c.description}
+                              for c in REGISTRY], indent=2))
+        elif cfg.output_format == "csv":
+            print("name,quick,description")
+            for c in REGISTRY:
+                print(f"{c.name},{str(c.quick).lower()},{c.description}")
+        else:
+            for c in REGISTRY:
+                kind = "quick" if c.quick else "full "
+                print(f"{kind} {c.name:<28} {c.description}")
         return EXIT_OK
     names = args.only.split(",") if args.only else None
     results = run_suite(names=names, quick=args.quick)
@@ -226,9 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="any command exits 4 before a series sweep that "
                              "would hold more than this many cells (suffix "
                              "rows x order)")
-    parser.add_argument("--mzv-target-error", type=float,
-                        dest="mzv_target_error",
-                        help="requested bound for zeta value evaluations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="q-expansion of one bracket")
@@ -283,7 +287,7 @@ def _effective_config(args) -> Config:
     """The environment's config with the global flags that were given laid
     over it; Config itself range-checks the values from both sources."""
     overrides = {field: getattr(args, field)
-                 for field in ("output_format", "max_cells", "mzv_target_error")
+                 for field in ("output_format", "max_cells")
                  if getattr(args, field) is not None}
     return dataclasses.replace(load_config(), **overrides)
 

@@ -18,7 +18,6 @@ class ResourceCap(RuntimeError):
 @dataclass(frozen=True)
 class Config:
     default_order: int = 120
-    mzv_target_error: float = 1e-10
     output_format: str = "text"
     max_cells: int = 2_000_000       # cap on suffix rows x order per sweep
 
@@ -31,14 +30,10 @@ class Config:
         if self.max_cells < 1:
             raise ValueError(f"max_cells must be at least 1, got "
                              f"{self.max_cells}")
-        if not self.mzv_target_error > 0:
-            raise ValueError(f"mzv_target_error must be positive, got "
-                             f"{self.mzv_target_error}")
 
 
 _ENV_FIELDS = {
     "ORDER": ("default_order", int),
-    "MZV_TARGET_ERROR": ("mzv_target_error", float),
     "FORMAT": ("output_format", str),
     "MAX_CELLS": ("max_cells", int),
 }

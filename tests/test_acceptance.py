@@ -132,9 +132,7 @@ def test_criterion_07_quasi_modular_forms():
         # the derivative of G4 is 14*G6 - 8*G2*G4; the 15-variant is not an
         # identity (it fails on the constant term), guard against both being
         # accepted
-        g2 = eisenstein(2, 60)
-        g4 = eisenstein(4, 60)
-        g6 = eisenstein(6, 60)
+        g2, g4, g6 = (evaluate(eisenstein(k), 60) for k in (2, 4, 6))
         assert g4.q_d_dq() == g6.scale(14) - (g2 * g4).scale(8)
         assert g4.q_d_dq() != g6.scale(15) - (g2 * g4).scale(8)
         check_delta_representations()

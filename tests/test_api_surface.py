@@ -1,11 +1,16 @@
-"""No knob that nobody turns: every defaulted parameter of a function in the
-package is passed, by position or by keyword, by some call in the package
-or in the benchmark.  A default that every caller leaves alone is a
-constant, and belongs in the body.
+"""No knob that nobody turns, and no entry point that nothing uses.
+
+Every defaulted parameter of a function in the package is passed, by
+position or by keyword, by some call in the package or in the benchmark.
+A default that every caller leaves alone is a constant, and belongs in the
+body.  Every public function, class and method of the package is named
+somewhere in the package or the benchmark: one that only tests reach is a
+second way to do what the package already does, except for the few
+independent recomputations kept for tests to compare against.
 
 Calls are matched to definitions by name only (a method by its attribute
-name, __init__ by its class name), so the scan can miss a knob whose name
-another callee shares; it never flags one that is turned.
+name, __init__ by its class name), so the scans can miss a knob or an entry
+point whose name another one shares; they never flag one that is used.
 """
 
 import ast
@@ -18,6 +23,16 @@ CALLERS = (ROOT / "src", ROOT / "bench")
 # The test seam: tests hand load_config an environment of their own.
 ALLOWED = {"config.load_config(environ)"}
 
+# The independent recomputations tests compare the package against.
+CROSS_CHECKS = {"brackets.bracket_series_oracle", "zeta.mzv_oracle",
+                "numbers.eulerian_polynomial_recurrence"}
+
+
+def _caller_trees():
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            yield ast.parse(path.read_text(), str(path))
+
 
 def _callee(call: ast.Call):
     if isinstance(call.func, ast.Name):
@@ -29,11 +44,10 @@ def _callee(call: ast.Call):
 
 def _calls_by_name():
     calls = {}
-    for root in CALLERS:
-        for path in sorted(root.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Call) and _callee(node):
-                    calls.setdefault(_callee(node), []).append(node)
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _callee(node):
+                calls.setdefault(_callee(node), []).append(node)
     return calls
 
 
@@ -98,3 +112,40 @@ def test_every_default_is_set_by_some_caller():
 
 def test_the_allowed_seam_is_still_a_default():
     assert ALLOWED <= unset_defaults()
+
+
+def unreached_definitions():
+    """Qualified names of the public functions, classes and methods of the
+    package that no code in src/ or bench/ names."""
+    named = set()
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unreached = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{item.name}", item)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+            unreached |= {f"{path.stem}.{qualified}"
+                          for qualified, item in members
+                          if not item.name.startswith("_")
+                          and item.name not in named}
+    return unreached
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    stray = sorted(unreached_definitions() - CROSS_CHECKS)
+    assert not stray, ("public definitions that nothing in src/ or bench/ "
+                       "names: " + ", ".join(stray))
+
+
+def test_the_cross_checks_are_reached_only_by_tests():
+    assert CROSS_CHECKS <= unreached_definitions()

@@ -11,7 +11,7 @@ from qbrackets import (QSeries, ResourceCap, bracket_series,
                        bracket_series_oracle_many, canonical_key,
                        compositions_up_to, d_general, d_len1, d_len2,
                        dimension_table, generators, get_config,
-                       leibniz_relations, modified_qzeta, mzv, mzv_oracle,
+                       leibniz_relations, mzv, mzv_oracle,
                        multiple_divisor_sum, partition_counts,
                        partition_identity_check, set_config, word)
 from qbrackets import brackets
@@ -234,7 +234,6 @@ COMPOSITION_ENTRY_POINTS = {
     "leibniz_relations v": lambda c, n: leibniz_relations((2,), c, 40),
     "mzv": lambda c, n: mzv(c),
     "mzv_oracle": lambda c, n: mzv_oracle(c),
-    "modified_qzeta": modified_qzeta,
 }
 
 BAD_INPUT = [

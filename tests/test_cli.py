@@ -1,3 +1,4 @@
+import csv
 import functools
 import hashlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from qbrackets import (SPACES, Config, QSeries, Relation, WordSum,
                        bracket_series, brackets, checks, derivation,
                        get_config, linalg, modular, set_config, word)
-from qbrackets.checks import REL4, Check, CheckFailure, run_suite
+from qbrackets.checks import REGISTRY, REL4, Check, CheckFailure, run_suite
 from qbrackets.cli import main
 from qbrackets.config import ENV_PREFIX, _ENV_FIELDS
 
@@ -60,9 +61,9 @@ def test_series_json_round_trips(capsys):
     assert doc["composition"] == [4, 2]
     series = doc["series"]
     assert series["order"] == 12
-    assert QSeries.from_coefficients(
-        Fraction(series["constant"]),
-        [Fraction(c) for c in series["coeffs"]]) == bracket_series((4, 2), 12)
+    want = bracket_series((4, 2), 12)
+    assert [Fraction(series["constant"]), *map(Fraction, series["coeffs"])] \
+        == [want.coefficient(n) for n in range(13)]
 
 
 def test_series_csv(capsys):
@@ -334,6 +335,21 @@ def test_verify_list(capsys):
     assert code == 0
     assert "series-examples" in out
     assert "dims-admissible" in out
+    assert len(out.splitlines()) == len(REGISTRY)
+
+
+def test_verify_list_follows_the_format(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify", "--list")
+    assert code == 0
+    listed = json.loads(out)
+    assert listed == [{"name": c.name, "quick": c.quick,
+                       "description": c.description} for c in REGISTRY]
+    code, out, _ = run(capsys, "--format", "csv", "verify", "--list")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["name", "quick", "description"]
+    assert rows[1:] == [[c["name"], str(c["quick"]).lower(),
+                         c["description"]] for c in listed]
 
 
 def test_verify_json(capsys):
@@ -378,13 +394,13 @@ def test_relation_checks_rely_on_the_library_gate(monkeypatch):
 
 
 def test_failed_identity_is_one_fail_line(capsys, monkeypatch):
-    real = modular._eisenstein_word
+    real = modular.eisenstein
 
     def g8_off_by_one_bracket(k):
         w = real(k)
         return w + word(1) if k == 8 else w
 
-    monkeypatch.setattr(modular, "_eisenstein_word", g8_off_by_one_bracket)
+    monkeypatch.setattr(modular, "eisenstein", g8_off_by_one_bracket)
     code, out, err = run(capsys, "verify", "--only",
                          "quasi-modular,tau-congruence")
     assert code == 3
@@ -426,8 +442,8 @@ def test_failed_delta_representations_is_one_fail_line(capsys, monkeypatch):
     # a repeated representation leaves the differences one rank short
     real = checks.delta_representations
 
-    def first_one_twice(order):
-        reps = real(order)
+    def first_one_twice():
+        reps = real()
         return [*reps[:5], reps[0]]
 
     monkeypatch.setattr(checks, "delta_representations", first_one_twice)
@@ -480,8 +496,6 @@ def test_environment_order_default(capsys, monkeypatch):
 @pytest.mark.parametrize("flag, variable, value", [
     ("--max-cells", "MAX_CELLS", "0"),
     ("--max-cells", "MAX_CELLS", "-3"),
-    ("--mzv-target-error", "MZV_TARGET_ERROR", "0"),
-    ("--mzv-target-error", "MZV_TARGET_ERROR", "nan"),
     ("--format", "FORMAT", "yaml"),
 ])
 @pytest.mark.parametrize("source", ["flag", "environment"])

@@ -6,7 +6,6 @@ from qbrackets import Config, get_config, load_config, set_config
 def test_defaults():
     cfg = load_config(environ={})
     assert cfg.default_order == 120
-    assert cfg.mzv_target_error == 1e-10
     assert cfg.output_format == "text"
     assert cfg.max_cells == 2_000_000
 
@@ -15,12 +14,10 @@ def test_environment_overrides():
     cfg = load_config(environ={
         "QBRACKETS_ORDER": "40",
         "QBRACKETS_FORMAT": "json",
-        "QBRACKETS_MZV_TARGET_ERROR": "1e-6",
         "QBRACKETS_MAX_CELLS": "1000",
     })
     assert cfg.default_order == 40
     assert cfg.output_format == "json"
-    assert cfg.mzv_target_error == 1e-6
     assert cfg.max_cells == 1000
 
 
@@ -38,7 +35,6 @@ def test_invalid_environment_rejected():
 
 @pytest.mark.parametrize("field, value", [
     ("output_format", "yaml"), ("max_cells", 0), ("max_cells", -3),
-    ("mzv_target_error", 0.0), ("mzv_target_error", float("nan")),
     ("default_order", 0), ("default_order", -5),
 ])
 def test_config_rejects_out_of_range_values(field, value):

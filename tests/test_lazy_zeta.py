@@ -14,16 +14,17 @@ import qbrackets
 ROOT = Path(__file__).resolve().parent.parent
 
 ZETA_NAMES = ("MzvValue", "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic",
-              "ZPolynomial", "Z_k_alg", "modified_qzeta")
+              "ZPolynomial", "Z_k_alg")
 
 # The package's public API: the names it had when the zeta names became
-# lazy, less those the modular layer and dim_lower_bound no longer have.
+# lazy, less those removed since: the modular layer's, dim_lower_bound,
+# EulerianKernel and modified_qzeta.
 PUBLIC_API = (
     "bernoulli", "eulerian_number", "eulerian_polynomial", "lambda_coeff",
     "count_generators", "compositions", "compositions_up_to", "QSeries",
     "eta24", "canonical_key", "multiple_divisor_sum", "bracket_series",
     "bracket_series_many", "bracket_series_oracle",
-    "bracket_series_oracle_many", "EulerianKernel", "partition_counts",
+    "bracket_series_oracle_many", "partition_counts",
     "partition_identity_check", "WordSum", "word", "diamond",
     "quasi_shuffle", "evaluate", "OnePolynomial", "decompose_in_one",
     "Relation", "d_len1", "d_len2", "d_general", "d_word_sum",
@@ -37,7 +38,7 @@ PUBLIC_API = (
     "delta_representation", "delta_representations",
     "representation_span_rank", "deltal2_word_sum", "MzvValue",
     "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic", "ZPolynomial",
-    "Z_k_alg", "modified_qzeta", "Config", "ResourceCap", "load_config",
+    "Z_k_alg", "Config", "ResourceCap", "load_config",
     "get_config", "set_config", "REGISTRY", "CheckResult", "first_failure",
     "run_suite",
 )

@@ -13,15 +13,15 @@ rationals = st.fractions(min_value=-5, max_value=5)
 
 @st.composite
 def qseries(draw, order=6):
-    constant = draw(rationals)
-    coeffs = draw(st.lists(rationals, min_size=order, max_size=order))
-    return QSeries.from_coefficients(constant, coeffs)
+    """A series with coefficients in [-5, 5] over one common denominator."""
+    den = draw(st.integers(1, 10**6))
+    nums = draw(st.lists(st.integers(-5 * den, 5 * den), min_size=order + 1,
+                         max_size=order + 1))
+    return QSeries(order, tuple(nums), den)
 
 
 def test_basic_accessors():
-    s = QSeries.from_coefficients(Fraction(2), (Fraction(1), Fraction(0),
-                                                Fraction(-7, 2)))
-    assert s.constant == 2
+    s = QSeries(3, (4, 2, 0, -7), 2)
     assert s.coefficient(0) == 2
     assert s.coefficient(1) == 1
     assert s.coefficient(3) == Fraction(-7, 2)
@@ -60,24 +60,22 @@ def test_json_round_trip(s):
     # the printed JSON carries every coefficient exactly
     doc = json.loads(json.dumps(s.to_json()))
     assert doc["order"] == s.order
-    assert QSeries.from_coefficients(
-        Fraction(doc["constant"]), [Fraction(c) for c in doc["coeffs"]]) == s
+    assert [Fraction(doc["constant"]), *map(Fraction, doc["coeffs"])] == \
+        [s.coefficient(n) for n in range(s.order + 1)]
 
 
 def test_truncate_and_agreement():
-    s = QSeries.from_coefficients(Fraction(1),
-                                  tuple(Fraction(n) for n in range(1, 6)))
+    s = QSeries(5, (1, 1, 2, 3, 4, 5))
     t = s.truncate(3)
     assert t.order == 3
-    assert t == QSeries.from_coefficients(1, (1, 2, 3))
+    assert t == QSeries(3, (1, 1, 2, 3))
     assert t.truncate(3) is t
     with pytest.raises(ValueError):
         t.truncate(4)
 
 
 def test_to_text():
-    s = QSeries.from_coefficients(Fraction(0), (Fraction(1), Fraction(-1),
-                                                Fraction(0), Fraction(3, 2)))
+    s = QSeries(4, (0, 2, -2, 0, 3), 2)
     assert s.to_text() == "q - q^2 + 3/2*q^4 + O(q^5)"
     assert QSeries.zero(2).to_text() == "0 + O(q^3)"
 
@@ -87,7 +85,7 @@ def test_eta24_ramanujan_tau():
     wanted = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643,
               -115920, 534612, -370944]
     assert [s.coefficient(n) for n in range(1, 13)] == wanted
-    assert s.constant == 0
+    assert s.coefficient(0) == 0
 
 
 def test_eta24_needs_positive_order():
@@ -99,20 +97,18 @@ def test_eta24_needs_positive_order():
 
 @st.composite
 def series_with_reference(draw):
-    order = draw(st.integers(min_value=0, max_value=6))
-    ref = draw(st.lists(rationals, min_size=order + 1, max_size=order + 1))
-    return QSeries.from_coefficients(ref[0], ref[1:]), ref
+    s = draw(qseries(order=draw(st.integers(min_value=0, max_value=6))))
+    return s, [s.coefficient(n) for n in range(s.order + 1)]
 
 
 def assert_matches(s, ref):
     assert s.order == len(ref) - 1
     assert s.den > 0 and gcd(s.den, *s.nums) == 1
     assert [s.coefficient(n) for n in range(s.order + 1)] == ref
-    assert s.constant == ref[0] and list(s.coeffs) == ref[1:]
+    assert list(s.coeffs) == ref[1:]
     doc = s.to_json()
     assert doc["constant"] == f"{ref[0].numerator}/{ref[0].denominator}"
     assert doc["coeffs"] == [f"{c.numerator}/{c.denominator}" for c in ref[1:]]
-    assert s == QSeries.from_coefficients(ref[0], ref[1:])
     assert s.is_zero() == (not any(ref))
 
 
@@ -128,7 +124,6 @@ def test_matches_fraction_reference(a, b, c, data):
     assert_matches(sa - sb, [x - y for x, y in zip(ra, rb)])
     assert_matches(-sa, [-x for x in ra])
     assert_matches(sa.scale(c), [x * c for x in ra])
-    assert_matches(sa * c, [x * c for x in ra])
     assert_matches(sa * sb, [sum(ra[i] * rb[k - i] for i in range(k + 1))
                              for k in range(n + 1)])
     assert_matches(sa.q_d_dq(), [k * x for k, x in enumerate(ra)])
@@ -144,7 +139,6 @@ def test_matches_fraction_reference(a, b, c, data):
 def test_constructor_reduces_and_validates():
     s = QSeries(2, (2, -4, 6), 4)
     assert (s.nums, s.den) == ((1, -2, 3), 2)
-    assert s == QSeries.from_coefficients(Fraction(1, 2), [-1, Fraction(3, 2)])
     assert hash(s) == hash(QSeries(2, (1, -2, 3), 2))
     assert QSeries(1, (0, 0), 7) == QSeries.zero(1)
     with pytest.raises(ValueError):
