@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -42,6 +43,24 @@ def test_eisenstein_constants():
         eisenstein(3)
     with pytest.raises(ValueError):
         eisenstein(0)
+
+
+# B_k for the even weights up to 12, written out so the check does not lean on
+# the package's own Bernoulli numbers
+BERNOULLI = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42),
+             8: Fraction(-1, 30), 10: Fraction(5, 66),
+             12: Fraction(-691, 2730)}
+
+
+@pytest.mark.parametrize("k", sorted(BERNOULLI))
+def test_eisenstein_is_the_divisor_sum_series(k):
+    # G_k = -B_k / (2 k!) + sum_n sigma_{k-1}(n) q^n / (k-1)!
+    order = 24
+    g = evaluate(eisenstein(k), order)
+    assert g.coefficient(0) == -BERNOULLI[k] / (2 * factorial(k))
+    for n in range(1, order + 1):
+        sigma = sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+        assert g.coefficient(n) == Fraction(sigma, factorial(k - 1))
 
 
 def test_eisenstein_tail_is_bracket():

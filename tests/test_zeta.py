@@ -54,6 +54,13 @@ def test_mzv_respects_target_error():
     assert loose.error_bound < mpf("1e-6")
 
 
+@pytest.mark.parametrize("index", [(2,), (3, 1), (2, 2, 1)])
+def test_mzv_default_target_is_ten_to_the_minus_ten(index):
+    z = mzv(index)
+    assert z.error_bound <= 1e-10
+    assert z == mzv(index, 1e-10)
+
+
 def _clear_shared_rows():
     zeta._psi_expansion.cache_clear()
     zeta._inverse_powers.cache_clear()
