@@ -22,7 +22,7 @@ from .derivation import (Relation, d_len1, d_len2, d_general, d_word_sum,
                          split_relations, leibniz_relations,
                          proven_relation_corpus)
 from .linalg import (SPACES, TABLE_KINDS, ExactMatrix, IntEchelon,
-                     ModEchelon, solve_unique, generators, DimensionTable,
+                     ModEchelon, generators, DimensionTable,
                      dimension_table, relation_search,
                      homogeneous_relation_search, relation_in_span,
                      graded_relation_counts, conjecture_series_expansion)
@@ -47,7 +47,7 @@ __all__ = [
     "d_word_sum", "split_relations", "leibniz_relations",
     "proven_relation_corpus",
     "SPACES", "TABLE_KINDS", "ExactMatrix", "IntEchelon", "ModEchelon",
-    "solve_unique", "generators", "DimensionTable",
+    "generators", "DimensionTable",
     "dimension_table", "relation_search", "homogeneous_relation_search",
     "relation_in_span", "graded_relation_counts",
     "conjecture_series_expansion",

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 usage or parse error, 3 verification failure,
-4 resource cap exceeded.  Output depends only on the effective options
-(flags override QBRACKETS_* environment variables, which override the
-built-in defaults).
+4 resource cap exceeded, 5 stdout closed early by its reader (never 0: the
+verdict may not have been reached).  Output depends only on the effective
+options (flags override QBRACKETS_* environment variables, which override
+the built-in defaults).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
+EXIT_PIPE = 5
 
 
 def parse_parts(text: str) -> Tuple[int, ...]:
@@ -301,7 +304,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _effective_config(args)
         set_config(cfg)
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; send what is still buffered to
+        # devnull so that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ResourceCap as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -4,17 +4,19 @@ Dimension questions reduce to ranks: each generator contributes the row of
 its q-expansion coefficients, independent rows prove independent elements,
 and kernel vectors of the transposed matrix are candidate linear relations.
 
-Kernels, unique solutions, span membership and ExactMatrix.rank are exact
-and run on one elimination core, IntEchelon: rows are cleared of
-denominators and reduced fraction-free over the integers; fractions appear
-only in the final back-substitution.  The dimension tables need ranks only,
-and take them mod the prime 2^31 - 1 with ModEchelon, over rows packed into
-one integer each.  A rank mod p is at most the rank over Q, so a table cell
-is a lower bound by construction, and every cell says whether it is exact
-(all of its generators independent) or a bound.  A table's default order
-starts a little above the top cell the dimension conjecture predicts and
-grows until the rank stops growing with it (_table_rows); the conjecture
-only picks the order, so it never affects what a cell claims.
+Kernels, span membership and ExactMatrix.rank are exact and run on one
+elimination core, IntEchelon: rows are cleared of denominators and reduced
+fraction-free over the integers; fractions appear only in the final
+back-substitution.  Series become a linear system in one place,
+_series_kernel, whose kernel vectors are the candidate relations here and
+the discriminant representations in modular.  The dimension tables need
+ranks only, and take them mod the prime 2^31 - 1 with ModEchelon, over rows
+packed into one integer each.  A rank mod p is at most the rank over Q, so
+a table cell is a lower bound by construction, and every cell says whether
+it is exact (all of its generators independent) or a bound.  A table's
+default order starts a little above the top cell the dimension conjecture
+predicts and grows until the rank stops growing with it (_table_rows); the
+conjecture only picks the order, so it never affects what a cell claims.
 
 Pivot lemma: the stored rows of an echelon have distinct leading columns
 with zeros before them, and row operations act on every column alike, so
@@ -69,12 +71,14 @@ def _cleared_row(row: Sequence[Fraction | int]) -> List[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _common_numerators(series: Sequence[QSeries]) -> List[List[int]]:
-    """The q^1..q^order numerators of each series over the lcm of their
-    denominators: every series times one integer, so rows built from them
-    have the kernel and unique solutions of the rational coefficients."""
+def _series_kernel(series: Sequence[QSeries]) -> List[Tuple[Fraction, ...]]:
+    """The kernel_basis of the matrix whose column i holds the q^1..q^order
+    numerators of series i over the lcm of all the denominators: the x with
+    sum_i x_i series_i zero at q^1..q^order, since each column is its series
+    times one common integer."""
     common = lcm(*(s.den for s in series))
-    return [[x * (common // s.den) for x in s.nums[1:]] for s in series]
+    columns = [[x * (common // s.den) for x in s.nums[1:]] for s in series]
+    return IntEchelon(zip(*columns)).kernel_basis(len(series))
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,8 @@ class IntEchelon:
     fractions ever appear) and either stores it as a new pivot row or
     reports it dependent.  Content is stripped only when a row is stored:
     stripping after every elimination step costs more gcds than the smaller
-    entries save.  kernel_vector() back-substitutes through the stored rows;
-    it is the only place where fractions appear.
+    entries save.  _kernel_vector() back-substitutes through the stored
+    rows; it is the only place where fractions appear.
     """
 
     def __init__(self, rows: Iterable[Sequence[int]] = ()) -> None:
@@ -131,10 +135,6 @@ class IntEchelon:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    @property
-    def pivots(self) -> KeysView[int]:
-        return self._rows.keys()
 
     @staticmethod
     def _primitive(vec: List[int], lead: int) -> List[int]:
@@ -161,7 +161,7 @@ class IntEchelon:
             fa, fb = b // g, a // g
             vec = [x * fa - y * fb for x, y in zip(vec, row)]
 
-    def kernel_vector(self, free: int, size: int) -> List[Fraction]:
+    def _kernel_vector(self, free: int, size: int) -> List[Fraction]:
         """The x of length size with x[free] = 1, zero at every other column
         without a pivot, and every stored row orthogonal to it.
 
@@ -189,8 +189,8 @@ class IntEchelon:
         return vec
 
     def kernel_basis(self, size: int) -> List[Tuple[Fraction, ...]]:
-        """The kernel_vector of every column below size without a pivot."""
-        return [tuple(self.kernel_vector(free, size))
+        """The _kernel_vector of every column below size without a pivot."""
+        return [tuple(self._kernel_vector(free, size))
                 for free in range(size) if free not in self._rows]
 
 
@@ -231,7 +231,7 @@ class ModEchelon:
     The rank mod p is at most the rank over Q: a minor that vanishes over
     the integers vanishes mod p.  So 1 + rank is a lower bound for a
     dimension by construction, and full rank mod p proves full rank.
-    Kernels and solutions need exact arithmetic and go through IntEchelon.
+    Kernels need exact arithmetic and go through IntEchelon.
     """
 
     def __init__(self, ncols: int) -> None:
@@ -277,33 +277,6 @@ class ModEchelon:
         inverse = pow(residues[lead], -1, _PRIME)
         self._rows[lead] = self.pack([x * inverse for x in residues])
         return True
-
-
-def solve_unique(rows: Sequence[Sequence[Fraction | int]],
-                 rhs: Sequence[Fraction | int]) -> List[Fraction]:
-    """The unique exact solution of (rows) x = rhs.
-
-    Raises ArithmeticError when the system is inconsistent or the solution
-    is not unique; callers that want least-squares or parametrized solutions
-    are in the wrong place, this is for systems expected to pin down one
-    answer.  Overdetermined systems are fine as long as they are consistent.
-    """
-    rows = [list(r) for r in rows]
-    if len(rows) != len(rhs):
-        raise ValueError("need exactly one right-hand side entry per row")
-    if not rows:
-        raise ArithmeticError("empty system has no unique solution")
-    ncols = len(rows[0])
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("rows must all have the same length")
-    # (rows | rhs) (x, -1) = 0: x is minus the kernel vector at column ncols
-    ech = IntEchelon(_cleared_row(row + [b]) for row, b in zip(rows, rhs))
-    if ncols in ech.pivots:
-        raise ArithmeticError("inconsistent linear system")
-    if ech.rank < ncols:
-        raise ArithmeticError(
-            f"underdetermined linear system: rank {ech.rank} of {ncols}")
-    return [-x for x in ech.kernel_vector(ncols, ncols + 1)[:ncols]]
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +515,9 @@ def _candidate_relations(columns: Sequence[Parts], order: int | None,
             f"2 x {len(columns)} generators; the rank may undershoot",
             RuntimeWarning, stacklevel=3)
     series = bracket_series_many(columns, order)
-    ech = IntEchelon(zip(*_common_numerators([series[c] for c in columns])))
     return [Relation.verified(WordSum(zip(columns, vec)), "numeric-kernel",
                               order)
-            for vec in ech.kernel_basis(len(columns))]
+            for vec in _series_kernel([series[c] for c in columns])]
 
 
 def relation_search(space: str, k: int, l: int,

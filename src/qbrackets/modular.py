@@ -8,9 +8,10 @@ one-dimensionality of weight-8 modular forms) are written with quasi-shuffle
 products and d_word_sum and pass the one relation gate, Relation.verified,
 as proven modular relations.
 
-Representations of the discriminant form are plain WordSums, solved for on
-integer series numerators; the form itself is computed independently from
-its eta product (eta24), so those checks do not assume what they verify.
+Representations of the discriminant form are plain WordSums, solved for
+with the series kernel that relation search uses (linalg._series_kernel);
+the form itself is computed independently from its eta product (eta24), so
+those checks do not assume what they verify, and none is stored.
 Two representations differ by a relation, so a word sum W is an affine
 combination of R_0, ..., R_5 exactly when W - R_0 lies in the span of the
 R_i - R_0, which linalg.relation_in_span decides.
@@ -25,7 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .brackets import bracket_series_many
 from .derivation import Relation, d_word_sum
-from .linalg import IntEchelon, _common_numerators, solve_unique
+from .linalg import IntEchelon, _series_kernel
 from .numbers import bernoulli
 from .series import eta24
 from .words import WordSum, coefficient_rows, evaluate
@@ -93,6 +94,22 @@ def _pair_coefficients(a: int, b: int) -> Dict[int, Fraction]:
             b: factorial(b - 1) * Fraction(2**a + 50, 2**a - 2**b)}
 
 
+def _solve_for_delta(columns: Sequence[Parts]) -> WordSum:
+    """The combination of the brackets of columns that equals the
+    discriminant form through q^DELTA_ORDER: minus the rest of the one
+    kernel vector of the columns and the form (last) that has 1 at the form,
+    whose column is then the only free one.  Any other kernel, that is no
+    such combination or more than one, raises ArithmeticError."""
+    series = bracket_series_many(columns, DELTA_ORDER)
+    kernel = _series_kernel([*(series[c] for c in columns),
+                             eta24(DELTA_ORDER)])
+    if len(kernel) != 1 or kernel[0][-1] != 1:
+        raise ArithmeticError(f"the discriminant form is not a unique "
+                              f"combination of {columns} "
+                              f"({len(kernel)} kernel vectors)")
+    return WordSum(zip(columns, (-x for x in kernel[0][:-1])))
+
+
 def delta_representation(a: int, b: int) -> WordSum:
     """The discriminant form as a combination of [a], [b] and the eleven
     weight-12 brackets [m, 12 - m]; exact, unique through q^DELTA_ORDER,
@@ -102,10 +119,7 @@ def delta_representation(a: int, b: int) -> WordSum:
     if (a, b) not in DELTA_PAIRS:
         raise ValueError(f"(a, b) must be one of {DELTA_PAIRS}")
     columns: List[Parts] = [(a,), (b,)] + [(m, 12 - m) for m in range(1, 12)]
-    series = bracket_series_many(columns, DELTA_ORDER)
-    delta = eta24(DELTA_ORDER)
-    *scaled, rhs = _common_numerators([*(series[c] for c in columns), delta])
-    expression = WordSum(zip(columns, solve_unique(list(zip(*scaled)), rhs)))
+    expression = _solve_for_delta(columns)
 
     closed = _pair_coefficients(a, b)
     got = {s: expression.coefficient((s,)) for s in (a, b)}
@@ -113,7 +127,7 @@ def delta_representation(a: int, b: int) -> WordSum:
         raise ArithmeticError(
             f"length-one coefficients {got} do not match the closed form "
             f"{closed} for pair ({a},{b})")
-    if evaluate(expression, DELTA_ORDER) != delta:
+    if evaluate(expression, DELTA_ORDER) != eta24(DELTA_ORDER):
         raise ArithmeticError("representation does not reproduce the form")
     return expression
 
@@ -135,13 +149,10 @@ def representation_span_rank(reps: Sequence[WordSum]) -> int:
 
 
 def deltal2_word_sum() -> WordSum:
-    """The combination with only three length-2 brackets; it evaluates to
-    -DELTA_SCALE times the discriminant form (the unique solution over
-    these eight columns, sign checked against tau(1) = 1)."""
-    terms = {
-        (5, 7): Fraction(168), (7, 5): Fraction(150), (9, 3): Fraction(28),
-        (2,): Fraction(1, 1408), (4,): Fraction(-83, 14400),
-        (6,): Fraction(187, 6048), (8,): Fraction(-7, 120),
-        (12,): Fraction(-5197, 691),
-    }
-    return WordSum(terms)
+    """The combination of [3, 9], [5, 7], [7, 5], [9, 3] and the even [s],
+    s <= 12, that evaluates to -DELTA_SCALE times the discriminant form;
+    solved like delta_representation, it gives [3, 9] and [10] the
+    coefficient 0."""
+    columns: List[Parts] = [(r, 12 - r) for r in (3, 5, 7, 9)]
+    columns += [(s,) for s in range(2, 13, 2)]
+    return _solve_for_delta(columns).scale(-DELTA_SCALE)

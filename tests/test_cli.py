@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from fractions import Fraction
@@ -18,10 +20,11 @@ from qbrackets import (SPACES, Config, QSeries, Relation, WordSum,
                        bracket_series, brackets, checks, derivation,
                        get_config, linalg, modular, set_config, word)
 from qbrackets.checks import REGISTRY, REL4, Check, CheckFailure, run_suite
-from qbrackets.cli import main
+from qbrackets.cli import EXIT_PIPE, main
 from qbrackets.config import ENV_PREFIX, _ENV_FIELDS
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -350,6 +353,25 @@ def test_verify_list_follows_the_format(capsys):
     assert rows[0] == ["name", "quick", "description"]
     assert rows[1:] == [[c["name"], str(c["quick"]).lower(),
                          c["description"]] for c in listed]
+
+
+def test_a_reader_that_closed_early_gets_exit_5_and_no_traceback():
+    # the read end is closed before the command starts, so its first write
+    # to stdout, or the final flush, fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbrackets.cli", "--format", "json",
+             "verify", "--list"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE == 5
+    assert proc.stderr == ""
 
 
 def test_verify_json(capsys):

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbrackets import (Relation, WordSum, bracket_series, compositions_up_to,
-                       d_general, d_len1, d_len2, d_word_sum, evaluate,
-                       leibniz_relations, proven_relation_corpus,
+                       d_general, d_len1, d_len2, d_word_sum, derivation,
+                       evaluate, leibniz_relations, proven_relation_corpus,
                        quasi_shuffle, split_relations, word)
 from qbrackets.checks import (D2_FORM_A, D2_FORM_B, DERIVATIVE_EXAMPLES, REL4,
                               REL_W5)
@@ -102,6 +103,31 @@ def test_relation_gate_admits_only_vanishing_bodies():
     with pytest.raises(ArithmeticError,
                        match="^leibniz relation fails to vanish at order 40"):
         Relation.verified(_ws(REL4) + word(2), "leibniz", 40)
+
+
+# a length-4 bracket starts at q^(1+2+3+4) = q^10
+LATE = word(1, 1, 1, 1)
+
+
+def test_relation_gate_checks_through_q_order_inclusive():
+    body = _ws(REL4) + LATE
+    assert Relation.verified(body, "leibniz", 9).body == body
+    with pytest.raises(ArithmeticError,
+                       match="^leibniz relation fails to vanish at order 10"):
+        Relation.verified(body, "leibniz", 10)
+
+
+def test_derivative_self_check_reaches_q_order_inclusive(monkeypatch):
+    real = derivation._d_general_body
+    monkeypatch.setattr(derivation, "_d_general_body",
+                        lambda c: real(c) + LATE)
+    # a fresh cache, dropped with the patch
+    monkeypatch.setattr(derivation, "_d_general_cached", functools.lru_cache(
+        derivation._d_general_cached.__wrapped__))
+    assert d_general((2,), 9) == real((2,)) + LATE
+    with pytest.raises(ArithmeticError,
+                       match=r"fails against q d/dq at order 10$"):
+        d_general((2,), 10)
 
 
 def test_relation_metadata_and_json():

@@ -18,7 +18,7 @@ ZETA_NAMES = ("MzvValue", "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic",
 
 # The package's public API: the names it had when the zeta names became
 # lazy, less those removed since: the modular layer's, dim_lower_bound,
-# EulerianKernel and modified_qzeta.
+# EulerianKernel, modified_qzeta and solve_unique.
 PUBLIC_API = (
     "bernoulli", "eulerian_number", "eulerian_polynomial", "lambda_coeff",
     "count_generators", "compositions", "compositions_up_to", "QSeries",
@@ -30,7 +30,7 @@ PUBLIC_API = (
     "Relation", "d_len1", "d_len2", "d_general", "d_word_sum",
     "split_relations", "leibniz_relations", "proven_relation_corpus",
     "SPACES", "TABLE_KINDS", "ExactMatrix", "IntEchelon", "ModEchelon",
-    "solve_unique", "generators", "DimensionTable",
+    "generators", "DimensionTable",
     "dimension_table", "relation_search", "homogeneous_relation_search",
     "relation_in_span", "graded_relation_counts",
     "conjecture_series_expansion", "DELTA_PAIRS", "DELTA_SCALE",

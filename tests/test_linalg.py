@@ -1,5 +1,4 @@
 import hashlib
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,7 @@ from qbrackets import (SPACES, TABLE_KINDS, DimensionTable, ExactMatrix,
                        compositions_up_to, conjecture_series_expansion,
                        dimension_table, generators,
                        graded_relation_counts, homogeneous_relation_search,
-                       relation_in_span, relation_search, solve_unique)
+                       relation_in_span, relation_search)
 from qbrackets import Config, ResourceCap, config, linalg
 from qbrackets.checks import RELATION_COUNTS_LOW
 
@@ -60,27 +59,6 @@ def test_int_echelon_matches_matrix_rank():
     ech = IntEchelon()
     added = sum(ech.add(r) for r in rows)
     assert ech.rank == ExactMatrix.from_rows(rows).rank() == added == 2
-
-
-def test_solve_unique_golden():
-    rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)],
-            [Fraction(2), Fraction(0)]]
-    rhs = [Fraction(3), Fraction(1), Fraction(4)]
-    assert solve_unique(rows, rhs) == [Fraction(2), Fraction(1)]
-
-
-def test_solve_unique_error_modes():
-    with pytest.raises(ArithmeticError, match="inconsistent"):
-        solve_unique([[Fraction(1)], [Fraction(1)]],
-                     [Fraction(1), Fraction(2)])
-    with pytest.raises(ArithmeticError, match="underdetermined"):
-        solve_unique([[Fraction(1), Fraction(1)]], [Fraction(1)])
-    with pytest.raises(ValueError):
-        solve_unique([[Fraction(1)]], [Fraction(1), Fraction(2)])
-    with pytest.raises(ValueError, match="same length"):
-        solve_unique([[1, 0], [0, 1, 5]], [2, 3])
-    with pytest.raises(ValueError, match="same length"):
-        solve_unique([[1, 0], [0]], [2, 3])
 
 
 def _reference_rref(rows, ncols):
@@ -149,21 +127,6 @@ def test_kernel_basis_equals_reduced_echelon_reference(rows):
     for j, vec in zip(free, basis):
         assert vec[j] == 1
         assert all(x == 0 for x in vec[j + 1:])
-
-
-def test_solve_unique_matches_reference():
-    rnd = random.Random(2)
-    for n in list(range(1, 7)) * 4:
-        while True:
-            rows = [[Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
-                     for _ in range(n)] for _ in range(n)]
-            if len(_reference_rref(rows, n)) == n:
-                break
-        rhs = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
-               for _ in range(n)]
-        augmented = [row + [b] for row, b in zip(rows, rhs)]
-        reference = _reference_rref(augmented, n + 1)
-        assert solve_unique(rows, rhs) == [reference[j][n] for j in range(n)]
 
 
 def _mod_reference(rows):
@@ -283,6 +246,10 @@ class _ExactRank(IntEchelon):
 
     def pack(self, vector):
         return vector
+
+    @property
+    def pivots(self):
+        return self._rows.keys()
 
 
 @pytest.mark.parametrize("space,max_weight",

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 import qbrackets.modular as modular
-from qbrackets import (DELTA_PAIRS, DELTA_SCALE, Relation, WordSum,
+from qbrackets import (DELTA_PAIRS, DELTA_SCALE, QSeries, Relation, WordSum,
                        bracket_series, delta_representation,
                        delta_representations, deltal2_word_sum, eisenstein,
                        eta24, evaluate, leibniz_relations, relation_in_span,
@@ -157,11 +157,39 @@ def test_deltal2_exact():
 
 
 def test_deltal2_combination_shape():
+    # solved over [3,9], [5,7], [7,5], [9,3] and the even [s], s <= 12; the
+    # solve leaves [3,9] and [10] out
     combo = deltal2_word_sum()
-    assert combo.coefficient((5, 7)) == 168
-    assert combo.coefficient((7, 5)) == 150
-    assert combo.coefficient((9, 3)) == 28
-    assert combo.coefficient((12,)) == Fraction(-5197, 691)
+    assert combo == WordSum({
+        (5, 7): 168, (7, 5): 150, (9, 3): 28,
+        (2,): Fraction(1, 1408), (4,): Fraction(-83, 14400),
+        (6,): Fraction(187, 6048), (8,): Fraction(-7, 120),
+        (12,): Fraction(-5197, 691)})
+    assert (3, 9) not in set(combo.words())
+    assert (10,) not in set(combo.words())
+
+
+def test_discriminant_solves_refuse_all_but_one_solution(monkeypatch):
+    # with [6] beside the (2, 4) columns the representations of the pairs
+    # (2, 4) and (4, 6) both solve, so their difference is a second kernel
+    # vector and the combination is not unique
+    with pytest.raises(ArithmeticError, match=r"\(2 kernel vectors\)"):
+        modular._solve_for_delta([(2,), (4,), (6,)]
+                                 + [(m, 12 - m) for m in range(1, 12)])
+    # one more q^DELTA_ORDER term puts the form outside the span of the
+    # brackets, so its column gets a pivot and the kernel loses it
+    real = modular.eta24
+
+    def bent(order):
+        form = real(order)
+        return QSeries(order, form.nums[:-1] + (form.nums[-1] + 1,),
+                       form.den)
+
+    monkeypatch.setattr(modular, "eta24", bent)
+    with pytest.raises(ArithmeticError, match="not a unique combination"):
+        delta_representation(2, 4)
+    with pytest.raises(ArithmeticError, match="not a unique combination"):
+        deltal2_word_sum()
 
 
 def test_tau_congruence_mod_691():
