@@ -8,13 +8,16 @@ sigma_{s_1-1,...,s_l-1}(n) / prod (s_i - 1)!, with the multiple divisor sum
 over all representations n = u_1 v_1 + ... + u_l v_l with u_1 > ... > u_l > 0.
 
 Two independent series algorithms live here.  bracket_series sweeps a line
-u = 1..order upward through the chain elements, keeping for every suffix of
-the requested compositions one packed integer of coefficients (slots wide
-enough by a proven bound on sigma) and summing the inner weights v^{s-1}
-directly; bracket_series_oracle runs over the chain from the outermost index
-inward with each factor expanded through Eulerian polynomial coefficients
-and binomials instead of power sums.  Their agreement is a real mathematical
-identity, and the test suite insists on it.
+u = 1..order/2 upward through the chain elements, keeping for every suffix
+of the requested compositions one packed integer of coefficients (slots
+wide enough by a proven bound on sigma).  A step writes the weights v^{s-1}
+of a length-1 suffix straight into their slots, sums a long run of v by
+the Eulerian form x P_{s-1}(x)/(1-x)^s in log-many shift-adds, and a short
+run term by term; one last pass adds every element above order/2 at once.
+bracket_series_oracle runs over the chain from the outermost index inward
+with each factor expanded into its coefficients through Eulerian
+polynomial coefficients and binomials.  Their agreement is a real
+mathematical identity, and the test suite insists on it.
 """
 
 from __future__ import annotations
@@ -74,6 +77,12 @@ def multiple_divisor_sum(r: Sequence[int], n: int) -> int:
 _SERIES_CACHE: dict[Parts, QSeries] = {}
 
 
+@lru_cache(maxsize=64)
+def _partition_count(n: int) -> int:
+    """p(n), remembered for the orders recent sweeps used."""
+    return partition_counts(n)[n]
+
+
 def _slot_bytes(nodes: Iterable[Parts], order: int) -> int:
     """Bytes per packed coefficient: room for sigma_t(m), 0 <= m <= order,
     of every node t, plus one spare bit, rounded up to whole bytes.
@@ -86,11 +95,39 @@ def _slot_bytes(nodes: Iterable[Parts], order: int) -> int:
     product, so sigma_t(m) <= C(m-1, l-1) m^l m^(k-l) <= m^(k+l-1).  Both
     bounds grow with m; the smaller one at m = order serves every slot.
     """
-    p = partition_counts(order)[order]
+    p = _partition_count(order)
     bits = max(min((order ** (sum(t) - len(t)) * p).bit_length(),
                    (order ** (sum(t) + len(t) - 1)).bit_length())
                for t in nodes)
     return bits // 8 + 1
+
+
+def _power_run(p: int, s: int, shift: int, n: int) -> int:
+    """sum_{v=1..n} v^(s-1) * (p >> v*shift) for a packed row p with
+    p >> (n+1)*shift == 0, in one shift per Eulerian coefficient and s
+    log-step prefix sums.
+
+    With x the shift by one step, sum_{v>=1} v^(s-1) x^v = x P(x)/(1-x)^s
+    for the Eulerian polynomial P = P_{s-1}: y = x P(x) p takes one term per
+    coefficient of P, and each of the s divisions by 1 - x is the prefix
+    sum y + x y + x^2 y + ..., built by y += x^k y for k = 1, 2, 4, ... < n.
+    Every power x^v with v > n shifts p to zero, so terms x^0..x^(n-1) of
+    each prefix sum are all that can add anything, and the passes with
+    k < n cover them.
+    """
+    y = sum(a * (p >> (i + 1) * shift)
+            for i, a in enumerate(eulerian_polynomial(s - 1)))
+    for _ in range(s):
+        k = 1
+        while k < n:
+            y += y >> k * shift
+            k *= 2
+    return y
+
+
+# order // u at or above this multiple of t[0] sums a step by _power_run:
+# about s log2(order/u) shift-adds beat order/u multiply-shifts there
+_RUN_FACTOR = 8
 
 
 def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
@@ -100,20 +137,36 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
     integer partial[t]: the packed row of the chains of t whose elements all
     lie below the sweep line, the coefficient of q^m in slot order - m of
     _slot_bytes bytes (Kronecker substitution, q^0 in the highest slot).
-    partial[()] is the row of the empty chain, 1 at q^0.  At step
-    u = 1..order every node takes the chains whose first element is u:
+    partial[()] is the row of the empty chain, 1 at q^0.  At step u every
+    node takes the chains whose first element is u:
 
         partial[t] += sum_v v^(t[0]-1) * (partial[t[1:]] >> u*v*slot)
 
     where the right shift by u*v slots multiplies by q^(uv) and drops every
     power past q^order.  Nodes are visited longest first, so t[1:] still
     holds the chains below u.  Compositions sharing a suffix share its node,
-    and memory is one row per node.
+    and memory is one row per node.  A step takes one of three paths:
 
-    The packing is exact: every term is non-negative, so each slot of an
-    intermediate value is at most the final sigma_t(m) of its node, which
-    fits a slot by the _slot_bytes bound; a dropped tail is below
-    2^(u*v*slot bits) and leaves nothing behind.
+    * a node of length 1 (t[1:] = ()) writes v^(s-1), s = t[0], straight
+      into slot order - uv of one byte string for v = 1..order//u, and
+      reads it as one integer, instead of shifting the unit row;
+    * a long run, order//u >= 8 s, sums through _power_run: s - 1 shifts
+      by the Eulerian coefficients, then s log-step prefix sums;
+    * a shorter run sums its order//u multiply-shifts directly.
+
+    The line stops at h = order//2.  Past it order//u = 1, and a chain of
+    weight at most order - u < u, the most that q^u leaves room for, has
+    every element at most h, so partial[t[1:]] at step h already holds every
+    chain that step u > h can use.  One last pass, longest node first so
+    that t[1:] is still at step h, adds sum_{u>h} q^u partial[t[1:]], the
+    same log-step prefix sum with s = 1, and updates the rows in place.
+
+    The packing is exact: every intermediate value is a non-negative sum of
+    shifted rows with non-negative weights (the Eulerian numbers included),
+    coefficientwise at most the node's final row through q^order, and so
+    each slot stays below the final sigma_t(m), which fits a slot by the
+    _slot_bytes bound; a dropped tail holds only powers past q^order and
+    leaves nothing behind.
 
     Every command and library call that needs series passes through here,
     so this is the one place the work cap is enforced: a sweep whose nodes
@@ -132,19 +185,38 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
                           f"{cap} (raise --max-cells)")
     width = _slot_bytes(nodes, order)
     bits = 8 * width
-    powers = {s: [v ** (s - 1) for v in range(order + 1)]
+    powers = {s: [v ** (s - 1) for v in range(_RUN_FACTOR * s)]
               for s in {t[0] for t in nodes}}
-    plan = [(t, t[1:], powers[t[0]])
-            for t in sorted(nodes, key=len, reverse=True)]
+    slot_powers = {s: [(v ** (s - 1)).to_bytes(width, "big")
+                       for v in range(order + 1)]
+                   for s in {t[0] for t in nodes if len(t) == 1}}
+    plan = [(t, t[1:], t[0]) for t in sorted(nodes, key=len, reverse=True)]
     partial = dict.fromkeys(nodes, 0)
     partial[()] = 1 << (order * bits)
-    for u in range(1, order + 1):
+    half = order // 2
+    for u in range(1, half + 1):
+        n = order // u
         step = u * bits
-        vs = range(order // u, 0, -1)
-        for t, below, pows in plan:
+        gap = bytes((u - 1) * width)
+        for t, below, s in plan:
+            if not below:
+                partial[t] += int.from_bytes(
+                    gap.join(slot_powers[s][1:n + 1]), "big") << (
+                        (order - u * n) * bits)
+                continue
             p = partial[below]
-            if p:
-                partial[t] += sum(pows[v] * (p >> (step * v)) for v in vs)
+            if not p:
+                continue
+            if n >= _RUN_FACTOR * s:
+                partial[t] += _power_run(p, s, step, n)
+            else:
+                pows = powers[s]
+                partial[t] += sum(pows[v] * (p >> (step * v))
+                                  for v in range(n, 0, -1))
+    for t, below, _ in plan:
+        p = partial[below] >> half * bits
+        if p:
+            partial[t] += _power_run(p, 1, bits, order - half)
 
     size = (order + 1) * width
     out: dict[Parts, list[int]] = {}

@@ -97,6 +97,54 @@ def test_oracle_agreement_at_high_order(monkeypatch):
         assert fast[c] == slow[c], c
 
 
+def _sweep_matches_oracle(comps, order):
+    rows = _sigma_lists(comps, order)
+    slow = bracket_series_oracle_many(comps, order)
+    for c in comps:
+        assert QSeries(order, tuple(rows[c]), brackets._denominator(c)) \
+            == slow[c], (c, order)
+    return rows
+
+
+def test_sweep_paths_at_every_order_to_40():
+    # the line stops at order // 2 for odd and even orders, and a step
+    # sums through _power_run once order // u >= 8 t[0]: (1, 4) and
+    # (1, 1, 4) from order 8, (2, 1) from 16, (3, 2, 1) from 24
+    comps = [(1,), (2, 1), (3, 2, 1), (1, 1, 4), (5,)]
+    for order in range(1, 41):
+        rows = _sweep_matches_oracle(comps, order)
+        for c in comps:
+            r = [s - 1 for s in c]
+            assert rows[c][order] == multiple_divisor_sum(r, order), (c, order)
+            assert rows[c][order // 2 + 1] == \
+                multiple_divisor_sum(r, order // 2 + 1), (c, order)
+
+
+@pytest.mark.parametrize("letter", [12, 30])
+def test_single_letter_sweep_at_order_300(letter):
+    # a length-1 node with no longer node above it
+    rows = _sweep_matches_oracle([(letter,)], 300)
+    for m in (1, 149, 150, 151, 299, 300):
+        assert rows[(letter,)][m] == multiple_divisor_sum([letter - 1], m)
+
+
+@pytest.mark.parametrize("step", [1, 3])
+def test_power_run_is_the_truncated_eulerian_series(step):
+    # x P_{s-1}(x) / (1 - x)^s through x^n equals sum_{v<=n} v^(s-1) x^v,
+    # with x the shift by step slots of a row of order n * step
+    bits = 8 * 9          # 40^11 < 2^64
+    for s in range(1, 13):
+        for n in range(1, 41):
+            order = n * step
+            row = brackets._power_run(1 << order * bits, s, step * bits, n)
+            got = row.to_bytes((order + 1) * bits // 8, "big")
+            want = [0] * (order + 1)
+            for v in range(1, n + 1):
+                want[v * step] = v ** (s - 1)
+            assert [int.from_bytes(got[i:i + bits // 8], "big")
+                    for i in range(0, len(got), bits // 8)] == want, (s, n)
+
+
 @given(st.sampled_from([c for c in compositions_up_to(8) if 0 < len(c) <= 5]),
        st.integers(min_value=1, max_value=60))
 @settings(max_examples=40, deadline=None)
