@@ -3,8 +3,9 @@ generating functions: q-series, quasi-shuffle products, the derivation
 q d/dq, dimension and relation tables, the modular subalgebra, and the
 bridge to multiple zeta values.
 
-The zeta layer, and mpmath with it, is imported on first use of one of
-its names: the exact-arithmetic layers never load it."""
+The zeta layer is imported on first use of one of its names: the
+exact-arithmetic layers never load it.  It runs on integers alone and needs
+no package beyond the standard library."""
 
 import importlib
 

@@ -3,22 +3,23 @@
 zeta(s1,...,sl) = sum over n1 > ... > nl > 0 of n1^-s1 ... nl^-sl (s1 >= 2).
 The evaluator tabulates nested tails from the outside in; each level's tail
 beyond the cutoff is an asymptotic expansion in inverse powers produced by
-Euler-Maclaurin with an explicit first-omitted-term remainder, so every
-returned value carries a rigorous error bound.  The limit maps connect
+Euler-Maclaurin with an explicit first-omitted-term remainder.  The sums
+run in integers scaled by a power of two, values rounded down and bounds
+up, so every returned value is an exact Fraction with a rigorous error
+bound.  The limit maps connect
 brackets to these numbers: a weight-k bracket combination vanishing as a
 q-series must map to an MZV combination vanishing numerically.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import perm
+from math import factorial, perm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
-
-from mpmath import mp, mpf, workdps
 
 from .numbers import as_composition, bernoulli
 from .words import WordSum, decompose_in_one
@@ -26,10 +27,14 @@ from .words import WordSum, decompose_in_one
 Parts = Tuple[int, ...]
 
 _DPS = 60
+# A power of two: every power of the cutoff is then a shift.
 _CUTOFF = 256
 _EXTRA_EXPONENTS = 26
 _MAX_EM_TERMS = 14
 _LEVELS = 5
+# Bits kept beyond the digits of a level: the floors a bound counts, a few
+# thousand units of 2^-bits, stay far below its last digit.
+_GUARD_BITS = 32
 # The error asked of every weight-k image.  verify's two MZV checks print
 # the same bytes for any target from 1e-3 to 1e-30.
 _TARGET_ERROR = 1e-10
@@ -44,156 +49,175 @@ def _require_admissible(c: Sequence[int]) -> Parts:
     return c
 
 
-# An expansion holds at most 16 mpf terms, about 3.3 KB at any level; every
-# index up to weight 12 needs 259 of them per level, so 1024 (about 3.4 MB)
-# hold that set at nearly four levels.
-@lru_cache(maxsize=1024)
-def _psi_expansion(sigma: int, cutoff: int, emax: int, prec: int):
-    """Expansion of psi(m) = sum_{n>m} n^-sigma valid for m >= cutoff:
-    returns (terms, env_c, env_e) with psi(m) = sum terms[e] m^-e + r(m),
-    |r(m)| <= env_c * m^-env_e.  Euler-Maclaurin runs to the fixed order
-    _MAX_EM_TERMS.  x^-sigma is completely monotone, so the remainder is
-    bounded by the first omitted term at any order.  Consecutive bounds
-    shrink by a factor below ((sigma+2j+2)/(2 pi cutoff))^2, so whenever
-    sigma + 28 < 2 pi cutoff this is also the order that minimizes it.
+def _digits(level: int) -> int:
+    return _DPS + 20 * level
 
-    prec is the working precision, mp.prec, and only keys the cache: the
-    expansion depends on nothing else, so every index shares it, and terms
-    is a read-only mapping."""
+
+def _bits(level: int) -> int:
+    """The fixed-point precision of a level: its digits times log2(10),
+    rounded up, plus the guard bits."""
+    return (10 ** _digits(level)).bit_length() + _GUARD_BITS
+
+
+def _floor_scaled(x: Fraction, shift: int) -> int:
+    """floor(x * 2^shift), exactly, for a shift of either sign."""
+    if shift >= 0:
+        return (x.numerator << shift) // x.denominator
+    return x.numerator // (x.denominator << -shift)
+
+
+def _ceil_scaled(x: Fraction, shift: int) -> int:
+    return -_floor_scaled(-x, shift)
+
+
+# Fixed point.  Every expansion is of a tail f(m), m >= cutoff N, in the
+# variable N/m: terms[e] / 2^bits is the size of its (N/m)^e term at
+# m = N, and an envelope maps an exponent e to a bound, also in units of
+# 2^-bits at m = N, on an error that is at most bound * (N/m)^e for every
+# m >= N.  Values are rounded down and bounds up; every floor is counted.
+
+# An expansion holds at most 16 integers of about 230 to 310 bits, about
+# 1.5 KB with its mapping; every index up to weight 12 needs 259 of them
+# per level, so 1024 (about 1.5 MB) hold that set at nearly four levels.
+@lru_cache(maxsize=1024)
+def _psi_expansion(sigma: int, cutoff: int, emax: int, bits: int):
+    """Expansion of N^sigma psi(m), psi(m) = sum_{n>m} n^-sigma, valid for
+    m >= N = cutoff: returns (terms, env, env_e) with
+    N^sigma psi(m) = sum_e terms[e] (N/m)^e 2^-bits + r(m) and
+    |r(m)| <= env (N/m)^env_e 2^-bits.
+
+    Euler-Maclaurin runs to the fixed order _MAX_EM_TERMS.  x^-sigma is
+    completely monotone, so the remainder is bounded by the first omitted
+    term at any order.  Consecutive bounds shrink by a factor below
+    ((sigma+2j+2)/(2 pi cutoff))^2, so whenever sigma + 28 < 2 pi cutoff
+    this is also the order that minimizes it.  Each coefficient is rounded
+    down once from its exact rational value; the product that uses it
+    counts that floor.  Terms beyond emax join the envelope, which keeps
+    the least exponent.  Every index shares the expansion, so terms is a
+    read-only mapping."""
     if sigma < 2:
         raise ValueError("tail exponent must be at least 2")
+    shift = cutoff.bit_length() - 1
     j = _MAX_EM_TERMS
-    b = bernoulli(2 * j + 2)
-    env_c = (abs(mpf(b.numerator)) / b.denominator / mp.factorial(2 * j + 2)
-             * perm(sigma + 2 * j, 2 * j + 1)
-             * mpf(cutoff) ** (-sigma - 2 * j - 1))
-    terms: Dict[int, mpf] = {
-        sigma - 1: mpf(1) / (sigma - 1),
-        sigma: mpf(-1) / 2,
-    }
+    exact = {sigma - 1: Fraction(1, sigma - 1), sigma: Fraction(-1, 2)}
     for i in range(1, j + 1):
-        b = bernoulli(2 * i)
-        terms[sigma + 2 * i - 1] = (mpf(b.numerator) / b.denominator
-                                    / mp.factorial(2 * i)
+        exact[sigma + 2 * i - 1] = (bernoulli(2 * i) / factorial(2 * i)
                                     * perm(sigma + 2 * i - 2, 2 * i - 1))
-    kept, env_c, env_e = _cap_terms(terms, env_c, sigma + 2 * j + 1,
-                                    cutoff, emax)
-    return MappingProxyType(kept), env_c, env_e
-
-
-# A row is about 61 KB at level 0 (cutoff 256, 60 digits) and 1.2 MB at
-# level 4 (cutoff 4096, 140 digits).  Every letter up to weight 12 at one
-# level needs 12 rows; 24 hold them at two levels (29 MB at worst, if all
-# are level-4 rows).
-@lru_cache(maxsize=24)
-def _inverse_powers(s: int, cutoff: int, prec: int):
-    """The row (1^-s, ..., cutoff^-s) and its sum, added from m = cutoff
-    down to 1; prec is the working precision, mp.prec, and only keys the
-    cache.  Every index with the letter s shares the row."""
-    row = tuple(mpf(m) ** (-s) for m in range(1, cutoff + 1))
-    total = mpf(0)
-    for m in range(cutoff, 0, -1):
-        total += row[m - 1]
-    return row, total
-
-
-def _fold_envelopes(envs, cutoff):
-    """One envelope (c, e) bounding the sum of the envelopes c_i m^-e_i
-    for m >= cutoff: the least exponent, summed in list order."""
-    e_min = min(e for _, e in envs)
-    c_total = mpf(0)
-    for c, e in envs:
-        c_total += c * mpf(cutoff) ** (e_min - e)
-    return c_total, e_min
-
-
-def _cap_terms(terms, env_c, env_e, cutoff, emax):
-    """Fold every expansion term with exponent beyond emax into the
-    envelope (valid for arguments >= cutoff)."""
-    kept: Dict[int, mpf] = {}
-    envs = [(env_c, env_e)]
-    for e, a in terms.items():
+    env_e = sigma + 2 * j + 1
+    env = _ceil_scaled(abs(bernoulli(2 * j + 2)) / factorial(2 * j + 2)
+                       * perm(sigma + 2 * j, 2 * j + 1),
+                       bits - shift * (env_e - sigma))
+    terms: Dict[int, int] = {}
+    for e, a in exact.items():
         if e <= emax:
-            kept[e] = kept.get(e, mpf(0)) + a
+            terms[e] = _floor_scaled(a, bits - shift * (e - sigma))
         else:
-            envs.append((abs(a), e))
-    return (kept, *_fold_envelopes(envs, cutoff))
+            env += _ceil_scaled(abs(a), bits - shift * (e - sigma))
+            env_e = min(env_e, e)
+    return MappingProxyType(terms), env, env_e
 
 
-def _tail_sum(terms, env_c, env_e, cutoff, emax):
-    """Expansion of m -> sum_{n>m} g(n) where g is given by (terms, env);
-    valid for m >= cutoff.  Every psi expansion is capped at emax, so the
-    result needs no further capping."""
-    out: Dict[int, mpf] = {}
-    # integral comparison: sum_{n>m} n^-e <= m^(1-e)/(e-1)
-    envs = [(env_c / (env_e - 1), env_e - 1)]
-    for e, a in terms.items():
-        t, c2, e2 = _psi_expansion(e, cutoff, emax, mp.prec)
-        for e_out, a_out in t.items():
-            out[e_out] = out.get(e_out, mpf(0)) + a * a_out
-        envs.append((abs(a) * c2, e2))
-    return (out, *_fold_envelopes(envs, cutoff))
+# A row is about 9 KB at level 0 (cutoff 256) and 0.2 MB at level 4
+# (cutoff 4096, letter 12).  Every letter up to weight 12 at one level
+# needs 12 rows; 24 hold them at two levels.
+@lru_cache(maxsize=24)
+def _inverse_powers(s: int, cutoff: int, bits: int):
+    """The row (1^s, ..., cutoff^s), exact, by whose entries a table step
+    divides, and sum_{m <= cutoff} m^-s in units of 2^-bits, rounded up.
+    Every index with the letter s shares the row."""
+    row = tuple(m ** s for m in range(1, cutoff + 1))
+    one = 1 << bits
+    return row, sum(-(-one // p) for p in row)
 
 
-def _evaluate_expansion(terms, env_c, env_e, m: int):
-    value = mpf(0)
-    for e, a in terms.items():
-        value += a * mpf(m) ** (-e)
-    return value, env_c * mpf(m) ** (-env_e)
+def _tail_sum(terms, env, s: int, cutoff: int, emax: int, bits: int):
+    """Expansion of m -> sum_{n>m} n^-s f(n), where f is given by
+    (terms, env); valid for m >= cutoff.  Every psi expansion is capped at
+    emax, so the result needs no further capping.  Each product is
+    floored; its bound counts that floor and the floor of the psi
+    coefficient it used."""
+    shift = cutoff.bit_length() - 1
+    drop = bits + s * shift     # the scale of b * p * N^-s
+    out: Dict[int, int] = defaultdict(int)
+    out_env: Dict[int, int] = defaultdict(int)
+    # integral comparison: sum_{n>m} (N/n)^(k+1) <= N/k (N/m)^k
+    for e, bound in env.items():
+        k = e + s - 1
+        out_env[k] -= -bound // (k << shift * (s - 1))
+    for e, b in terms.items():
+        psi, c, c_e = _psi_expansion(e + s, cutoff, emax, bits)
+        for e_out, p in psi.items():
+            out[e_out] += b * p >> drop
+        size = abs(b)
+        out_env[c_e] -= -size * c >> drop
+        out_env[e + s - 1] += len(psi) * (1 - (-size >> drop))
+    return out, out_env
 
 
-def _nested_value(comp: Parts, cutoff: int):
-    """Value of the nested sum and a rigorous error bound, both mpf."""
-    lead = comp[0] - 1
-    terms, env_c, env_e = _psi_expansion(comp[0], cutoff,
-                                         lead + _EXTRA_EXPONENTS, mp.prec)
-    table: List[mpf] = [mpf(0)] * (cutoff + 1)
-    table[cutoff], err = _evaluate_expansion(terms, env_c, env_e, cutoff)
-    powers, _ = _inverse_powers(comp[0], cutoff, mp.prec)
-    for m in range(cutoff, 0, -1):
-        table[m - 1] = table[m] + powers[m - 1]
-    for s in comp[1:]:
+def _nested_value(comp: Parts, level: int):
+    """Value of the nested sum at a precision level and a rigorous error
+    bound, both exact Fractions.
+
+    The table holds T(m) for 0 <= m <= cutoff, starting from the empty sum
+    T = 1; each letter s turns it into m -> sum_{n>m} n^-s T(n), seeded at
+    the cutoff by the tail expansion and summed down to T(0).  The bound
+    adds, per letter, the envelopes at the cutoff, the previous bound times
+    sum m^-s, and one unit for each of the cutoff floors of the table
+    step.  On top it keeps a fixed cushion of 10^(12 - digits); at level 0
+    that is eight orders above what it counts for any index up to weight
+    8, so the bound of each of them reads 1.0e-48."""
+    cutoff = _CUTOFF << level
+    bits = _bits(level)
+    one = 1 << bits
+    terms: Mapping[int, int] = {0: one}
+    env: Dict[int, int] = {}
+    table: List[int] = [one] * (cutoff + 1)
+    err = lead = 0
+    for s in comp:
         lead += s - 1
-        terms = {e + s: a for e, a in terms.items()}
-        env_e += s
-        terms, env_c, env_e = _tail_sum(terms, env_c, env_e, cutoff,
-                                        lead + _EXTRA_EXPONENTS)
-        nxt: List[mpf] = [mpf(0)] * (cutoff + 1)
-        nxt[cutoff], tail_err = _evaluate_expansion(terms, env_c, env_e, cutoff)
-        powers, weight_sum = _inverse_powers(s, cutoff, mp.prec)
+        terms, env = _tail_sum(terms, env, s, cutoff,
+                               lead + _EXTRA_EXPONENTS, bits)
+        powers, weight_sum = _inverse_powers(s, cutoff, bits)
+        acc = sum(terms.values())
+        nxt = [0] * cutoff + [acc]
         for m in range(cutoff, 0, -1):
-            nxt[m - 1] = nxt[m] + powers[m - 1] * table[m]
-        err = tail_err + err * weight_sum
+            acc += table[m] // powers[m - 1]
+            nxt[m - 1] = acc
+        err = sum(env.values()) - (-err * weight_sum >> bits) + cutoff
         table = nxt
-    # generous cushion for rounding in ~cutoff*len(comp) float operations
-    err += mpf(10) ** (12 - mp.dps)
-    return table[0], err
+    return (Fraction(table[0], one),
+            Fraction(err, one) + Fraction(1, 10 ** (_digits(level) - 12)))
 
 
 @dataclass(frozen=True)
 class MzvValue:
-    """A multiple zeta value with a rigorous absolute error bound."""
+    """A multiple zeta value with a rigorous absolute error bound, both
+    exact: the value is an integer over 2^bits of its precision level."""
 
     index: Parts
-    value: mpf
-    error_bound: mpf
+    value: Fraction
+    error_bound: Fraction
 
     def __post_init__(self) -> None:
         _require_admissible(self.index)
 
 
 # (index, level) -> the value at cutoff _CUTOFF << level and _DPS + 20 * level
-# digits; at most _LEVELS entries per index, whatever targets are asked for
+# digits; at most _LEVELS entries per index, whatever targets are asked for.
+# Past _MZV_CACHE_SIZE entries the oldest goes: every index up to weight 12
+# at one level is 2047 of them, each about 0.5 KB.
 _MZV_CACHE: Dict[Tuple[Parts, int], MzvValue] = {}
+_MZV_CACHE_SIZE = 4096
 
 
 def mzv(c: Sequence[int], target_error: float = _TARGET_ERROR) -> MzvValue:
     """Evaluate zeta(c) with error_bound at most target_error.
 
-    Precision level l (0 <= l < _LEVELS) sums to cutoff _CUTOFF << l at
-    _DPS + 20 * l digits.  The result is the first level whose bound meets
-    the target; each level is computed once per index and cached, so the
-    target only picks a level and never causes a recomputation.
+    Precision level l (0 <= l < _LEVELS) sums to cutoff _CUTOFF << l in
+    integers scaled by 2^_bits(l), for _DPS + 20 * l digits.  The result
+    is the first level whose bound meets the target; each level is
+    computed once per index and cached, so the target only picks a level
+    and never causes a recomputation.
     """
     comp = _require_admissible(c)
     target_error = float(target_error)
@@ -202,9 +226,10 @@ def mzv(c: Sequence[int], target_error: float = _TARGET_ERROR) -> MzvValue:
     for level in range(_LEVELS):
         out = _MZV_CACHE.get((comp, level))
         if out is None:
-            with workdps(_DPS + 20 * level):
-                value, err = _nested_value(comp, _CUTOFF << level)
-            out = _MZV_CACHE[(comp, level)] = MzvValue(comp, value, err)
+            out = MzvValue(comp, *_nested_value(comp, level))
+            _MZV_CACHE[(comp, level)] = out
+            if len(_MZV_CACHE) > _MZV_CACHE_SIZE:
+                del _MZV_CACHE[next(iter(_MZV_CACHE))]
         if out.error_bound <= target_error:
             return out
     raise ArithmeticError(
@@ -234,40 +259,23 @@ def mzv_oracle(c: Sequence[int]) -> float:
 @dataclass(frozen=True)
 class ZImage:
     """Image of a bracket combination under the weight-k evaluation:
-    the weight-k words as zeta symbols plus their numeric total."""
+    the weight-k words as zeta symbols plus their exact numeric total."""
 
     weight: int
     combination: Mapping[Parts, Fraction]
-    value: mpf
-    error_bound: mpf
-
-
-# The digits of the deepest mzv level: a sum taken at this precision rounds
-# far below the bound of any value it adds up.
-_SUM_DPS = _DPS + 20 * (_LEVELS - 1)
+    value: Fraction
+    error_bound: Fraction
 
 
 def _combination_value(combination: Mapping[Parts, Fraction]):
-    """The sum of coeff * zeta(word) and a bound on its error: the bounds
-    of the zeta values, weighted by |coeff|, plus the rounding of the sum.
-
-    Each term is rounded at most three times (the coefficient, the product,
-    the running sum), each time by a relative 2^-prec; 4 n 2^-prec times the
-    sum of |terms| covers the n terms and the rounding of that sum itself.
-    """
-    if not combination:
-        return mpf(0), mpf(0)
-    per_term = _TARGET_ERROR / len(combination)
-    with workdps(_SUM_DPS):
-        value, err, size = mpf(0), mpf(0), mpf(0)
-        for word_, coeff in sorted(combination.items()):
-            z = mzv(word_, per_term / max(1.0, abs(float(coeff))))
-            c = mpf(coeff.numerator) / coeff.denominator
-            term = c * z.value
-            value += term
-            size += abs(term)
-            err += abs(c) * z.error_bound
-        err += 4 * len(combination) * size * mpf(2) ** (-mp.prec)
+    """The exact sum of coeff * zeta(word) and its error bound: the bounds
+    of the zeta values, weighted by |coeff|."""
+    value = err = Fraction(0)
+    per_term = _TARGET_ERROR / max(1, len(combination))
+    for word_, coeff in sorted(combination.items()):
+        z = mzv(word_, per_term / max(1.0, abs(float(coeff))))
+        value += coeff * z.value
+        err += abs(coeff) * z.error_bound
     return value, err
 
 
@@ -277,8 +285,7 @@ def Z_k_symbolic(w: WordSum, k: int) -> ZImage:
     Every term must be admissible and of weight at most k.  When no term
     has weight exactly k the image is exactly zero and nothing is summed.
     Each zeta value is asked for within _TARGET_ERROR (1e-10) over the
-    number of terms and the size of its coefficient; the sum is
-    taken at _SUM_DPS (140) digits, with its rounding inside error_bound.
+    number of terms and the size of its coefficient; the sum is exact.
     """
     combination: Dict[Parts, Fraction] = {}
     for word_, coeff in w.terms():
@@ -295,10 +302,11 @@ def Z_k_symbolic(w: WordSum, k: int) -> ZImage:
 @dataclass(frozen=True)
 class ZPolynomial:
     """Polynomial in the indeterminate T = Z([1]) with numeric
-    coefficients; coefficients[j] = (value, error_bound) for T^j."""
+    coefficients; coefficients[j] = (value, error_bound) for T^j, both
+    exact Fractions."""
 
     weight: int
-    coefficients: Tuple[Tuple[mpf, mpf], ...]
+    coefficients: Tuple[Tuple[Fraction, Fraction], ...]
 
     def max_abs(self) -> float:
         return max((abs(float(v)) for v, _ in self.coefficients),
@@ -311,7 +319,7 @@ def Z_k_alg(w: WordSum, k: int) -> ZPolynomial:
     if w.weight > k:
         raise ValueError(f"weight {w.weight} exceeds {k}")
     poly = decompose_in_one(w)
-    coefficients: List[Tuple[mpf, mpf]] = []
+    coefficients: List[Tuple[Fraction, Fraction]] = []
     for j in range(max(0, poly.degree()) + 1):
         image = Z_k_symbolic(poly.coefficient(j), k - j)
         coefficients.append((image.value, image.error_bound))

@@ -608,11 +608,11 @@ GOLDEN_SHA256 = {
     "series 4,2 --order 40":
         "bfd2136da9f013c36a7ddda79508dce2cda9d84a547be255a6e2264b1a1938ca",
     "verify --quick":
-        "29674c09f814b4c98f6e402a4f0a498c415f755eaca6dd02ad31f33b772a7506",
+        "1c203e4f89241de2916eda9d05f0e05599ec8d55788f062f597aedb71e0ea197",
     "--format json verify --quick":
-        "95b34ac292246ea8f5e61899d3b141d1429ad3ecd5579a1ee5883e67f0177949",
+        "aedecb47632ea312149dcb1d678342ce75abd120c863c9e3cece28cb1aa90da2",
     "--format csv verify --quick":
-        "6ba3c2bcd3676073c650c88125c4f23861641e68009fe9d50b0f262f39283abc",
+        "5c93d55fcaf1199b01b394a2df0b9c1bab32e10670f269f3f6b5d9a44cc1eb75",
     "--format json dims --space mda --max-weight 8":
         "3e196a1128a28e83e0acb14c2626d817c065c952c219f48e293eb66c0adb5575",
     "dims --space md --max-weight 7 --kind gr":

@@ -1,6 +1,7 @@
-"""The zeta layer, and mpmath with it, is imported on first use of one of
-its names.  Each import check runs in a fresh interpreter, since this
-suite's own process has long since loaded both."""
+"""The zeta layer is imported on first use of one of its names, and it
+needs no mpmath.  Each import check runs in a fresh interpreter, since
+this suite's own process has long since loaded the zeta layer, and
+mpmath for the tests that compare against it."""
 
 import json
 import subprocess
@@ -80,7 +81,7 @@ def test_exact_commands_never_load_mpmath():
               + LOADED)
     lines = fresh(script, json.dumps(EXACT_COMMANDS)).splitlines()
     assert [json.loads(line) for line in lines] == [[False, False],
-                                                    [True, True]]
+                                                    [False, True]]
 
 
 def test_zeta_names_are_imported_from_the_package_on_demand():
@@ -92,7 +93,27 @@ def test_zeta_names_are_imported_from_the_package_on_demand():
               + LOADED)
     lines = fresh(script).splitlines()
     assert [json.loads(line) for line in lines] == [[False, False],
-                                                    [True, True]]
+                                                    [False, True]]
+
+
+def test_the_zeta_layer_runs_where_mpmath_cannot_be_imported():
+    script = ("import io, contextlib, importlib.abc\n"
+              "class Refuse(importlib.abc.MetaPathFinder):\n"
+              "    def find_spec(self, name, path=None, target=None):\n"
+              "        if name.partition('.')[0] == 'mpmath':\n"
+              "            raise ImportError('mpmath is refused')\n"
+              "sys.meta_path.insert(0, Refuse())\n"
+              "sys.modules.pop('mpmath', None)\n"
+              "from qbrackets import Z_k_alg, d_general, mzv\n"
+              "from qbrackets.cli import main\n"
+              "assert mzv((2, 1)).error_bound <= 1e-10\n"
+              "poly = Z_k_alg(d_general((1, 1)), 4)\n"
+              "assert all(abs(v) <= e for v, e in poly.coefficients)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert main(['verify', '--quick']) == 0\n"
+              "assert 'mpmath' not in sys.modules\n"
+              "print('ok')")
+    assert fresh(script) == "ok\n"
 
 
 @pytest.mark.parametrize("name", ZETA_NAMES)

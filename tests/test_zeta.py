@@ -4,10 +4,15 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, pi, workdps, zeta as mp_zeta
 
-from qbrackets import (Z_k_alg, Z_k_symbolic, d_general,
+from qbrackets import (Z_k_alg, Z_k_symbolic, compositions, d_general,
                        delta_representations, mzv, mzv_oracle,
                        proven_relation_corpus, word)
 from qbrackets import zeta
+
+
+def _mpf(x: Fraction) -> mpf:
+    """An exact value or bound as an mpf at the working precision."""
+    return mpf(x.numerator) / x.denominator
 
 
 def test_mzv_single_against_mpmath():
@@ -15,22 +20,24 @@ def test_mzv_single_against_mpmath():
         for s in (2, 3, 4, 8):
             got = mzv((s,))
             want = mp_zeta(s)
-            assert abs(got.value - want) <= got.error_bound
-            assert got.error_bound < mpf("1e-20")
+            assert abs(_mpf(got.value) - want) <= _mpf(got.error_bound)
+            assert _mpf(got.error_bound) < mpf("1e-20")
 
 
 def test_mzv_zeta2_closed_form():
     with workdps(50):
         got = mzv((2,))
-        assert abs(got.value - pi ** 2 / 6) < mpf("1e-40")
+        assert abs(_mpf(got.value) - pi ** 2 / 6) < mpf("1e-40")
 
 
 def test_mzv_depth_two_identities():
     with workdps(50):
-        assert abs(mzv((2, 1)).value - mzv((3,)).value) < mpf("1e-40")
-        assert abs(mzv((4,)).value - 4 * mzv((3, 1)).value) < mpf("1e-40")
-        assert abs(mzv((4,)).value - Fraction(4, 3) * mzv((2, 2)).value) \
+        assert abs(_mpf(mzv((2, 1)).value) - _mpf(mzv((3,)).value)) \
             < mpf("1e-40")
+        assert abs(_mpf(mzv((4,)).value) - 4 * _mpf(mzv((3, 1)).value)) \
+            < mpf("1e-40")
+        assert abs(_mpf(mzv((4,)).value)
+                   - _mpf(Fraction(4, 3) * mzv((2, 2)).value)) < mpf("1e-40")
 
 
 def test_mzv_rejects_divergent_index():
@@ -51,7 +58,7 @@ def test_mzv_agrees_with_plain_summation():
 
 def test_mzv_respects_target_error():
     loose = mzv((2, 1), target_error=1e-6)
-    assert loose.error_bound < mpf("1e-6")
+    assert _mpf(loose.error_bound) < mpf("1e-6")
 
 
 @pytest.mark.parametrize("index", [(2,), (3, 1), (2, 2, 1)])
@@ -75,9 +82,9 @@ def cold_mzv_cache(monkeypatch):
     calls = Counter()
     nested = zeta._nested_value
 
-    def counting(comp, cutoff):
+    def counting(comp, level):
         calls[comp] += 1
-        return nested(comp, cutoff)
+        return nested(comp, level)
 
     monkeypatch.setattr(zeta, "_nested_value", counting)
     return calls
@@ -96,7 +103,7 @@ def test_mzv_evaluates_each_index_once_per_level(cold_mzv_cache):
 
 def test_mzv_target_only_picks_the_level(cold_mzv_cache):
     high = mzv((3, 1), 1e-60)
-    assert high.error_bound <= mpf("1e-60")
+    assert _mpf(high.error_bound) <= mpf("1e-60")
     warm = mzv((3, 1), 1e-10)
     assert cold_mzv_cache == {(3, 1): 2}
     zeta._MZV_CACHE.clear()
@@ -126,61 +133,68 @@ def test_mzv_rejects_a_target_that_is_not_positive(cold_mzv_cache, target):
 ])
 def test_mzv_pinned_values(index, value, bound):
     z = mzv(index, 1e-10)  # the default target
-    assert mp.nstr(z.value, 50) == value
-    assert mp.nstr(z.error_bound, 5) == bound
+    with workdps(60):
+        assert mp.nstr(_mpf(z.value), 50) == value
+        assert mp.nstr(_mpf(z.error_bound), 5) == bound
 
 
-# value._mpf_ and error_bound._mpf_ of the evaluator as it was before the
-# tail expansions and power rows were shared: target 1e-10 is level 0
-# (60 digits), 1e-60 level 1 (80 digits)
+# value and error_bound of the evaluator as integers V and U over 2^bits:
+# value = V / 2^bits and error_bound = U / 2^bits + 10^(12 - digits).
+# Target 1e-10 is level 0 (232 bits, 60 digits), 1e-60 level 1 (298 bits,
+# 80 digits).
+LEVEL_SCALE = {1e-10: (232, 10 ** 48), 1e-60: (298, 10 ** 68)}
+
 PINNED_BITS = [
     ((2,), 1e-10,
-     (0, 10573228529264304647661822178090724900342886887342250438449563, -202, 203),
-     (0, 4697085165547685033992322215893069757178050221846328328318831, -361, 202)),
+     11352917686581091850472082280666787791976389591840550498045633272245132,
+     27307697),
     ((2,), 1e-60,
-     (0, 390083281424366140397997724451879573119285156008879622685940053621578327171452637, -267, 268),
-     (0, 255922046708432227978567365035036962510815997439140175576128917359883314746034321, -493, 268)),
+     837697468217008435269572325201621146138885225978197932518466104660582637551888630140139049,
+     3752155711230696901),
     ((3, 1), 1e-10,
-     (0, 6956905521743369836050957959727631874347610243060845905745653, -204, 203),
-     (0, 9394170331095487903639759039056570091381590553561518396114363, -362, 203)),
+     1867480106078099396916984139156316497990635458106309006454567353735178,
+     113876208),
     ((3, 1), 1e-60,
-     (0, 256664511409153527411064643348066956502240928218386408767763815702063506012387575, -269, 268),
-     (0, 512946699824187715682385948349035590811432758764601215528098474259322284995066705, -494, 269)),
+     137795710318266659409195273965231440374422417176331646443554155936566754754788000863558198,
+     14730369017554569143),
     ((2, 2, 1), 1e-10,
-     (0, 5882946125293683943759893150595335991602940619723256844722527, -204, 202),
-     (0, 1174271291387124179254023476561150875780400629839966756043757, -359, 200)),
+     1579191325766643183363065272391335688379147536196335044918212749671329,
+     1220058752),
     ((2, 2, 1), 1e-60,
-     (0, 868169612581710668831449169821967167404298997289246112381748834073569831342711659, -271, 269),
-     (0, 529461224477334903295244888347034206976575029243674654987520298036708826261005697, -494, 269)),
+     116523752919357420323917522520990597699600668848840772036710997176003527612161948096182030,
+     179165889529058926100),
     ((5, 3, 2), 1e-10,
-     (0, 657456875771122033799022485138308903150914666407437925862331, -209, 199),
-     (0, 9394170331095332916518027295670220654046718526401331610208185, -362, 203)),
+     5515148007748640461702750411011099171442987977942765044392157573357,
+     5835),
     ((5, 3, 2), 1e-60,
-     (0, 776188078518434705292514213512584535551519309620358192348407561486306557775024007, -279, 269),
-     (0, 127866822186489755203561278407993833255797408420702461717135056930403006174793991, -492, 267)),
+     406946095310273094768401691974085920975234955802238355949961903596532692562751786878555,
+     62357825664658),
     ((9, 3), 1e-10,
-     (0, 6632956504174117587298422025850781400676114541715152927849109, -211, 203),
-     (0, 1174271291386916613944740363684501834645311380479828940057821, -359, 200)),
+     13910317998641759046438060348357017915990714963387016392944613214058,
+     880),
     ((9, 3), 1e-60,
-     (0, 489425804338188513479586729868228684032132679331062356367056886949429034792568955, -277, 269),
-     (0, 511467282483772208519084869356890678741800091610434559313589732749506931821794977, -494, 269)),
+     1026400304419440717420742269716615521175355112724496082779886084579768999173305569852387,
+     413005),
     ((12,), 1e-10,
-     (0, 3214666980207363092857362775919957200283420735357385102539343, -201, 202),
-     (0, 4697085165547666455778961193579334486925526354978741456592327, -361, 202)),
+     6903444773760851891109892157691996244468506994684119943742042791271001,
+     287),
     ((12,), 1e-60,
-     (0, 474401112528719644758667839349983979375152935105848656142614938379872725353940811, -268, 269),
-     (0, 511467282483772167189573971336218391786633609173657786042387075081486089503747651, -494, 269)),
+     509384315874216683747804045633790772385055092819507569114520168065652145009391451700340063,
+     543),
 ]
 
 
 @pytest.mark.parametrize("index, target, value, bound", PINNED_BITS)
 def test_mzv_pinned_bits(cold_mzv_cache, index, target, value, bound):
+    bits, cushion = LEVEL_SCALE[target]
     z = mzv(index, target)
-    assert (z.value._mpf_, z.error_bound._mpf_) == (value, bound)
+    assert (z.value, z.error_bound) == (
+        Fraction(value, 1 << bits),
+        Fraction(bound, 1 << bits) + Fraction(1, cushion))
 
 
 def _bits(indices, targets):
-    return {(c, t): (mzv(c, t).value._mpf_, mzv(c, t).error_bound._mpf_)
+    return {(c, t): (mzv(c, t).value, mzv(c, t).error_bound)
             for c in indices for t in targets}
 
 
@@ -218,29 +232,66 @@ def test_shared_caches_stay_bounded(cold_mzv_cache):
         assert info.currsize <= info.maxsize
 
 
-def _shared(digits):
-    with workdps(digits):
-        terms, env_c, env_e = zeta._psi_expansion(3, 256, 28, mp.prec)
-        row, total = zeta._inverse_powers(3, 256, mp.prec)
-    return ([(e, a._mpf_) for e, a in terms.items()], env_c._mpf_, env_e,
-            [x._mpf_ for x in row], total._mpf_)
+def _shared(bits):
+    terms, env, env_e = zeta._psi_expansion(3, 256, 28, bits)
+    row, total = zeta._inverse_powers(3, 256, bits)
+    return dict(terms), env, env_e, row, total
 
 
 def test_shared_expansions_follow_the_working_precision():
     _clear_shared_rows()
-    low, high = _shared(60), _shared(100)
-    assert low[1] != high[1] and low[3] != high[3] and low[4] != high[4]
+    low, high = _shared(232), _shared(298)
+    assert low[0] != high[0] and low[1] != high[1] and low[4] != high[4]
+    # the row of powers is exact, the same at every precision
+    assert low[3] == high[3]
     _clear_shared_rows()
-    assert (_shared(100), _shared(60)) == (high, low)
+    assert (_shared(298), _shared(232)) == (high, low)
 
 
 def test_shared_expansions_are_read_only():
-    with workdps(60):
-        terms, _, _ = zeta._psi_expansion(3, 256, 28, mp.prec)
-        row, _ = zeta._inverse_powers(3, 256, mp.prec)
+    terms, _, _ = zeta._psi_expansion(3, 256, 28, 232)
+    row, _ = zeta._inverse_powers(3, 256, 232)
     with pytest.raises(TypeError):
-        terms[2] = mpf(0)
+        terms[2] = 0
     assert isinstance(row, tuple)
+
+
+def test_mzv_cache_evicts_the_oldest_past_its_cap(cold_mzv_cache,
+                                                  monkeypatch):
+    assert zeta._MZV_CACHE_SIZE >= 2 ** 11     # every index up to weight 12
+    monkeypatch.setattr(zeta, "_MZV_CACHE_SIZE", 3)
+    indices = [(2,), (3,), (2, 1), (4,), (3, 1)]
+    for c in indices:
+        mzv(c, 1e-10)
+        assert len(zeta._MZV_CACHE) == min(3, indices.index(c) + 1)
+    assert list(zeta._MZV_CACHE) == [(c, 0) for c in indices[-3:]]
+
+
+def _admissible(weight, depth):
+    return [c for c in compositions(weight, depth) if c[0] >= 2]
+
+
+@pytest.mark.parametrize("weight", range(2, 9))
+def test_mzv_sum_theorem(weight):
+    # Granville: the admissible indices of weight k and depth r sum to
+    # zeta(k), for each r < k
+    whole = mzv((weight,), 1e-10)
+    for depth in range(1, weight):
+        values = [mzv(c, 1e-10) for c in _admissible(weight, depth)]
+        total = sum(z.value for z in values)
+        bound = sum(z.error_bound for z in values) + whole.error_bound
+        assert abs(total - whole.value) <= bound, depth
+
+
+def test_mzv_levels_agree_within_their_bounds():
+    indices = [c for k in range(2, 9) for r in range(1, k)
+               for c in _admissible(k, r)]
+    assert len(indices) == 127
+    for c in indices:
+        low, high = mzv(c, 1e-10), mzv(c, 1e-60)      # levels 0 and 1
+        assert high.error_bound < low.error_bound
+        assert abs(low.value - high.value) \
+            <= low.error_bound + high.error_bound, c
 
 
 def test_z_symbolic_kernel_of_derivative():
@@ -278,11 +329,9 @@ def test_z_alg_derivative_image_vanishes():
 
 
 def test_z_alg_images_of_proven_relations_lie_within_their_bounds():
-    # asked for at 15 digits, mpmath's default: the sum of a Z_k image is
-    # taken at the precision of the deepest MZV level, its rounding bounded
-    with workdps(15):
-        images = [Z_k_alg(r.body, r.weight) for r in proven_relation_corpus(6)]
-        images += [Z_k_alg(rep, 12) for rep in delta_representations()]
+    # the sum of a Z_k image is exact: only the bounds of its MZVs count
+    images = [Z_k_alg(r.body, r.weight) for r in proven_relation_corpus(6)]
+    images += [Z_k_alg(rep, 12) for rep in delta_representations()]
     outside = [(i, j) for i, poly in enumerate(images)
                for j, (v, e) in enumerate(poly.coefficients)
                if not abs(v) <= e]
