@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .config import ResourceCap, get_config
 from .numbers import as_composition, eulerian_polynomial
-from .series import QSeries
+from .series import QSeries, _linear
 
 Parts = tuple[int, ...]
 
@@ -371,6 +371,6 @@ def partition_identity_check(order: int) -> bool:
     if order < 1:
         raise ValueError("order must be at least 1")
     ones = [(1,) * l for l in range(1, order + 1) if l * (l + 1) // 2 <= order]
-    total = sum(bracket_series_many(ones, order).values(), QSeries.zero(order))
+    total = _linear(order, ((1, s) for s in bracket_series_many(ones, order).values()))
     p = partition_counts(order)
     return all(total.coefficient(n) == p[n] for n in range(1, order + 1))

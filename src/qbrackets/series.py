@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from typing import Iterable
 
 RationalLike = Fraction | int
 
@@ -81,23 +82,16 @@ class QSeries:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        ma, mb, den = _to_common(self.den, other.den)
-        return QSeries(min(self.order, other.order),
-                       tuple(a * ma + b * mb for a, b in zip(self.nums, other.nums)),
-                       den)
+        return _linear(min(self.order, other.order), ((1, self), (1, other)))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        ma, mb, den = _to_common(self.den, other.den)
-        return QSeries(min(self.order, other.order),
-                       tuple(a * ma - b * mb for a, b in zip(self.nums, other.nums)),
-                       den)
+        return _linear(min(self.order, other.order), ((1, self), (-1, other)))
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.order, tuple(-a for a in self.nums), self.den)
+        return _linear(self.order, ((-1, self),))
 
     def scale(self, c: RationalLike) -> "QSeries":
-        p, q = c.as_integer_ratio()
-        return QSeries(self.order, tuple(a * p for a in self.nums), self.den * q)
+        return _linear(self.order, ((c, self),))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -152,12 +146,19 @@ class QSeries:
         return f"{text} + O(q^{self.order + 1})"
 
 
-def _to_common(da: int, db: int) -> tuple[int, int, int]:
-    """Multipliers taking denominators da and db to their lcm, and the lcm."""
-    if da == db:
-        return 1, 1, da
-    g = gcd(da, db)
-    return db // g, da // g, da // g * db
+def _linear(order: int, terms: Iterable[tuple[RationalLike, QSeries]]) -> QSeries:
+    """sum c * s over the (c, s) terms, cut at q^order: the numerator rows
+    brought to the lcm of the c.den * s.den and summed in one integer pass,
+    reduced once by the constructor.  Each s must reach q^order."""
+    rows = [(*c.as_integer_ratio(), s) for c, s in terms]
+    if any(s.order < order for _, _, s in rows):
+        raise ValueError(f"cannot extend a series to order {order}")
+    den = lcm(*(q * s.den for _, q, s in rows))
+    out = [0] * (order + 1)
+    for p, q, s in rows:
+        m = p * (den // (q * s.den))
+        out = [x + m * a for x, a in zip(out, s.nums)]
+    return QSeries(order, tuple(out), den)
 
 
 def _lowest(x: int, den: int) -> tuple[int, int]:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .brackets import bracket_series, bracket_series_many, canonical_key
 from .numbers import as_composition, lambda_coeff
-from .series import QSeries
+from .series import QSeries, _linear
 
 Word = tuple[int, ...]
 
@@ -222,10 +222,7 @@ def coefficient_rows(sums: Iterable[WordSum]) -> list[list[int]]:
 def evaluate(w: WordSum, order: int) -> QSeries:
     """The series sum of coeff * [word] over the terms of w."""
     series = bracket_series_many(w.words(), order)
-    total = QSeries.zero(order)
-    for word_, c in w.terms():
-        total = total + series[word_].scale(c)
-    return total
+    return _linear(order, ((c, series[word_]) for word_, c in w.terms()))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +261,8 @@ class OnePolynomial:
         """Replace T by the series [1] and evaluate everything."""
         one_series = bracket_series((1,), order)
         total = QSeries.zero(order)
-        power = QSeries.one(order)
-        for p in self._powers:
-            total = total + evaluate(p, order) * power
-            power = power * one_series
+        for p in reversed(self._powers):    # Horner, top power first
+            total = total * one_series + evaluate(p, order)
         return total
 
     def __repr__(self) -> str:

@@ -249,6 +249,18 @@ def test_partition_counts_golden():
     assert partition_identity_check(30)
 
 
+@pytest.mark.parametrize("back", [0, 1])
+def test_partition_identity_check_rejects_a_wrong_count(monkeypatch, back):
+    # p(order - back) off by one: the bracket sum no longer matches it
+    def off_by_one(n_max):
+        counts = partition_counts(n_max)
+        counts[n_max - back] += 1
+        return counts
+
+    monkeypatch.setattr(brackets, "partition_counts", off_by_one)
+    assert not partition_identity_check(30)
+
+
 def test_partition_counts_rejects_a_negative_bound():
     assert partition_counts(0) == [1]
     with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbrackets import (ExactMatrix, IntEchelon, OnePolynomial, WordSum,
-                       bracket_series, canonical_key, decompose_in_one,
-                       diamond, evaluate, quasi_shuffle, word)
-from qbrackets import words
+                       bracket_series, bracket_series_many,
+                       bracket_series_oracle_many, canonical_key,
+                       decompose_in_one, diamond, evaluate, quasi_shuffle, word)
+from qbrackets import brackets, words
 from qbrackets.words import coefficient_rows
 from qbrackets.checks import PRODUCT_EXAMPLES
 
@@ -167,10 +168,42 @@ def test_product_is_series_homomorphism(u, v):
         bracket_series(u, order) * bracket_series(v, order)
 
 
-def test_evaluate_is_linear():
-    a = word(2, 1).scale(Fraction(3, 2)) - word(3)
-    assert evaluate(a, 20) == \
-        bracket_series((2, 1), 20).scale(Fraction(3, 2)) - bracket_series((3,), 20)
+def _oracle_sum(w, order):
+    """The coefficients of q^0 .. q^order of sum c * [word], summed as plain
+    Fractions from the independent oracle series."""
+    oracle = bracket_series_oracle_many(w.words(), order)
+    return [sum((c * oracle[u].coefficient(n) for u, c in w.terms()), Fraction(0))
+            for n in range(order + 1)]
+
+
+def _coefficients(s):
+    return [s.coefficient(n) for n in range(s.order + 1)]
+
+
+@given(word_sums(), st.integers(min_value=1, max_value=15))
+@settings(max_examples=25, deadline=None)
+def test_evaluate_is_linear(w, order):
+    s = evaluate(w, order)
+    assert s.order == order
+    assert _coefficients(s) == _oracle_sum(w, order)
+
+
+@pytest.mark.parametrize("w", [
+    WordSum(),
+    word(),
+    word().scale(Fraction(-2, 3)) + word(2),
+    _ws({(): Fraction(1, 6), (1,): 2, (1, 1): Fraction(5, 7),
+         (2, 1): Fraction(3, 2), (3,): -1, (4,): Fraction(-2, 9),
+         (2, 2): Fraction(7, 3), (3, 1, 2): Fraction(-5, 4)}),
+], ids=["zero-sum", "empty-word", "empty-word-and-letter", "mixed"])
+def test_evaluate_matches_the_oracle_sum(w):
+    # rows cached at a higher order reach evaluate truncated
+    bracket_series_many(w.words(), 40)
+    assert all(brackets._SERIES_CACHE[u].order >= 40 for u in w.words() if u)
+    s = evaluate(w, 13)
+    assert s.order == 13
+    assert _coefficients(s) == _oracle_sum(w, 13)
+    assert s.is_zero() == w.is_zero()
 
 
 def _word_sum_from_json(doc):
