@@ -1,13 +1,7 @@
 """Exact arithmetic for the algebra spanned by multiple divisor sum
 generating functions: q-series, quasi-shuffle products, the derivation
 q d/dq, dimension and relation tables, the modular subalgebra, and the
-bridge to multiple zeta values.
-
-The zeta layer is imported on first use of one of its names: the
-exact-arithmetic layers never load it.  It runs on integers alone and needs
-no package beyond the standard library."""
-
-import importlib
+bridge to multiple zeta values."""
 
 from .numbers import (bernoulli, eulerian_number, eulerian_polynomial,
                       lambda_coeff, count_generators, compositions,
@@ -31,6 +25,8 @@ from .modular import (DELTA_PAIRS, DELTA_SCALE, eisenstein,
                       verify_quasi_modular_identities, delta_representation,
                       delta_representations, representation_span_rank,
                       deltal2_word_sum)
+from .zeta import (MzvValue, mzv, mzv_oracle, ZImage, Z_k_symbolic,
+                   ZPolynomial, Z_k_alg)
 from .config import Config, ResourceCap, load_config, get_config, set_config
 from .checks import REGISTRY, CheckResult, first_failure, run_suite
 
@@ -60,19 +56,3 @@ __all__ = [
     "Config", "ResourceCap", "load_config", "get_config", "set_config",
     "REGISTRY", "CheckResult", "first_failure", "run_suite",
 ]
-
-_ZETA_NAMES = frozenset({"MzvValue", "mzv", "mzv_oracle", "ZImage",
-                         "Z_k_symbolic", "ZPolynomial", "Z_k_alg"})
-
-
-def __getattr__(name):
-    # import_module, not `from . import zeta`: the latter asks this hook for
-    # "zeta" again through the import system's fromlist handling.
-    if name == "zeta" or name in _ZETA_NAMES:
-        zeta = importlib.import_module(".zeta", __name__)
-        return zeta if name == "zeta" else getattr(zeta, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -3,9 +3,10 @@ expected to reproduce, recomputed from scratch and reported one line per
 check.
 
 The registry order is fixed so failures are named deterministically; the
-command line `verify` subcommand walks it and exits nonzero on the first
-failure.  Checks marked quick skip nothing mathematically, they only use
-smaller orders so the whole quick pass stays under a few seconds.
+command line `verify` subcommand runs every chosen check, reports each one,
+and then names the first failure and exits nonzero.  Checks marked quick
+are the fast subset: `verify --quick` runs only those and skips the rest,
+so the quick pass stays under a few seconds.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .modular import DELTA_ORDER, DELTA_SCALE, deltal2_word_sum, \
 from .numbers import compositions_up_to
 from .series import eta24
 from .words import WordSum, evaluate, quasi_shuffle, word
+from .zeta import Z_k_alg, Z_k_symbolic
 
 Parts = Tuple[int, ...]
 
@@ -337,10 +339,9 @@ def check_tau_congruence() -> str:
 
 
 def check_mzv_relations() -> str:
-    from . import zeta  # the zeta layer loads only when an MZV check runs
     for label, combo in MZV_RELATIONS:
         relation = WordSum(combo)
-        image = zeta.Z_k_symbolic(relation, relation.weight)
+        image = Z_k_symbolic(relation, relation.weight)
         if abs(image.value) > image.error_bound:
             raise CheckFailure(f"{label}: residual {float(image.value):.3e} "
                                f"exceeds its bound "
@@ -349,8 +350,7 @@ def check_mzv_relations() -> str:
 
 
 def check_mzv_kernel_image() -> str:
-    from . import zeta
-    poly = zeta.Z_k_alg(d_general((1, 1)), 4)
+    poly = Z_k_alg(d_general((1, 1)), 4)
     for j, (value, bound) in enumerate(poly.coefficients):
         if abs(value) > bound:
             raise CheckFailure(f"Z_4 image of d[1,1] has a T^{j} coefficient "
@@ -466,7 +466,8 @@ def run_suite(names: Optional[Sequence[str]] = None,
         known = {c.name for c in REGISTRY}
         missing = [n for n in names if n not in known]
         if missing:
-            raise ValueError(f"unknown check name(s): {', '.join(missing)}")
+            raise ValueError(f"unknown check name(s): "
+                             f"{', '.join(map(repr, missing))}")
     chosen = [c for c in REGISTRY
               if (names is None or c.name in names) and (not quick or c.quick)]
     results = []

@@ -170,7 +170,7 @@ def cmd_relations(args, cfg: Config) -> int:
     elif cfg.output_format == "csv":
         lines = ["relation,word,coefficient"]
         for i, rel in enumerate(rels):
-            for t, c in rel.normalized().terms():
+            for t, c in rel.body.normalized().terms():
                 lines.append(f"{i},{_word_label(t)},{c}")
         print("\n".join(lines))
     else:
@@ -178,7 +178,7 @@ def cmd_relations(args, cfg: Config) -> int:
             print(f"no relations among the generators of weight <= "
                   f"{args.weight}, length <= {args.length}")
         for rel in rels:
-            print(f"0 = {rel.normalized().to_text()}   "
+            print(f"0 = {rel.body.normalized().to_text()}   "
                   f"({rel.status}, zero through q^{rel.verified_order})")
     return EXIT_OK
 
@@ -198,7 +198,7 @@ def cmd_verify(args, cfg: Config) -> int:
                 kind = "quick" if c.quick else "full "
                 print(f"{kind} {c.name:<28} {c.description}")
         return EXIT_OK
-    names = args.only.split(",") if args.only else None
+    names = args.only.split(",") if args.only is not None else None
     results = run_suite(names=names, quick=args.quick)
     if cfg.output_format == "json":
         print(json.dumps([{"name": r.name, "pass": r.passed,

@@ -62,10 +62,6 @@ class Relation:
     def check(self, order: int) -> bool:
         return evaluate(self.body, order).is_zero()
 
-    def normalized(self) -> WordSum:
-        """The body in WordSum.normalized form."""
-        return self.body.normalized()
-
     @staticmethod
     def verified(body: WordSum, provenance: str,
                  verify_order: int | None = None) -> "Relation":
@@ -227,7 +223,7 @@ def proven_relation_corpus(max_weight: int) -> list[Relation]:
     seen: set[WordSum] = set()
     corpus = []
     for relation in seeds:
-        key = relation.normalized()
+        key = relation.body.normalized()
         if key not in seen:
             seen.add(key)
             corpus.append(relation)

@@ -333,6 +333,13 @@ def test_verify_unknown_name(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("only", ["", "series-examples,"])
+def test_verify_empty_check_name_is_refused(capsys, only):
+    code, out, err = run(capsys, "verify", "--only", only)
+    assert (code, out) == (2, "")
+    assert "unknown check name(s): ''" in err
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list")
     assert code == 0

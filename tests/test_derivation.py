@@ -93,7 +93,7 @@ def test_leibniz_golden_weight5():
 def test_leibniz_weight4_matches_split():
     rel = leibniz_relations((1,), (1,))
     split = split_relations(4)[0]
-    assert rel.normalized() == split.normalized()
+    assert rel.body.normalized() == split.body.normalized()
 
 
 def test_relation_gate_admits_only_vanishing_bodies():
@@ -148,8 +148,8 @@ def test_proven_corpus_closure_and_vanishing():
     seeds = [rel for k in (4, 5, 6) for rel in split_relations(k)]
     seeds += [leibniz_relations(w, v) for i, w in enumerate(pairs)
               for v in pairs[i:] if sum(w) + sum(v) + 2 <= 6]
-    assert len(corpus) > len({rel.normalized() for rel in seeds})
-    normalized = {rel.normalized() for rel in corpus}
+    assert len(corpus) > len({rel.body.normalized() for rel in seeds})
+    normalized = {rel.body.normalized() for rel in corpus}
     assert len(normalized) == len(corpus)  # no proportional duplicates
     for rel in corpus:
         assert rel.weight <= 6
@@ -157,6 +157,5 @@ def test_proven_corpus_closure_and_vanishing():
         assert evaluate(rel.body, 40).is_zero()
     # closed under multiplication by [2] up to the weight bound
     seed = split_relations(4)[0]
-    bumped = Relation(quasi_shuffle(seed.body, word(2)), "derivation-split",
-                      0).normalized()
+    bumped = quasi_shuffle(seed.body, word(2)).normalized()
     assert bumped in normalized

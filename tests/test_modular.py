@@ -106,9 +106,9 @@ def test_every_proven_provenance_has_a_producer(monkeypatch):
 def test_modular_relations_meet_the_split_relations():
     relations = verify_quasi_modular_identities(40)
     dg2 = relations["d G2 = 5 G4 - 2 G2^2"]
-    assert dg2.normalized() == WordSum(REL4).normalized()
-    assert relations["G4^2 = 7/6 G8"].normalized() == \
-        relations["[8] = 1/40 [4] - 1/252 [2] + 12 [4,4]"].normalized()
+    assert dg2.body.normalized() == WordSum(REL4).normalized()
+    assert relations["G4^2 = 7/6 G8"].body.normalized() == \
+        relations["[8] = 1/40 [4] - 1/252 [2] + 12 [4,4]"].body.normalized()
 
 
 def test_delta_representation_golden_pair():

@@ -1,7 +1,7 @@
-"""The zeta layer is imported on first use of one of its names, and it
-needs no mpmath.  Each import check runs in a fresh interpreter, since
-this suite's own process has long since loaded the zeta layer, and
-mpmath for the tests that compare against it."""
+"""The package namespace, and the promise that the package needs nothing
+beyond the standard library: mpmath, a test extra, is never loaded.  Each
+import check runs in a fresh interpreter, since this suite's own process
+has long since loaded mpmath for the tests that compare against it."""
 
 import json
 import subprocess
@@ -17,9 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ZETA_NAMES = ("MzvValue", "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic",
               "ZPolynomial", "Z_k_alg")
 
-# The package's public API: the names it had when the zeta names became
-# lazy, less those removed since: the modular layer's, dim_lower_bound,
-# EulerianKernel, modified_qzeta and solve_unique.
+# The package's public API, in the order of __all__.
 PUBLIC_API = (
     "bernoulli", "eulerian_number", "eulerian_polynomial", "lambda_coeff",
     "count_generators", "compositions", "compositions_up_to", "QSeries",
@@ -65,8 +63,7 @@ def fresh(script: str, *args: str) -> str:
     return proc.stdout
 
 
-LOADED = ("print(json.dumps(['mpmath' in sys.modules, "
-          "'qbrackets.zeta' in sys.modules]))")
+LOADED = "print(json.dumps('mpmath' in sys.modules))"
 
 
 def test_exact_commands_never_load_mpmath():
@@ -80,20 +77,21 @@ def test_exact_commands_never_load_mpmath():
               "run(['verify', '--quick'])\n"
               + LOADED)
     lines = fresh(script, json.dumps(EXACT_COMMANDS)).splitlines()
-    assert [json.loads(line) for line in lines] == [[False, False],
-                                                    [False, True]]
+    assert [json.loads(line) for line in lines] == [False, False]
 
 
-def test_zeta_names_are_imported_from_the_package_on_demand():
-    script = ("import json, qbrackets\n"
-              + LOADED + "\n"
-              "from qbrackets import mzv, Z_k_alg\n"
-              "assert mzv is qbrackets.zeta.mzv\n"
-              "assert Z_k_alg is qbrackets.zeta.Z_k_alg\n"
-              + LOADED)
-    lines = fresh(script).splitlines()
-    assert [json.loads(line) for line in lines] == [[False, False],
-                                                    [False, True]]
+def test_exact_commands_load_only_the_standard_library():
+    script = ("before = set(sys.modules)\n"
+              "import io, json, contextlib, qbrackets, qbrackets.cli\n"
+              "commands = json.loads(sys.argv[2]) + [['verify', '--quick']]\n"
+              "for argv in commands:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert qbrackets.cli.main(argv) == 0, argv\n"
+              "new = set(sys.modules) - before\n"
+              "top = {name.partition('.')[0] for name in new}\n"
+              "print(json.dumps(sorted(top - sys.stdlib_module_names)))")
+    assert json.loads(fresh(script, json.dumps(EXACT_COMMANDS))) == \
+        ["qbrackets"]
 
 
 def test_the_zeta_layer_runs_where_mpmath_cannot_be_imported():

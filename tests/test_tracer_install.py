@@ -2,8 +2,7 @@
 layers and refuses a binding it did not wrap.  Installing it here keeps a
 renamed method or a new cross-module import from breaking traced runs
 unnoticed, since the benchmark's own tests are not part of this suite.
-The zeta names the package resolves on first use must reach the wrappers
-too."""
+The zeta names the package re-exports must reach the wrappers too."""
 
 import subprocess
 import sys
