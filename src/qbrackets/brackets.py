@@ -9,11 +9,14 @@ over all representations n = u_1 v_1 + ... + u_l v_l with u_1 > ... > u_l > 0.
 
 Two independent series algorithms live here.  bracket_series sweeps a line
 u = 1..order/2 upward through the chain elements, keeping for every suffix
-of the requested compositions one packed integer of coefficients (slots
-wide enough by a proven bound on sigma).  A step writes the weights v^{s-1}
-of a length-1 suffix straight into their slots, sums a long run of v by
-the Eulerian form x P_{s-1}(x)/(1-x)^s in log-many shift-adds, and a short
-run term by term; one last pass adds every element above order/2 at once.
+of the requested compositions one packed integer of coefficients, each
+slot as wide as the least of three proven bounds on sigma requires (by
+partitions, by compositions and by a convolution of single divisor sums;
+p(order) is computed only where it can set the width).  A step writes the
+weights v^{s-1} of a length-1 suffix straight into their slots, sums a long
+run of v by the Eulerian form x P_{s-1}(x)/(1-x)^s in log-many shift-adds,
+and a short run term by term; one last pass adds every element above
+order/2 at once.
 bracket_series_oracle runs over the chain from the outermost index inward
 with each factor expanded into its coefficients through Eulerian
 polynomial coefficients and binomials.  Their agreement is a real
@@ -23,7 +26,7 @@ mathematical identity, and the test suite insists on it.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 from operator import index
 from typing import Iterable, Sequence
 
@@ -83,23 +86,75 @@ def _partition_count(n: int) -> int:
     return partition_counts(n)[n]
 
 
+def _convolution_bound(t: Parts, order: int, m: int) -> int:
+    """A bound on sigma_t(m), 1 <= m <= order, non-decreasing in m; the
+    proof is in _slot_bytes."""
+    num = den = 1
+    e_total = 0
+    for s in t:
+        r = s - 1
+        if r >= 2:
+            num *= r * factorial(r)
+            den *= r - 1
+            e_total += r
+        elif r == 1:
+            num *= 1 + order.bit_length()
+            e_total += 1
+        else:
+            num *= 2 * (isqrt(order) + 1)
+    return num * comb(m + e_total - 1, e_total + len(t) - 1) // den
+
+
 def _slot_bytes(nodes: Iterable[Parts], order: int) -> int:
     """Bytes per packed coefficient: room for sigma_t(m), 0 <= m <= order,
     of every node t, plus one spare bit, rounded up to whole bytes.
 
-    A representation m = u_1 v_1 + ... + u_l v_l with u_1 > ... > u_l > 0 is a
-    partition of m with l distinct part sizes (u_i taken v_i times), and
-    every v_i <= m, so sigma_t(m) <= m^(k-l) p(m) for t of weight k and
-    length l.  Independently, the products u_i v_i form one of the
-    C(m-1, l-1) compositions of m into l parts and each u_i divides its
-    product, so sigma_t(m) <= C(m-1, l-1) m^l m^(k-l) <= m^(k+l-1).  Both
-    bounds grow with m; the smaller one at m = order serves every slot.
+    Three proven bounds, each non-decreasing in m, so their least at
+    m = order serves every slot.  Let t have weight k, length l and
+    r_i = t_i - 1.
+
+    * Partitions.  A representation m = u_1 v_1 + ... + u_l v_l with
+      u_1 > ... > u_l > 0 is a partition of m with l distinct part sizes
+      (u_i taken v_i times), and every v_i <= m, so
+      sigma_t(m) <= m^(k-l) p(m).
+    * Compositions.  The products u_i v_i form one of the C(m-1, l-1)
+      compositions of m into l parts and each u_i divides its product, so
+      sigma_t(m) <= C(m-1, l-1) m^l m^(k-l) <= m^(k+l-1).
+    * Convolution (_convolution_bound).  Map each representation to its
+      composition n_i = u_i v_i and drop the ordering of the u_i: then u_i
+      runs over the divisors of n_i independently, so
+      sigma_t(m) <= sum_{n_1+...+n_l=m} prod sigma_{r_i}(n_i).  For
+      n <= order, sigma_r(n) <= c n^e with
+      r >= 2: c = r/(r-1), e = r, as sigma_r(n) = n^r sum_{d|n} d^-r and
+      zeta(r) <= 1 + integral_1^oo x^-r dx = r/(r-1);
+      r = 1: c = 1 + bit_length(order), e = 1, as sigma_1(n) <= n H_n and
+      H_n <= 1 + ln n <= 1 + log2 n < 1 + bit_length(order);
+      r = 0: c = 2 (isqrt(order) + 1), e = 0, as the divisors of n pair
+      off as d, n/d with d <= sqrt(n), so d(n) <= 2 sqrt(n) < c.
+      Then n^e <= n (n+1) ... (n+e-1) = e! C(n+e-1, e), and as
+      sum_{n>=1} C(n+e-1, e) x^n = x/(1-x)^(e+1), the coefficient of x^m
+      in x^l/(1-x)^(E+l), E = sum e_i, gives
+      sum_{n_1+...+n_l=m} prod C(n_i+e_i-1, e_i) = C(m+E-1, E+l-1), so
+      sigma_t(m) <= prod c_i prod e_i! C(m+E-1, E+l-1), and the integer
+      part of the right side too.
+
+    p(order) costs O(order^1.5) to compute and is computed only where it
+    can set the width.  A partition of n into exactly j parts is one of at
+    most j! orderings of a composition of n into j parts, so
+    p(n) >= C(n-1, j-1) / j! for j = isqrt(n).  Where order^(k-l) times that
+    floor reaches the least of the other two bounds for every node, the
+    partition bound is no smaller than that least for any node and cannot
+    change the width, so it is skipped.
     """
-    p = _partition_count(order)
-    bits = max(min((order ** (sum(t) - len(t)) * p).bit_length(),
-                   (order ** (sum(t) + len(t) - 1)).bit_length())
-               for t in nodes)
-    return bits // 8 + 1
+    least = {t: min(order ** (sum(t) + len(t) - 1),
+                    _convolution_bound(t, order, order)) for t in nodes}
+    j = isqrt(order)
+    floor = comb(order - 1, j - 1) // factorial(j)
+    if any(order ** (sum(t) - len(t)) * floor < b for t, b in least.items()):
+        p = _partition_count(order)
+        least = {t: min(b, order ** (sum(t) - len(t)) * p)
+                 for t, b in least.items()}
+    return max(least.values()).bit_length() // 8 + 1
 
 
 def _power_run(p: int, s: int, shift: int, n: int) -> int:

@@ -33,7 +33,7 @@ from itertools import accumulate
 from math import ceil, gcd, lcm
 from typing import Dict, Iterable, KeysView, List, Mapping, Sequence, Tuple
 
-from .brackets import bracket_series_many
+from .brackets import _sigma_lists, bracket_series_many
 from .config import ResourceCap, get_config
 from .derivation import Relation, proven_relation_corpus
 from .numbers import compositions, compositions_up_to, count_generators
@@ -337,11 +337,15 @@ def _series_order(order: int | None, columns: Sequence[Parts],
 
 
 def _packed_rows(comps: Sequence[Parts], order: int) -> Dict[Parts, int]:
-    """The coefficients of q^1..q^order of each composition's bracket
-    (numerators over the series denominator), packed by ModEchelon(order)."""
-    series = bracket_series_many(comps, order)
+    """The multiple divisor sums sigma(1..order) of each composition, packed
+    by ModEchelon(order) straight from the sweep; no series is built or
+    cached.  Such a row is the bracket's row of numerators times a positive
+    g dividing prod (s_i - 1)!, whose prime factors are all below 2^31 - 1,
+    so it spans the same line mod p and every rank and pivot is unchanged.
+    """
+    sigma = _sigma_lists(comps, order)
     packer = ModEchelon(order)
-    return {c: packer.pack(series[c].nums[1:]) for c in comps}
+    return {c: packer.pack(sigma[c][1:]) for c in comps}
 
 
 def _predicted_top(space: str, k: int) -> int:

@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,13 @@ from qbrackets import (QSeries, ResourceCap, bracket_series,
                        bracket_series_many, bracket_series_oracle,
                        bracket_series_oracle_many, canonical_key,
                        compositions_up_to, d_general, d_len1, d_len2,
-                       dimension_table, generators, get_config,
+                       generators, get_config,
                        leibniz_relations, mzv, mzv_oracle,
                        multiple_divisor_sum, partition_counts,
                        partition_identity_check, set_config, word)
 from qbrackets import brackets
-from qbrackets.brackets import _SERIES_CACHE, _sigma_lists, _slot_bytes
+from qbrackets.brackets import (_SERIES_CACHE, _convolution_bound,
+                                _sigma_lists, _slot_bytes)
 from qbrackets.checks import SERIES_EXAMPLES
 
 small_compositions = st.lists(st.integers(min_value=1, max_value=4),
@@ -161,6 +163,81 @@ def test_slot_width_bound(comp, order):
         assert row[m] == multiple_divisor_sum([s - 1 for s in comp], m)
 
 
+def _suffixes(*comps):
+    return {c[i:] for c in comps for i in range(len(c))}
+
+
+@lru_cache(maxsize=None)
+def _p(n):
+    return partition_counts(n)[n]
+
+
+def _two_bound_bytes(nodes, order):
+    """The slot width by the partition and composition bounds alone."""
+    p = _p(order)
+    return max(min(order ** (sum(t) - len(t)) * p,
+                   order ** (sum(t) + len(t) - 1))
+               for t in nodes).bit_length() // 8 + 1
+
+
+def _three_bound_bytes(nodes, order):
+    """The slot width by all three bounds, p(order) always computed."""
+    p = _p(order)
+    return max(min(order ** (sum(t) - len(t)) * p,
+                   order ** (sum(t) + len(t) - 1),
+                   _convolution_bound(t, order, order))
+               for t in nodes).bit_length() // 8 + 1
+
+
+@given(st.lists(st.integers(min_value=1, max_value=6),
+                min_size=1, max_size=6).map(tuple),
+       st.integers(min_value=1, max_value=80))
+@settings(max_examples=60, deadline=None)
+def test_convolution_bound(comp, order):
+    # parts 1, 2 and 3..6 give r = 0, r = 1 and r >= 2
+    nodes = _suffixes(comp)
+    rows = _sigma_lists(nodes, order)
+    for t in nodes:
+        bounds = [_convolution_bound(t, order, m)
+                  for m in range(1, order + 1)]
+        for m in range(1, order + 1):
+            assert rows[t][m] <= bounds[m - 1], (t, m)
+        assert all(a <= b for a, b in zip(bounds, bounds[1:])), t
+    assert _slot_bytes(nodes, order) == _three_bound_bytes(nodes, order)
+    assert _slot_bytes(nodes, order) <= _two_bound_bytes(nodes, order)
+
+
+def test_slot_widths(monkeypatch):
+    tens = [c for c in compositions_up_to(10) if len(c) == 5 and sum(c) == 10]
+    assert len(tens) == 126
+    ones = _suffixes(*((1,) * l for l in range(1, 20)))
+    assert _slot_bytes(_suffixes((4, 4, 4)), 1000) == 12
+    assert _slot_bytes(ones, 200) == 6
+    cases = [(_suffixes((4, 4, 4)), 1000), (ones, 200)]
+    cases += [(_suffixes(c), 600) for c in tens]
+    cases += [(_suffixes((1,) * l), 200) for l in range(1, 20)]
+    for nodes, order in cases:
+        width = _slot_bytes(nodes, order)
+        assert width <= _two_bound_bytes(nodes, order)
+        assert order != 600 or width <= 12
+
+    # p(order) is computed only where the partition bound can set the width
+    calls = []
+
+    def counted(n_max):
+        calls.append(n_max)
+        return partition_counts(n_max)
+
+    monkeypatch.setattr(brackets, "partition_counts", counted)
+    for nodes, order, want in [(_suffixes((4, 4, 4)), 1000, []),
+                               (_suffixes((2,)), 20000, []),
+                               (ones, 200, [200])]:
+        brackets._partition_count.cache_clear()
+        calls.clear()
+        _slot_bytes(nodes, order)
+        assert calls == want, (order, calls)
+
+
 def test_sweep_memory_is_one_row_per_node(monkeypatch):
     # tracemalloc peak of a cold (4, 4, 4) at order 400: 20.9 MB with the
     # earlier list-of-lists suffix recursion, 0.10 MB with the packed sweep
@@ -225,11 +302,11 @@ def test_sweep_cap_never_counts_cached_rows(cap_cells):
 
 
 def test_cache_holds_only_the_requested_compositions(monkeypatch):
-    # a cold mda table sweeps every suffix of its generators, the
+    # a cold batch of the mda generators sweeps every suffix, the
     # non-admissible ones too, but keeps one series per generator
     monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
-    dimension_table("mda", 7)
     gens = generators("mda", 7)
+    bracket_series_many(gens, 60)
     assert len(gens) == 63
     assert set(brackets._SERIES_CACHE) == set(gens)
 

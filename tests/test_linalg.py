@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from qbrackets import (SPACES, TABLE_KINDS, DimensionTable, ExactMatrix,
                        IntEchelon, ModEchelon, Relation, WordSum,
+                       bracket_series, bracket_series_many,
                        compositions_up_to, conjecture_series_expansion,
                        dimension_table, generators,
                        graded_relation_counts, homogeneous_relation_search,
                        relation_in_span, relation_search)
-from qbrackets import Config, ResourceCap, config, linalg
+from qbrackets import Config, ResourceCap, brackets, config, linalg
 from qbrackets.checks import RELATION_COUNTS_LOW
 
 P = 2**31 - 1
@@ -262,6 +263,31 @@ def test_mod_rank_tables_equal_exact(monkeypatch, space, max_weight):
             patch.setattr(linalg, "ModEchelon", _ExactRank)
             exact = dimension_table(space, max_weight, kind=kind)
         assert table == exact
+
+
+def _numerator_rows(comps, order):
+    """Rows packed from the brackets' series numerators, as the tables
+    were built before they read the sweep."""
+    series = bracket_series_many(comps, order)
+    packer = ModEchelon(order)
+    return {c: packer.pack(series[c].nums[1:]) for c in comps}
+
+
+@pytest.mark.parametrize("space,max_weight", [("mda", 8), ("md", 7)])
+def test_tables_read_the_sweep_and_leave_the_series_cache(
+        monkeypatch, space, max_weight):
+    # raw sigma rows are the numerator rows times a unit mod p, so every
+    # table is the one the numerator rows give, and no series is cached
+    cache = {(2, 1): bracket_series((2, 1), 10)}
+    monkeypatch.setattr(brackets, "_SERIES_CACHE", cache)
+    before = dict(cache)
+    tables = {kind: dimension_table(space, max_weight, kind=kind)
+              for kind in TABLE_KINDS}
+    assert brackets._SERIES_CACHE is cache and cache == before
+    monkeypatch.setattr(linalg, "_packed_rows", _numerator_rows)
+    for kind, table in tables.items():
+        assert table.to_csv() == dimension_table(
+            space, max_weight, kind=kind).to_csv()
 
 
 def test_dimension_table_checks_an_explicit_order():
