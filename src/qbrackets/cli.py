@@ -1,5 +1,10 @@
 """Command line front end.
 
+Each subcommand hands one document to _emit, the one place a result is
+printed, which builds only the configured format (text, JSON or CSV).
+`dims --out FILE` runs the same _emit into the file, so the file holds the
+bytes stdout would have held, and stdout gets `wrote FILE`.
+
 Exit codes: 0 success, 2 usage or parse error, 3 verification failure,
 4 resource cap exceeded, 5 stdout closed early by its reader (never 0: the
 verdict may not have been reached).  Output depends only on the effective
@@ -10,11 +15,13 @@ the built-in defaults).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .brackets import bracket_series
 from .checks import REGISTRY, first_failure, run_suite
@@ -41,43 +48,56 @@ def parse_parts(text: str) -> Tuple[int, ...]:
                          f"list of integers") from None
 
 
-def _word_label(w: Tuple[int, ...]) -> str:
-    return " ".join(map(str, w))
-
-
 # ---------------------------------------------------------------------------
-# per-format rendering
+# the one output path
 
 
-def _series_lines(parts, series, fmt: str) -> List[str]:
+def _emit(cfg: Config, doc: Callable[[], object],
+          csv: Callable[[], List[str]], text: Callable[[], List[str]]) -> None:
+    """Print a command's output in the configured format, building only
+    that one: the JSON document, or the csv or text lines."""
+    fmt = cfg.output_format
     if fmt == "json":
-        doc = {"composition": list(parts), "series": series.to_json()}
-        return [json.dumps(doc, indent=2)]
-    if fmt == "csv":
-        return ["n,coefficient"] + [f"{n},{series.coefficient(n)}"
-                                    for n in range(series.order + 1)]
-    return [series.to_text()]
+        print(json.dumps(doc(), indent=2))
+    else:
+        print("\n".join(csv() if fmt == "csv" else text()))
 
 
-def _word_sum_csv(w: WordSum) -> List[str]:
-    return ["word,coefficient"] + [f"{_word_label(t)},{c}"
-                                   for t, c in w.terms()]
-
-
-def _checked_lines(command: str, result: WordSum | OnePolynomial,
-                   csv_rows: List[str], fmt: str, order: int, ok: bool,
-                   check_text: str) -> List[str]:
+def _emit_checked(cfg: Config, command: str, result: WordSum | OnePolynomial,
+                  csv_rows: Callable[[], List[str]], order: int, ok: bool,
+                  check_text: str) -> None:
     """A result with the verdict of its check through q^order; csv_rows
     (header included) are the result's own csv lines."""
     verdict = "pass" if ok else "FAIL"
-    if fmt == "json":
-        doc = {"command": command, "result": result.to_json(),
-               "check": {"order": order, "pass": ok}}
-        return [json.dumps(doc, indent=2)]
-    if fmt == "csv":
-        return csv_rows + [f"check,{order},{verdict}"]
-    return [result.to_text(),
-            f"check: {check_text} through q^{order}: {verdict}"]
+    _emit(cfg,
+          lambda: {"command": command, "result": result.to_json(),
+                   "check": {"order": order, "pass": ok}},
+          lambda: csv_rows() + [f"check,{order},{verdict}"],
+          lambda: [result.to_text(),
+                   f"check: {check_text} through q^{order}: {verdict}"])
+
+
+def _terms_csv(header: str, sums: Iterable[Tuple[str, WordSum]]) -> List[str]:
+    """One row per term of each (key, sum): the key, the word's letters
+    separated by spaces, and the coefficient."""
+    return [header] + [f"{key}{' '.join(map(str, t))},{c}"
+                       for key, s in sums for t, c in s.terms()]
+
+
+def _emit_rows(cfg: Config, header: Tuple[str, str, str],
+               rows: List[Tuple[str, bool, str]],
+               text: Callable[[], List[str]]) -> None:
+    """(name, flag, free text) rows; in csv the text's commas become
+    semicolons, so that each row keeps three fields."""
+    _emit(cfg, lambda: [dict(zip(header, row)) for row in rows],
+          lambda: [",".join(header)] + [
+              f"{name},{str(flag).lower()},{free.replace(',', ';')}"
+              for name, flag, free in rows],
+          text)
+
+
+def _order(args, cfg: Config) -> int:
+    return args.order if args.order is not None else cfg.default_order
 
 
 # ---------------------------------------------------------------------------
@@ -86,132 +106,103 @@ def _checked_lines(command: str, result: WordSum | OnePolynomial,
 
 def cmd_series(args, cfg: Config) -> int:
     parts = parse_parts(args.parts)
-    order = args.order if args.order is not None else cfg.default_order
-    series = bracket_series(parts, order)
-    for line in _series_lines(parts, series, cfg.output_format):
-        print(line)
+    series = bracket_series(parts, _order(args, cfg))
+    _emit(cfg,
+          lambda: {"composition": list(parts), "series": series.to_json()},
+          lambda: ["n,coefficient"] + [f"{n},{series.coefficient(n)}"
+                                       for n in range(series.order + 1)],
+          lambda: [series.to_text()])
     return EXIT_OK
 
 
 def cmd_product(args, cfg: Config) -> int:
-    w = parse_parts(args.left)
-    v = parse_parts(args.right)
-    order = args.order if args.order is not None else cfg.default_order
+    w, v = parse_parts(args.left), parse_parts(args.right)
+    order = _order(args, cfg)
     result = quasi_shuffle(word(*w), word(*v))
     ok = evaluate(result, order) == bracket_series(w, order) * bracket_series(v, order)
-    for line in _checked_lines("product", result, _word_sum_csv(result),
-                               cfg.output_format, order, ok,
-                               "quasi-shuffle matches the series product"):
-        print(line)
+    _emit_checked(cfg, "product", result,
+                  lambda: _terms_csv("word,coefficient", [("", result)]),
+                  order, ok, "quasi-shuffle matches the series product")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_derive(args, cfg: Config) -> int:
     parts = parse_parts(args.parts)
-    order = args.order if args.order is not None else cfg.default_order
+    order = _order(args, cfg)
     # d_general's own check is the verdict: it raises (exit 3) on a mismatch
     result = d_general(parts, verify_order=order)
-    for line in _checked_lines("derive", result, _word_sum_csv(result),
-                               cfg.output_format, order, True,
-                               "expression matches q d/dq of the series"):
-        print(line)
+    _emit_checked(cfg, "derive", result,
+                  lambda: _terms_csv("word,coefficient", [("", result)]),
+                  order, True, "expression matches q d/dq of the series")
     return EXIT_OK
 
 
 def cmd_decompose(args, cfg: Config) -> int:
     parts = parse_parts(args.parts)
-    order = args.order if args.order is not None else cfg.default_order
+    order = _order(args, cfg)
     poly = decompose_in_one(word(*parts))
     ok = poly.substitute_one(order) == bracket_series(parts, order)
-    rows = ["power,word,coefficient"]
-    rows += [f"{j},{_word_label(t)},{c}"
-             for j, p in enumerate(poly.powers) for t, c in p.terms()]
-    for line in _checked_lines("decompose", poly, rows, cfg.output_format,
-                               order, ok, "substituting the series [1] for T "
-                               "reproduces the bracket"):
-        print(line)
+    _emit_checked(cfg, "decompose", poly,
+                  lambda: _terms_csv("power,word,coefficient",
+                                     ((f"{j},", p)
+                                      for j, p in enumerate(poly.powers))),
+                  order, ok, "substituting the series [1] for T reproduces "
+                  "the bracket")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_dims(args, cfg: Config) -> int:
     table = dimension_table(args.space, args.max_weight, args.order,
                             kind=args.kind)
-    if cfg.output_format == "json":
-        doc = {"space": table.space, "kind": table.kind,
-               "cells": [{"k": k, "l": l,
-                          "value": table.value(k, l),
-                          "certainty": table.certainty(k, l)}
-                         for (k, l) in sorted(table.cells)]}
-        text = json.dumps(doc, indent=2) + "\n"
-    elif cfg.output_format == "csv":
-        text = table.to_csv()
-    else:
-        text = table.to_text()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    emit = functools.partial(
+        _emit, cfg, lambda: {"space": table.space, "kind": table.kind,
+                 "cells": [{"k": k, "l": l, "value": table.value(k, l),
+                            "certainty": table.certainty(k, l)}
+                           for (k, l) in sorted(table.cells)]},
+        lambda: table.to_csv().splitlines(),
+        lambda: table.to_text().splitlines())
+    if not args.out:
+        emit()
+        return EXIT_OK
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle, \
+                contextlib.redirect_stdout(handle):
+            emit()
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_relations(args, cfg: Config) -> int:
     rels = relation_search(args.space, args.weight, args.length, args.order)
-    if cfg.output_format == "json":
-        print(json.dumps({"space": args.space, "weight": args.weight,
-                          "length": args.length,
-                          "relations": [r.to_json() for r in rels]}, indent=2))
-    elif cfg.output_format == "csv":
-        lines = ["relation,word,coefficient"]
-        for i, rel in enumerate(rels):
-            for t, c in rel.body.normalized().terms():
-                lines.append(f"{i},{_word_label(t)},{c}")
-        print("\n".join(lines))
-    else:
-        if not rels:
-            print(f"no relations among the generators of weight <= "
-                  f"{args.weight}, length <= {args.length}")
-        for rel in rels:
-            print(f"0 = {rel.body.normalized().to_text()}   "
-                  f"({rel.status}, zero through q^{rel.verified_order})")
+    _emit(cfg,
+          lambda: {"space": args.space, "weight": args.weight,
+                   "length": args.length,
+                   "relations": [r.to_json() for r in rels]},
+          lambda: _terms_csv("relation,word,coefficient",
+                             ((f"{i},", r.body) for i, r in enumerate(rels))),
+          lambda: [f"0 = {r.body.to_text()}   ({r.status}, zero through "
+                   f"q^{r.verified_order})" for r in rels]
+          or [f"no relations among the generators of weight <= "
+              f"{args.weight}, length <= {args.length}"])
     return EXIT_OK
 
 
 def cmd_verify(args, cfg: Config) -> int:
     if args.list:
-        if cfg.output_format == "json":
-            print(json.dumps([{"name": c.name, "quick": c.quick,
-                               "description": c.description}
-                              for c in REGISTRY], indent=2))
-        elif cfg.output_format == "csv":
-            print("name,quick,description")
-            for c in REGISTRY:
-                print(f"{c.name},{str(c.quick).lower()},{c.description}")
-        else:
-            for c in REGISTRY:
-                kind = "quick" if c.quick else "full "
-                print(f"{kind} {c.name:<28} {c.description}")
+        _emit_rows(cfg, ("name", "quick", "description"),
+                   [(c.name, c.quick, c.description) for c in REGISTRY],
+                   lambda: [f"{'quick' if c.quick else 'full '} {c.name:<28} "
+                            f"{c.description}" for c in REGISTRY])
         return EXIT_OK
     names = args.only.split(",") if args.only is not None else None
     results = run_suite(names=names, quick=args.quick)
-    if cfg.output_format == "json":
-        print(json.dumps([{"name": r.name, "pass": r.passed,
-                           "detail": r.detail}
-                          for r in results], indent=2))
-    elif cfg.output_format == "csv":
-        print("name,pass,detail")
-        for r in results:
-            detail = r.detail.replace(",", ";")
-            print(f"{r.name},{str(r.passed).lower()},{detail}")
-    else:
-        for r in results:
-            print(r.line())
+    _emit_rows(cfg, ("name", "pass", "detail"),
+               [(r.name, r.passed, r.detail) for r in results],
+               lambda: [r.line() for r in results])
     failed = first_failure(results)
     if failed is not None:
         print(f"first failure: {failed.name} ({failed.detail})",

@@ -121,29 +121,11 @@ class QSeries:
         }
 
     def to_text(self) -> str:
-        parts: list[str] = []
-        for n, x in enumerate(self.nums):
-            if not x:
-                continue
-            p, q = _lowest(x, self.den)
-            c = str(p) if q == 1 else f"{p}/{q}"
-            if n == 0:
-                parts.append(c)
-                continue
-            mono = "q" if n == 1 else f"q^{n}"
-            if c == "1":
-                term = mono
-            elif c == "-1":
-                term = f"-{mono}"
-            else:
-                term = f"{c}*{mono}"
-            parts.append(term)
-        if not parts:
-            parts.append("0")
-        text = parts[0]
-        for term in parts[1:]:
-            text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return f"{text} + O(q^{self.order + 1})"
+        den = self.den
+        return _signed_sum((Fraction(x, den) if den != 1 else x,
+                            "" if n == 0 else "q" if n == 1 else f"q^{n}")
+                           for n, x in enumerate(self.nums) if x) \
+            + f" + O(q^{self.order + 1})"
 
 
 def _linear(order: int, terms: Iterable[tuple[RationalLike, QSeries]]) -> QSeries:
@@ -161,13 +143,23 @@ def _linear(order: int, terms: Iterable[tuple[RationalLike, QSeries]]) -> QSerie
     return QSeries(order, tuple(out), den)
 
 
-def _lowest(x: int, den: int) -> tuple[int, int]:
-    g = gcd(x, den)
-    return x // g, den // g
-
-
 def _rat_str(x: int, den: int) -> str:
-    return "%d/%d" % _lowest(x, den)
+    g = gcd(x, den)
+    return f"{x // g}/{den // g}"
+
+
+def _signed_sum(terms: Iterable[tuple[RationalLike, str]]) -> str:
+    """The (coefficient, name) terms as c*name joined by + and -: a
+    coefficient 1 or -1 is shown as the sign alone, and a term with an
+    empty name as its coefficient alone.  No terms read 0."""
+    text = ""
+    for c, name in terms:
+        term = (str(c) if not name else name if c == 1
+                else f"-{name}" if c == -1 else f"{c}*{name}")
+        if text:
+            term = f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+        text += term
+    return text or "0"
 
 
 def eta24(order: int) -> QSeries:

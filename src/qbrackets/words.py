@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .brackets import bracket_series, bracket_series_many, canonical_key
 from .numbers import as_composition, lambda_coeff
-from .series import QSeries, _linear
+from .series import QSeries, _linear, _signed_sum
 
 Word = tuple[int, ...]
 
@@ -127,22 +127,8 @@ class WordSum:
         return f"WordSum({self.to_text()})"
 
     def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, c in self._terms.items():
-            name = "[" + ",".join(map(str, w)) + "]" if w else "1"
-            if c == 1:
-                term = name
-            elif c == -1:
-                term = f"-{name}"
-            else:
-                term = f"{c}*{name}"
-            parts.append(term)
-        text = parts[0]
-        for term in parts[1:]:
-            text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return text
+        return _signed_sum((c, "[" + ",".join(map(str, w)) + "]" if w else "1")
+                           for w, c in self._terms.items())
 
     def to_json(self) -> dict:
         return {"terms": [{"parts": list(w),
@@ -269,19 +255,10 @@ class OnePolynomial:
         return f"OnePolynomial({self.to_text()})"
 
     def to_text(self) -> str:
-        if not self._powers:
-            return "0"
-        chunks = []
-        for j, p in enumerate(self._powers):
-            if p.is_zero():
-                continue
-            body = p.to_text()
-            if j == 0:
-                chunks.append(body)
-            else:
-                t = "T" if j == 1 else f"T^{j}"
-                chunks.append(f"({body})*{t}")
-        return " + ".join(chunks) if chunks else "0"
+        return " + ".join(
+            p.to_text() if j == 0
+            else f"({p.to_text()})*{'T' if j == 1 else f'T^{j}'}"
+            for j, p in enumerate(self._powers) if not p.is_zero()) or "0"
 
     def to_json(self) -> dict:
         return {"powers": [p.to_json() for p in self._powers]}

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbrackets import (SPACES, Config, QSeries, Relation, WordSum,
-                       bracket_series, brackets, checks, derivation,
+                       bracket_series, brackets, checks, cli, derivation,
                        get_config, linalg, modular, set_config, word)
 from qbrackets.checks import REGISTRY, REL4, Check, CheckFailure, run_suite
 from qbrackets.cli import EXIT_PIPE, main
@@ -155,6 +155,18 @@ def test_dims_out_file(tmp_path, capsys):
     assert str(target) in out
     content = target.read_text()
     assert content.startswith("space,kind,k,l,value,certainty")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_dims_out_holds_the_stdout_bytes(tmp_path, capsys, fmt):
+    argv = ["--format", fmt, "dims", "--space", "md", "--max-weight", "5",
+            "--kind", "gr"]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / f"table.{fmt}"
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (0, f"wrote {target}\n")
+    assert target.read_bytes() == stdout.encode()
 
 
 def test_dims_out_into_a_missing_directory_exits_2(tmp_path, capsys):
@@ -360,6 +372,20 @@ def test_verify_list_follows_the_format(capsys):
     assert rows[0] == ["name", "quick", "description"]
     assert rows[1:] == [[c["name"], str(c["quick"]).lower(),
                          c["description"]] for c in listed]
+
+
+def test_csv_free_text_keeps_three_fields(capsys, monkeypatch):
+    # a description (verify --list) and a detail (verify) follow one rule
+    fake = (Check("commas", "one, two, three", True, lambda: "a, b, c"),)
+    monkeypatch.setattr(cli, "REGISTRY", fake)
+    monkeypatch.setattr(checks, "REGISTRY", fake)
+    for argv, row in [(["--list"], ["commas", "true", "one; two; three"]),
+                      ([], ["commas", "true", "a; b; c"])]:
+        code, out, _ = run(capsys, "--format", "csv", "verify", *argv)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(len(r) == 3 for r in rows)
+        assert rows[1:] == [row]
 
 
 def test_a_reader_that_closed_early_gets_exit_5_and_no_traceback():
@@ -652,6 +678,24 @@ GOLDEN_SHA256 = {
         "cf179330a53ea7973c5107c9129de52b2a1edededbc6881d19d23816234c80be",
     "--format csv decompose 1,1,1,2 --order 30":
         "1b62169a59393aae09555cb42ed66fbdb5c57b670a0407b543433958640541ca",
+    "relations --weight 4 --length 2 --order 200":
+        "030846ff30d8257c5887b1a2b754cf5eace4eb4934ce44f83c65454caeafb674",
+    "relations --weight 3 --length 1":
+        "d9ec42ab67af3484754a78a0ac71b41e8da24d571823c0969b5d9e35a68eb86a",
+    "--format csv relations --weight 6 --length 6":
+        "1dfed60d1f74b9faf757e8df8d20165a6c4cbbbc5cedd2d120ab7f0521a1d0b9",
+    "verify --list":
+        "0c052a875906a93762534fa3eed628a8e6b43b09e622fdec8d4dfd0eea42d7a0",
+    "--format json verify --list":
+        "1b7d1d6cbc9e1f22baceec64fc8cce48d24bb7958942a3a95232bd2b40f73dfd",
+    "--format csv verify --list":
+        "24d900ac1653f3f23b6c1722f31f6fb7e010abd684095713984b5b28db29ec16",
+    "dims --space mda --max-weight 6":
+        "1492cfe6c2395fef8b78ef07d9855302b32451f0c18cba1f20afd28e764a3fe5",
+    "--format json dims --space md --max-weight 5 --kind gr":
+        "8ff7c669365bb8d037afe8ffdb56eb974872e2d3cde81553c318d1572e965d34",
+    "--format csv dims --space md --max-weight 5 --kind gr":
+        "e4fe259e71b304171ade46439684b91da2796bbb65ec950b681d4d85f44ef4c5",
 }
 
 

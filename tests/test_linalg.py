@@ -593,3 +593,16 @@ def test_md_top_cells_sum_the_mda_top_cells():
     assert tops == [sum(mda.value(j, j) for j in range(k + 1))
                     for k in range(7)]
     assert tops == [1, 2, 4, 8, 15, 28, 51]
+
+
+def test_relation_bodies_are_already_monic():
+    # a kernel vector is 1 at its free column, the canonically greatest
+    # word of the relation, so printing rel.body equals printing the
+    # normalized body
+    rels = [rel for args in [("mda", 4, 2), ("mda", 6, 6), ("mda", 7, 7),
+                             ("md", 5, 3), ("md", 6, 4)]
+            for rel in relation_search(*args)]
+    rels += homogeneous_relation_search(9, 3, 300)
+    assert len(rels) == 51
+    for rel in rels:
+        assert rel.body == rel.body.normalized()
