@@ -12,10 +12,10 @@ so the quick pass stays under a few seconds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ._value import Value
 from .brackets import bracket_series, bracket_series_many, \
     bracket_series_oracle_many, multiple_divisor_sum, partition_identity_check
 from .derivation import d_general, d_len1, d_len2, leibniz_relations, \
@@ -37,12 +37,12 @@ class CheckFailure(AssertionError):
     """Raised by a check body with a human-readable reason."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CheckResult(Value):
+    __slots__ = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str,
+                 seconds: float) -> None:
+        super().__init__(name, passed, detail, seconds)
 
     def line(self) -> str:
         """Stable one-line report; timings stay off it so identical runs
@@ -405,12 +405,12 @@ def check_homogeneous_relations() -> str:
 # registry
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    description: str
-    quick: bool
-    run: Callable[[], str]
+class Check(Value):
+    __slots__ = ("name", "description", "quick", "run")
+
+    def __init__(self, name: str, description: str, quick: bool,
+                 run: Callable[[], str]) -> None:
+        super().__init__(name, description, quick, run)
 
 
 REGISTRY: Tuple[Check, ...] = (

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import os
@@ -25,7 +24,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .brackets import bracket_series
 from .checks import REGISTRY, first_failure, run_suite
-from .config import FORMATS, Config, ResourceCap, load_config, set_config
+from .config import FORMATS, Config, ResourceCap, _environment_values, \
+    set_config
 from .derivation import d_general
 from .linalg import SPACES, TABLE_KINDS, dimension_table, relation_search
 from .words import OnePolynomial, WordSum, decompose_in_one, evaluate, \
@@ -278,12 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args) -> Config:
-    """The environment's config with the global flags that were given laid
-    over it; Config itself range-checks the values from both sources."""
-    overrides = {field: getattr(args, field)
-                 for field in ("output_format", "max_cells")
-                 if getattr(args, field) is not None}
-    return dataclasses.replace(load_config(), **overrides)
+    """The environment's values with the global flags that were given laid
+    over them, in one Config, which range-checks the values from both
+    sources."""
+    flags = {field: getattr(args, field)
+             for field in ("output_format", "max_cells")
+             if getattr(args, field) is not None}
+    return Config(**{**_environment_values(os.environ), **flags})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -5,7 +5,8 @@ Every Config is range-checked when it is made, whatever its source."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+
+from ._value import Value
 
 ENV_PREFIX = "QBRACKETS_"
 FORMATS = ("text", "json", "csv")
@@ -15,21 +16,21 @@ class ResourceCap(RuntimeError):
     """A series sweep would hold more than max_cells coefficient cells."""
 
 
-@dataclass(frozen=True)
-class Config:
-    default_order: int = 120
-    output_format: str = "text"
-    max_cells: int = 2_000_000       # cap on suffix rows x order per sweep
+class Config(Value):
+    """The effective options; max_cells caps suffix rows x order per sweep."""
 
-    def __post_init__(self) -> None:
-        if self.default_order < 1:
+    __slots__ = ("default_order", "output_format", "max_cells")
+
+    def __init__(self, default_order: int = 120, output_format: str = "text",
+                 max_cells: int = 2_000_000) -> None:
+        if default_order < 1:
             raise ValueError(f"default_order must be at least 1, got "
-                             f"{self.default_order}")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.max_cells < 1:
-            raise ValueError(f"max_cells must be at least 1, got "
-                             f"{self.max_cells}")
+                             f"{default_order}")
+        if output_format not in FORMATS:
+            raise ValueError(f"unknown output format {output_format!r}")
+        if max_cells < 1:
+            raise ValueError(f"max_cells must be at least 1, got {max_cells}")
+        super().__init__(default_order, output_format, max_cells)
 
 
 _ENV_FIELDS = {
@@ -40,19 +41,25 @@ _ENV_FIELDS = {
 
 
 def load_config(environ: dict | None = None) -> Config:
-    env = os.environ if environ is None else environ
-    updates = {}
+    return Config(**_environment_values(
+        os.environ if environ is None else environ))
+
+
+def _environment_values(environ) -> dict:
+    """The field values that the QBRACKETS_* variables of environ set, each
+    range-checked alone so that an error names its variable."""
+    values = {}
     for key, (field, cast) in _ENV_FIELDS.items():
-        raw = env.get(ENV_PREFIX + key)
+        raw = environ.get(ENV_PREFIX + key)
         if raw is None:
             continue
         try:
-            updates[field] = cast(raw)
-            Config(**{field: updates[field]})
+            values[field] = cast(raw)
+            Config(**{field: values[field]})
         except ValueError as exc:
             raise ValueError(f"bad value for {ENV_PREFIX + key}: {raw!r} "
                              f"({exc})") from exc
-    return Config(**updates)
+    return values
 
 
 _ACTIVE: Config | None = None

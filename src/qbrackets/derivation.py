@@ -14,11 +14,11 @@ relations between brackets; those are packaged as Relation values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from ._value import Value
 from .brackets import bracket_series
 from .config import get_config
 from .numbers import as_composition, compositions_up_to
@@ -34,8 +34,7 @@ def _order(verify_order: int | None) -> int:
     return get_config().default_order if verify_order is None else verify_order
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Value):
     """A WordSum asserted to be zero, with its origin and verification depth.
 
     Relations from expression-level identities (split, Leibniz, modular) are
@@ -43,9 +42,11 @@ class Relation:
     matter how far it was verified.
     """
 
-    body: WordSum
-    provenance: str
-    verified_order: int
+    __slots__ = ("body", "provenance", "verified_order")
+
+    def __init__(self, body: WordSum, provenance: str,
+                 verified_order: int) -> None:
+        super().__init__(body, provenance, verified_order)
 
     @property
     def weight(self) -> int:

@@ -27,12 +27,12 @@ pivots below m; the pivot set does not depend on the order of the rows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, gcd, lcm
 from typing import Dict, Iterable, KeysView, List, Mapping, Sequence, Tuple
 
+from ._value import Value
 from .brackets import _sigma_lists, bracket_series_many
 from .config import ResourceCap, get_config
 from .derivation import Relation, proven_relation_corpus
@@ -81,11 +81,13 @@ def _series_kernel(series: Sequence[QSeries]) -> List[Tuple[Fraction, ...]]:
     return IntEchelon(zip(*columns)).kernel_basis(len(series))
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Value):
     """A dense matrix of Fractions with exact rank and kernel."""
 
-    entries: Tuple[Tuple[Fraction, ...], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Tuple[Tuple[Fraction, ...], ...]) -> None:
+        super().__init__(entries)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[Fraction | int]]) -> "ExactMatrix":
@@ -412,16 +414,17 @@ def _table_rows(space: str, k: int, gens: Sequence[Parts], order: int | None,
 # dimension tables
 
 
-@dataclass(frozen=True)
-class DimensionTable:
+class DimensionTable(Value):
     """Values for the cells (k, l) of one dimension table.
 
     Every cell carries a certainty tag: exact or lower_bound.
     """
 
-    space: str
-    kind: str
-    cells: Mapping[Cell, Tuple[int, str]]
+    __slots__ = ("space", "kind", "cells")
+
+    def __init__(self, space: str, kind: str,
+                 cells: Mapping[Cell, Tuple[int, str]]) -> None:
+        super().__init__(space, kind, cells)
 
     def value(self, k: int, l: int) -> int:
         return self.cells[(k, l)][0]

@@ -9,41 +9,54 @@ an error, never a guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
+from ._value import Value
+
 RationalLike = Fraction | int
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(Value):
     """(nums[0] + nums[1] q + ... + nums[order] q^order) / den.
 
     The fraction is kept in lowest terms, gcd(den, *nums) == 1 with den > 0,
     so equal series have equal fields.  coeffs and coefficient() return
-    Fractions.
+    Fractions.  Series are built hundreds of times per command, so the
+    constructor, equality and hash are written out here rather than taken
+    from Value.
     """
 
-    order: int
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("order", "nums", "den")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, order: int, nums: tuple[int, ...], den: int = 1) -> None:
+        if order < 0:
             raise ValueError("order must be non-negative")
-        if len(self.nums) != self.order + 1:
+        if len(nums) != order + 1:
             raise ValueError(
-                f"series of order {self.order} needs exactly {self.order + 1} "
-                f"numerators, got {len(self.nums)}")
-        if self.den < 1:
+                f"series of order {order} needs exactly {order + 1} "
+                f"numerators, got {len(nums)}")
+        if den < 1:
             raise ValueError("denominator must be positive")
-        if self.den != 1:
-            g = gcd(self.den, *self.nums)
+        if den != 1:
+            g = gcd(den, *nums)
             if g != 1:
-                object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
-                object.__setattr__(self, "den", self.den // g)
+                nums = tuple(x // g for x in nums)
+                den //= g
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a field tuple, so that a shared nums compares by identity
+        return (self.order, self.nums, self.den) == \
+            (other.order, other.nums, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.nums, self.den))
 
     # -- constructors ------------------------------------------------------
 

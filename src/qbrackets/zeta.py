@@ -14,13 +14,13 @@ q-series must map to an MZV combination vanishing numerically.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from ._value import Value
 from .numbers import as_composition, bernoulli
 from .words import WordSum, decompose_in_one
 
@@ -189,17 +189,16 @@ def _nested_value(comp: Parts, level: int):
             Fraction(err, one) + Fraction(1, 10 ** (_digits(level) - 12)))
 
 
-@dataclass(frozen=True)
-class MzvValue:
+class MzvValue(Value):
     """A multiple zeta value with a rigorous absolute error bound, both
     exact: the value is an integer over 2^bits of its precision level."""
 
-    index: Parts
-    value: Fraction
-    error_bound: Fraction
+    __slots__ = ("index", "value", "error_bound")
 
-    def __post_init__(self) -> None:
-        _require_admissible(self.index)
+    def __init__(self, index: Parts, value: Fraction,
+                 error_bound: Fraction) -> None:
+        _require_admissible(index)
+        super().__init__(index, value, error_bound)
 
 
 # (index, level) -> the value at cutoff _CUTOFF << level and _DPS + 20 * level
@@ -256,15 +255,15 @@ def mzv_oracle(c: Sequence[int]) -> float:
 # the weight-k evaluation maps
 
 
-@dataclass(frozen=True)
-class ZImage:
+class ZImage(Value):
     """Image of a bracket combination under the weight-k evaluation:
     the weight-k words as zeta symbols plus their exact numeric total."""
 
-    weight: int
-    combination: Mapping[Parts, Fraction]
-    value: Fraction
-    error_bound: Fraction
+    __slots__ = ("weight", "combination", "value", "error_bound")
+
+    def __init__(self, weight: int, combination: Mapping[Parts, Fraction],
+                 value: Fraction, error_bound: Fraction) -> None:
+        super().__init__(weight, combination, value, error_bound)
 
 
 def _combination_value(combination: Mapping[Parts, Fraction]):
@@ -299,14 +298,16 @@ def Z_k_symbolic(w: WordSum, k: int) -> ZImage:
     return ZImage(k, combination, value, err)
 
 
-@dataclass(frozen=True)
-class ZPolynomial:
+class ZPolynomial(Value):
     """Polynomial in the indeterminate T = Z([1]) with numeric
     coefficients; coefficients[j] = (value, error_bound) for T^j, both
     exact Fractions."""
 
-    weight: int
-    coefficients: Tuple[Tuple[Fraction, Fraction], ...]
+    __slots__ = ("weight", "coefficients")
+
+    def __init__(self, weight: int,
+                 coefficients: Tuple[Tuple[Fraction, Fraction], ...]) -> None:
+        super().__init__(weight, coefficients)
 
     def max_abs(self) -> float:
         return max((abs(float(v)) for v, _ in self.coefficients),

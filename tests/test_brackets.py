@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (QSeries, ResourceCap, bracket_series,
+from qbrackets import (Config, QSeries, ResourceCap, bracket_series,
                        bracket_series_many, bracket_series_oracle,
                        bracket_series_oracle_many, canonical_key,
                        compositions_up_to, d_general, d_len1, d_len2,
@@ -274,7 +273,8 @@ def cap_cells(monkeypatch):
     """A cold sweep cache, and a setter for the active config's max_cells."""
     monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
     before = get_config()
-    yield lambda n: set_config(replace(before, max_cells=n))
+    yield lambda n: set_config(Config(before.default_order,
+                                      before.output_format, n))
     set_config(before)
 
 

@@ -1,6 +1,12 @@
+import argparse
+
 import pytest
 
 from qbrackets import Config, get_config, load_config, set_config
+from qbrackets.cli import _effective_config
+from qbrackets.config import ENV_PREFIX, _ENV_FIELDS
+
+ENV_NAMES = {field: ENV_PREFIX + key for key, (field, _) in _ENV_FIELDS.items()}
 
 
 def test_defaults():
@@ -37,10 +43,21 @@ def test_invalid_environment_rejected():
     ("output_format", "yaml"), ("max_cells", 0), ("max_cells", -3),
     ("default_order", 0), ("default_order", -5),
 ])
-def test_config_rejects_out_of_range_values(field, value):
-    # load_config and dataclasses.replace both construct through this check
+def test_config_rejects_out_of_range_values(monkeypatch, field, value):
+    # a direct construction, an environment value and a flag override all
+    # construct through this check
     with pytest.raises(ValueError):
         Config(**{field: value})
+    with pytest.raises(ValueError, match=f"bad value for {ENV_NAMES[field]}"):
+        load_config(environ={ENV_NAMES[field]: str(value)})
+    if field == "default_order":  # the one field without a global flag
+        return
+    # a good environment value does not shield a bad flag laid over it
+    monkeypatch.setenv(ENV_NAMES[field], str(getattr(Config(), field)))
+    flags = argparse.Namespace(output_format=None, max_cells=None)
+    setattr(flags, field, value)
+    with pytest.raises(ValueError):
+        _effective_config(flags)
 
 
 def test_active_config_round_trip():

@@ -94,6 +94,18 @@ def test_exact_commands_load_only_the_standard_library():
         ["qbrackets"]
 
 
+# Modules the package must not load: dataclasses pulls in inspect, and
+# through it ast, dis and tokenize, which together cost every command a
+# noticeable share of its start-up.
+STARTUP_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_importing_the_package_loads_no_introspection_modules():
+    script = ("import qbrackets, qbrackets.cli\n"
+              "print(sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    assert fresh(script, *STARTUP_EXCLUDED) == "[]\n"
+
+
 def test_the_zeta_layer_runs_where_mpmath_cannot_be_imported():
     script = ("import io, contextlib, importlib.abc\n"
               "class Refuse(importlib.abc.MetaPathFinder):\n"

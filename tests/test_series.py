@@ -1,4 +1,7 @@
+import copy
 import json
+import pickle
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import QSeries, eta24
+from qbrackets import (CheckResult, Config, DimensionTable, ExactMatrix,
+                       MzvValue, QSeries, Relation, ZImage, ZPolynomial,
+                       eta24, word)
+from qbrackets.checks import Check, check_series_examples
 
 rationals = st.fractions(min_value=-5, max_value=5)
 
@@ -139,7 +145,6 @@ def test_matches_fraction_reference(a, b, c, data):
 def test_constructor_reduces_and_validates():
     s = QSeries(2, (2, -4, 6), 4)
     assert (s.nums, s.den) == ((1, -2, 3), 2)
-    assert hash(s) == hash(QSeries(2, (1, -2, 3), 2))
     assert QSeries(1, (0, 0), 7) == QSeries.zero(1)
     with pytest.raises(ValueError):
         QSeries(2, (1, 2))
@@ -147,3 +152,47 @@ def test_constructor_reduces_and_validates():
         QSeries(1, (1, 2), 0)
     with pytest.raises(ValueError):
         QSeries(-1, ())
+
+
+# Every value class of the package: the constructor arguments of one
+# instance, those of an equal one, and whether its fields are hashable.
+VALUES = [
+    (QSeries, (2, (2, -4, 6), 4), (2, (1, -2, 3), 2), True),
+    (Relation, (word(2, 1) - word(3), "leibniz", 40), None, True),
+    (Config, (40, "json", 1000), None, True),
+    (ExactMatrix, (((Fraction(1), Fraction(-2)),),), None, True),
+    (DimensionTable, ("mda", "fil", {(2, 1): (1, "exact")}), None, False),
+    (MzvValue, ((2,), Fraction(1, 2), Fraction(1, 10**12)), None, True),
+    (ZImage, (2, {(2,): Fraction(1)}, Fraction(1), Fraction(0)), None, False),
+    (ZPolynomial, (2, ((Fraction(1), Fraction(0)),)), None, True),
+    (CheckResult, ("series-examples", True, "fine", 0.5), None, True),
+    (Check, ("series-examples", "opening expansions", True,
+             check_series_examples), None, True),
+]
+
+
+@pytest.mark.parametrize("cls, args, equal_args, hashable", VALUES,
+                         ids=[v[0].__name__ for v in VALUES])
+def test_value_semantics(cls, args, equal_args, hashable):
+    value, equal = cls(*args), cls(*(equal_args or args))
+    fields = cls.__slots__
+    assert value == equal and not value != equal
+    if hashable:
+        assert hash(value) == hash(equal)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    # equal only to its own class: not to its field tuple, nor to a
+    # subclass instance with the same fields
+    assert value != tuple(getattr(value, name) for name in fields)
+    twin = type("Twin", (cls,), {"__slots__": ()})(*args)
+    assert value != twin and twin != value
+    for name in (fields[0], "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert re.fullmatch(cls.__name__ + r"\(" + ", ".join(
+        f"{name}=.+" for name in fields) + r"\)", repr(value))
+    assert copy.copy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
