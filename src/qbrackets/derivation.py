@@ -22,7 +22,7 @@ from ._value import Value
 from .brackets import bracket_series
 from .config import get_config
 from .numbers import as_composition, compositions_up_to
-from .words import WordSum, evaluate, quasi_shuffle, word
+from .words import WordSum, _linear_extension, evaluate, quasi_shuffle, word
 
 Parts = tuple[int, ...]
 
@@ -110,23 +110,24 @@ def d_len1(s1: int, s2: int, verify_order: int | None = None) -> WordSum:
     if s < 1:
         raise ValueError(f"split ({s1},{s2}) has nothing to derive: s1+s2 must exceed 2")
     binom = comb(s, s1 - 1)
-    terms = [*quasi_shuffle(word(s1), word(s2)).terms(), ((s + 1,), binom)]
+    terms = [((s + 1,), binom)]
     terms += [((a, s + 2 - a), -(comb(a - 1, s1 - 1) + comb(a - 1, s2 - 1)))
               for a in range(1, s + 2)]
-    expr = WordSum(terms).scale(Fraction(s, binom))
-    return _verified((s,), expr, f"len1-split({s1},{s2})", verify_order)
+    expr = quasi_shuffle(word(s1), word(s2)) + WordSum(terms)
+    return _verified((s,), expr.scale(Fraction(s, binom)),
+                     f"len1-split({s1},{s2})", verify_order)
 
 
 def d_len2(s1: int, s2: int, verify_order: int | None = None) -> WordSum:
     """Closed form for d[s1,s2]."""
     s1, s2 = as_composition((s1, s2))
-    terms = [*quasi_shuffle(word(2), word(s1, s2)).terms(),
-             ((s1 + 1, s2, 1), -s1), ((s1, s2 + 1, 1), -s2), ((s1, s2, 2), -1),
+    terms = [((s1 + 1, s2, 1), -s1), ((s1, s2 + 1, 1), -s2), ((s1, s2, 2), -1),
              ((s1 + 1, s2), 2 * s1), ((s1, s2 + 1), s2)]
     terms += [((a, s1 + 2 - a, s2), -(a - 1)) for a in range(1, s1 + 2)]
     terms += [((s1 + 1, a, s2 + 1 - a), -s1) for a in range(1, s2 + 1)]
     terms += [((s1, a, s2 + 2 - a), -(a - 1)) for a in range(1, s2 + 2)]
-    return _verified((s1, s2), WordSum(terms), "len2-closed-form", verify_order)
+    expr = quasi_shuffle(word(2), word(s1, s2)) + WordSum(terms)
+    return _verified((s1, s2), expr, "len2-closed-form", verify_order)
 
 
 def _d_general_body(c: Parts) -> WordSum:
@@ -140,9 +141,8 @@ def _d_general_body(c: Parts) -> WordSum:
     each with the combinatorial multiplicity the extraction dictates.
     """
     l = len(c)
-    terms = [*quasi_shuffle(word(2), word(*c)).terms()]
     # raised by one with appended 1, and the appended 2
-    terms += [(c[:i] + (c[i] + 1,) + c[i + 1:] + (1,), -c[i]) for i in range(l)]
+    terms = [(c[:i] + (c[i] + 1,) + c[i + 1:] + (1,), -c[i]) for i in range(l)]
     terms.append((c + (2,), -1))
     # pair splittings of each slot
     for j in range(l):
@@ -154,10 +154,12 @@ def _d_general_body(c: Parts) -> WordSum:
     # raised by one alone
     terms += [(c[:i] + (c[i] + 1,) + c[i + 1:], c[i])
               for j in range(l) for i in range(j + 1)]
-    return WordSum(terms)
+    return quasi_shuffle(word(2), word(*c)) + WordSum(terms)
 
 
-@lru_cache(maxsize=None)
+# proven_relation_corpus(8) leaves 63 entries and the corpus of weight 9
+# 127 (see the word-layer caches in words.py), so 512 evicts nothing there
+@lru_cache(maxsize=512)
 def _d_general_cached(c: Parts, verify_order: int) -> WordSum:
     return _verified(c, _d_general_body(c), "general-extraction", verify_order)
 
@@ -169,8 +171,8 @@ def d_general(c: Parts | list[int], verify_order: int | None = None) -> WordSum:
 
 def d_word_sum(w: WordSum, verify_order: int | None = None) -> WordSum:
     """Termwise derivative of a WordSum (the empty word maps to zero)."""
-    return WordSum((u, coeff * k) for t, coeff in w.terms() if t
-                   for u, k in d_general(t, verify_order).terms())
+    return _linear_extension(
+        lambda t: d_general(t, verify_order) if t else WordSum(), w)
 
 
 # ---------------------------------------------------------------------------

@@ -48,17 +48,11 @@ SPACES = ("md", "mda")
 TABLE_KINDS = ("fil", "gr")
 
 
-def _require_space(space: str) -> str:
-    name = space.lower()
-    if name not in SPACES:
-        raise ValueError(f"unknown space {space!r}; expected one of {SPACES}")
-    return name
-
-
-def _require_kind(kind: str) -> str:
-    name = kind.lower()
-    if name not in TABLE_KINDS:
-        raise ValueError(f"unknown table kind {kind!r}; expected one of {TABLE_KINDS}")
+def _require(what: str, value: str, choices: Tuple[str, ...]) -> str:
+    """value in lower case; ValueError naming what unless it is a choice."""
+    name = value.lower()
+    if name not in choices:
+        raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
     return name
 
 
@@ -303,7 +297,7 @@ def generators(space: str, max_weight: int,
     """Nonempty compositions spanning the (max_weight, max_length) piece,
     in canonical order; first part > 1 when the space is mda.  Raises
     ResourceCap, before listing any, when they outnumber max_cells."""
-    admissible = _require_space(space) == "mda"
+    admissible = _require("space", space, SPACES) == "mda"
     longest = max_weight if max_length is None else max_length
     _refuse_past_the_cap(count_generators(k, l, admissible)
                          for k in range(1, max_weight + 1)
@@ -475,8 +469,8 @@ def dimension_table(space: str, max_weight: int, order: int | None = None,
     itself a bound the tag stays lower_bound, meaning only "computed from
     bounds", not a bound in either direction.
     """
-    space = _require_space(space)
-    kind = _require_kind(kind)
+    space = _require("space", space, SPACES)
+    kind = _require("table kind", kind, TABLE_KINDS)
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     all_gens = generators(space, max_weight)

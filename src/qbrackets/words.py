@@ -1,114 +1,104 @@
 """The word algebra carrying the quasi-shuffle product.
 
 Words are tuples of positive integer letters; a WordSum is a finite rational
-linear combination of words kept in canonical normal form.  The product of
-two brackets is the image of the quasi-shuffle product of their words, which
-is what evaluate() checks.
+linear combination of words, held as QSeries holds its coefficients: integer
+numerators keyed by word in canonical order over one positive denominator, in
+lowest terms.  Every combination of word sums (sums, scaling, products,
+derivatives, decompositions) is one integer pass, _sum.  The product of two
+brackets is the image of the quasi-shuffle product of their words, which is
+what evaluate() checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Iterable, Iterator, Mapping
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .brackets import bracket_series, bracket_series_many, canonical_key
 from .numbers import as_composition, lambda_coeff
-from .series import QSeries, _linear, _signed_sum
+from .series import QSeries, _linear, _rat_str, _signed_sum
 
 Word = tuple[int, ...]
-
-
-def _normal_form(terms: Iterable[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
-    """Equal words summed, coefficients as Fractions, zero terms dropped,
-    words in canonical order."""
-    summed: dict[Word, Fraction] = {}
-    for word, coeff in terms:
-        if not isinstance(coeff, Fraction):
-            coeff = Fraction(coeff)
-        summed[word] = summed[word] + coeff if word in summed else coeff
-    return {w: summed[w] for w in sorted(summed, key=canonical_key)
-            if summed[w]}
+Row = tuple[int, int, Iterable[tuple[Word, int]]]
 
 
 class WordSum:
-    """An immutable rational linear combination of words (compositions)."""
+    """An immutable rational linear combination of words (compositions):
+    sum nums[w] / den * w, gcd(den, *nums) == 1 with den > 0, so equal sums
+    have equal fields.  terms() and coefficient() return Fractions."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Word, Fraction] | Iterable[tuple[Word, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = _normal_form((as_composition(word), coeff)
-                                   for word, coeff in items)
+        out = _sum([(*Fraction(c).as_integer_ratio(), ((as_composition(w), 1),))
+                    for w, c in items])
+        self._nums, self._den = out._nums, out._den
 
-    @staticmethod
-    def _of_valid(terms: Iterable[tuple[Word, Fraction]]) -> "WordSum":
-        """A WordSum of terms whose words are already compositions: taken
-        from WordSums or built from their letters, so not checked again."""
-        out = WordSum.__new__(WordSum)
-        out._terms = _normal_form(terms)
-        return out
+    def _row(self, p: int = 1, q: int = 1, prefix: Word = ()) -> Row:
+        """This sum times p/q, each word led by prefix, as a row of _sum."""
+        return p, q * self._den, ((prefix + w, x) for w, x in self._nums.items())
 
     # -- mapping style access --------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(self._terms.items())
+        return ((w, Fraction(x, self._den)) for w, x in self._nums.items())
 
     def words(self) -> Iterator[Word]:
-        return iter(self._terms)
+        return iter(self._nums)
 
     def coefficient(self, word: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(word), Fraction(0))
+        return Fraction(self._nums.get(tuple(word), 0), self._den)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WordSum) and self._terms == other._terms
+        return isinstance(other, WordSum) and (self._den, self._nums) == (other._den, other._nums)
 
     def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
+        return hash((self._den, *self._nums.items()))
 
     # -- filtration -------------------------------------------------------------
 
     @property
     def weight(self) -> int:
         """Largest term weight (0 for the zero or empty-word sum)."""
-        return max((sum(w) for w in self._terms), default=0)
+        return max((sum(w) for w in self._nums), default=0)
 
     @property
     def max_length(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
+        return max((len(w) for w in self._nums), default=0)
 
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other: "WordSum") -> "WordSum":
         if not isinstance(other, WordSum):
             return NotImplemented
-        return WordSum._of_valid([*self.terms(), *other.terms()])
+        return _sum([self._row(), other._row()])
 
     def __sub__(self, other: "WordSum") -> "WordSum":
-        return self + (-other)
+        if not isinstance(other, WordSum):
+            return NotImplemented
+        return _sum([self._row(), other._row(-1)])
 
     def __neg__(self) -> "WordSum":
-        return WordSum._of_valid((w, -c) for w, c in self._terms.items())
+        return _sum([self._row(-1)])
 
     def scale(self, c: Fraction | int) -> "WordSum":
-        c = Fraction(c)
-        if c == 0:
-            return WordSum()
-        return WordSum._of_valid((w, cc * c) for w, cc in self._terms.items())
+        return _sum([self._row(*Fraction(c).as_integer_ratio())])
 
     def normalized(self) -> "WordSum":
         """The normal form up to scale: coefficient 1 at the canonically
         greatest word, the last term.  The zero sum stays zero."""
-        if not self._terms:
+        if not self._nums:
             return self
-        return self.scale(1 / next(reversed(self._terms.values())))
+        return self.scale(Fraction(self._den, next(reversed(self._nums.values()))))
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -128,12 +118,36 @@ class WordSum:
 
     def to_text(self) -> str:
         return _signed_sum((c, "[" + ",".join(map(str, w)) + "]" if w else "1")
-                           for w, c in self._terms.items())
+                           for w, c in self.terms())
 
     def to_json(self) -> dict:
-        return {"terms": [{"parts": list(w),
-                           "coeff": f"{c.numerator}/{c.denominator}"}
-                          for w, c in self._terms.items()]}
+        return {"terms": [{"parts": list(w), "coeff": _rat_str(x, self._den)}
+                          for w, x in self._nums.items()]}
+
+
+def _sum(rows: Iterable[Row]) -> WordSum:
+    """sum p/q * x * w over the rows (p, q, terms) and their (w, x) terms:
+    the rows brought to the lcm of the q and summed in one integer pass,
+    then zero terms dropped, the words put in canonical order and the
+    fraction reduced once.  Every word must be a composition."""
+    rows = list(rows)
+    den = lcm(*(q for _, q, _ in rows))
+    summed: dict[Word, int] = {}
+    for p, q, terms in rows:
+        m = p * (den // q)
+        for w, x in terms:
+            summed[w] = summed.get(w, 0) + m * x
+    kept = sorted((w for w, x in summed.items() if x), key=canonical_key)
+    g = gcd(den, *(summed[w] for w in kept))
+    out = WordSum.__new__(WordSum)
+    out._nums = {w: summed[w] // g for w in kept}
+    out._den = den // g
+    return out
+
+
+def _linear_extension(f: Callable[[Word], WordSum], w: WordSum) -> WordSum:
+    """sum c * f(word) over the terms of w, f mapping words to WordSums."""
+    return _sum(f(u)._row(x, w._den) for u, x in w._nums.items())
 
 
 def word(*letters: int) -> WordSum:
@@ -146,7 +160,11 @@ def word(*letters: int) -> WordSum:
 # products
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Cache bounds: decompose_in_one of twelve 1s, then proven_relation_corpus(8)
+# leaves 32 single-letter products, 4,747 shuffle tables, 4,096 decompositions
+# and 63 d_general results (39, 5,717, 4,096 and 127 with the corpus of weight
+# 9), so these bounds and derivation's evict nothing at those sizes.
+@lru_cache(maxsize=256)
 def diamond(a: int, b: int) -> WordSum:
     """The single-letter product z_a <> z_b = z_{a+b} + lambda corrections."""
     return WordSum([((a + b,), 1),
@@ -154,35 +172,30 @@ def diamond(a: int, b: int) -> WordSum:
                     *(((j,), lambda_coeff(b, a, j)) for j in range(1, b + 1))])
 
 
-@lru_cache(maxsize=None)
-def _shuffle_words(w: Word, v: Word) -> "tuple[tuple[Word, Fraction], ...]":
+@lru_cache(maxsize=16384)
+def _shuffle_words(w: Word, v: Word) -> WordSum:
+    """The quasi-shuffle product of the single words w and v."""
     if not w or not v:
-        return ((w + v, Fraction(1)),)
+        return _sum([(1, 1, ((w + v, 1),))])
     a, wt = w[0], w[1:]
     b, vt = v[0], v[1:]
     inner = _shuffle_words(wt, vt)
-    return tuple(WordSum._of_valid([
-        *(((a,) + u, c) for u, c in _shuffle_words(wt, v)),
-        *(((b,) + u, c) for u, c in _shuffle_words(w, vt)),
-        *(((letter,) + u, lam * c)
-          for (letter,), lam in diamond(a, b).terms()
-          for u, c in inner),
-    ]).terms())
+    ab = diamond(a, b)
+    return _sum([_shuffle_words(wt, v)._row(prefix=(a,)),
+                 _shuffle_words(w, vt)._row(prefix=(b,)),
+                 *(inner._row(x, ab._den, z) for z, x in ab._nums.items())])
 
 
 def quasi_shuffle(w: WordSum, v: WordSum) -> WordSum:
     """Bilinear extension of a w * b v = a(w * bv) + b(aw * v) + (a<>b)(w * v)."""
-    terms = []
-    for ww, cw in w.terms():
-        for vv, cv in v.terms():
-            c = cw * cv
-            terms += [(u, c * k) for u, k in _shuffle_words(ww, vv)]
-    return WordSum._of_valid(terms)
+    return _sum(_shuffle_words(ww, vv)._row(x * y, w._den * v._den)
+                for ww, x in w._nums.items() for vv, y in v._nums.items())
 
 
 def coefficient_rows(sums: Iterable[WordSum]) -> list[list[int]]:
     """The sums as integer rows over the union of their words, in canonical
-    order, each row scaled by the lcm of its own denominators.
+    order: each row holds the numerators of its sum, a positive multiple of
+    its coefficient vector.
 
     Scaling a row leaves the span of the rows unchanged, so ranks and span
     membership read off these rows are those of the rational coefficient
@@ -190,15 +203,7 @@ def coefficient_rows(sums: Iterable[WordSum]) -> list[list[int]]:
     """
     sums = list(sums)
     columns = sorted({w for s in sums for w in s.words()}, key=canonical_key)
-    index = {w: j for j, w in enumerate(columns)}
-    rows = []
-    for s in sums:
-        den = lcm(*(c.denominator for _, c in s.terms()))
-        row = [0] * len(columns)
-        for w, c in s.terms():
-            row[index[w]] = c.numerator * (den // c.denominator)
-        rows.append(row)
-    return rows
+    return [[s._nums.get(w, 0) for w in columns] for s in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +213,8 @@ def coefficient_rows(sums: Iterable[WordSum]) -> list[list[int]]:
 def evaluate(w: WordSum, order: int) -> QSeries:
     """The series sum of coeff * [word] over the terms of w."""
     series = bracket_series_many(w.words(), order)
-    return _linear(order, ((c, series[word_]) for word_, c in w.terms()))
+    s = _linear(order, ((x, series[word_]) for word_, x in w._nums.items()))
+    return QSeries(order, s.nums, s.den * w._den)
 
 
 # ---------------------------------------------------------------------------
@@ -264,37 +270,35 @@ class OnePolynomial:
         return {"powers": [p.to_json() for p in self._powers]}
 
 
-def _combine(parts: Iterable[tuple[Word, Fraction, int]]) -> OnePolynomial:
-    """The sum of coeff * T^shift * (decomposition of word) over the
-    (word, coeff, shift) parts, each power of T built as one WordSum."""
-    powers: list[list[tuple[Word, Fraction]]] = []
-    for word_, coeff, shift in parts:
-        for j, p in enumerate(_decompose_word(word_).powers, shift):
+def _combine(parts: Iterable[tuple[Word, int, int, int]]) -> OnePolynomial:
+    """The sum of p/q * T^shift * (decomposition of word) over the
+    (word, p, q, shift) parts, each power of T summed in one integer pass."""
+    powers: list[list[Row]] = []
+    for word_, p, q, shift in parts:
+        for j, s in enumerate(_decompose_word(word_).powers, shift):
             while len(powers) <= j:
                 powers.append([])
-            powers[j] += [(w, c * coeff) for w, c in p.terms()]
-    return OnePolynomial(WordSum._of_valid(terms) for terms in powers)
+            powers[j].append(s._row(p, q))
+    return OnePolynomial(map(_sum, powers))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _decompose_word(word_: Word) -> OnePolynomial:
     if not word_ or word_[0] > 1:
-        return OnePolynomial([WordSum._of_valid([(word_, 1)])])
+        return OnePolynomial([_sum([(1, 1, ((word_, 1),))])])
     m = 0
     while m < len(word_) and word_[m] == 1:
         m += 1
-    tail = word_[m:]
+    shorter = (1,) * (m - 1) + word_[m:]
     # peel one leading 1:  z1 * (z1^{m-1} tail) = m * word + rest
-    produced = _shuffle_words((1,), (1,) * (m - 1) + tail)
-    self_coeff = sum(c for other, c in produced if other == word_)
-    if self_coeff != m:
+    produced = _shuffle_words((1,), shorter)
+    if produced.coefficient(word_) != m:
         raise ArithmeticError(f"peeling invariant broken at {word_}")
-    inv_m = Fraction(1, m)
-    # T * decomposition of the shorter word, less the rest; the word's own
-    # coefficient is exactly m
-    return _combine([((1,) * (m - 1) + tail, inv_m, 1),
-                     *((other, -c * inv_m, 0)
-                       for other, c in produced if other != word_)])
+    # T * decomposition of the shorter word, less the rest, over m
+    den = m * produced._den
+    return _combine([(shorter, 1, m, 1),
+                     *((other, -x, den, 0)
+                       for other, x in produced._nums.items() if other != word_)])
 
 
 def decompose_in_one(w: WordSum) -> OnePolynomial:
@@ -304,4 +308,4 @@ def decompose_in_one(w: WordSum) -> OnePolynomial:
     order, and every coefficient is admissible: each of its words is empty or
     starts with a letter > 1.
     """
-    return _combine((word_, c, 0) for word_, c in w.terms())
+    return _combine((word_, x, w._den, 0) for word_, x in w._nums.items())

@@ -606,3 +606,15 @@ def test_relation_bodies_are_already_monic():
     assert len(rels) == 51
     for rel in rels:
         assert rel.body == rel.body.normalized()
+
+
+def test_unknown_space_and_kind_are_named():
+    with pytest.raises(ValueError, match=r"^unknown space 'xx'; expected one "
+                       r"of \('md', 'mda'\)$"):
+        generators("xx", 3)
+    with pytest.raises(ValueError, match=r"^unknown space 'xx'; expected one "
+                       r"of \('md', 'mda'\)$"):
+        dimension_table("xx", 3)
+    with pytest.raises(ValueError, match=r"^unknown table kind 'yy'; expected "
+                       r"one of \('fil', 'gr'\)$"):
+        dimension_table("MDA", 3, kind="yy")

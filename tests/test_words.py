@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from qbrackets import (ExactMatrix, IntEchelon, OnePolynomial, WordSum,
                        bracket_series, bracket_series_many,
                        bracket_series_oracle_many, canonical_key,
                        decompose_in_one, diamond, evaluate, quasi_shuffle, word)
-from qbrackets import brackets, words
+from qbrackets import brackets, derivation, lambda_coeff, words
 from qbrackets.words import coefficient_rows
 from qbrackets.checks import PRODUCT_EXAMPLES
 
@@ -239,3 +240,148 @@ def test_one_polynomial_json_round_trip():
     poly = decompose_in_one(word(1, 1, 2))
     doc = json.loads(json.dumps(poly.to_json()))
     assert OnePolynomial(map(_word_sum_from_json, doc["powers"])) == poly
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against a reference model: a dict from words to
+# nonzero Fractions, summed term by term
+
+def _ref(terms):
+    out = {}
+    for w, c in terms:
+        out[w] = out.get(w, Fraction(0)) + Fraction(c)
+    return {w: c for w, c in out.items() if c}
+
+
+def _ref_scaled(ref, c):
+    return _ref((w, x * c) for w, x in ref.items())
+
+
+def _ref_shuffle(u, v):
+    """The quasi-shuffle of two single words by the recursion, in Fractions."""
+    if not u or not v:
+        return {u + v: Fraction(1)}
+    a, b = u[0], v[0]
+    single = [(a + b, Fraction(1)),
+              *((j, lambda_coeff(a, b, j)) for j in range(1, a + 1)),
+              *((j, lambda_coeff(b, a, j)) for j in range(1, b + 1))]
+    inner = _ref_shuffle(u[1:], v[1:])
+    return _ref([*(((a,) + w, c) for w, c in _ref_shuffle(u[1:], v).items()),
+                 *(((b,) + w, c) for w, c in _ref_shuffle(u, v[1:]).items()),
+                 *(((z,) + w, lam * c) for z, lam in single
+                   for w, c in inner.items())])
+
+
+def _agrees(s, ref):
+    """s shows the reference's terms, and holds them as integer numerators
+    in canonical order over one positive denominator, in lowest terms."""
+    assert dict(s.terms()) == ref
+    assert list(s.words()) == sorted(ref, key=canonical_key)
+    assert all(type(c) is Fraction for _, c in s.terms())
+    nums, den = list(s._nums.values()), s._den
+    assert all(type(x) is int and x for x in nums)
+    assert type(den) is int and den > 0 and gcd(den, *nums) == 1
+
+
+# words of letters 1..2 up to length 2, the empty word among them
+any_words = st.lists(st.integers(min_value=1, max_value=2),
+                     max_size=2).map(tuple)
+scalars = st.one_of(st.integers(min_value=-3, max_value=3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@st.composite
+def any_term_lists(draw):
+    terms = draw(st.lists(st.tuples(any_words, few_coeffs), max_size=6))
+    cancelled = draw(st.integers(min_value=0, max_value=len(terms)))
+    return terms + [(w, -c) for w, c in terms[:cancelled]]
+
+
+@given(any_term_lists(), any_term_lists())
+@settings(max_examples=60, deadline=None)
+def test_sums_match_the_reference(ta, tb):
+    a, b = WordSum(ta), WordSum(tb)
+    ra, rb = _ref(ta), _ref(tb)
+    _agrees(a, ra)
+    _agrees(a + b, _ref([*ra.items(), *rb.items()]))
+    _agrees(a - b, _ref([*ra.items(), *_ref_scaled(rb, -1).items()]))
+    _agrees(-a, _ref_scaled(ra, -1))
+    _agrees(a - a, {})
+    assert a - a == WordSum() and hash(a - a) == hash(WordSum())
+
+
+@given(any_term_lists(), scalars)
+@settings(max_examples=60, deadline=None)
+def test_scale_matches_the_reference(terms, c):
+    a = WordSum(terms)
+    _agrees(a.scale(c), _ref_scaled(_ref(terms), c))
+    _agrees(c * a, _ref_scaled(_ref(terms), c))
+    assert a.scale(0) == WordSum()
+    _agrees(a.scale(-1), _ref_scaled(_ref(terms), -1))
+
+
+@given(any_term_lists(), any_term_lists())
+@settings(max_examples=40, deadline=None)
+def test_quasi_shuffle_matches_the_reference(ta, tb):
+    ra, rb = _ref(ta), _ref(tb)
+    want = _ref((w, x * y * c) for u, x in ra.items() for v, y in rb.items()
+                for w, c in _ref_shuffle(u, v).items())
+    _agrees(quasi_shuffle(WordSum(ta), WordSum(tb)), want)
+
+
+@given(st.lists(letters, max_size=3).map(tuple),
+       st.lists(letters, max_size=3).map(tuple))
+@settings(max_examples=40, deadline=None)
+def test_word_products_match_the_reference(u, v):
+    _agrees(quasi_shuffle(word(*u), word(*v)), _ref_shuffle(u, v))
+
+
+@given(any_term_lists(), scalars)
+@settings(max_examples=60, deadline=None)
+def test_normalized_matches_the_reference(terms, c):
+    ref = _ref(terms)
+    want = _ref_scaled(ref, 1 / ref[max(ref, key=canonical_key)]) if ref else {}
+    _agrees(WordSum(terms).normalized(), want)
+    if c:
+        assert WordSum(terms).scale(c).normalized() == WordSum(want)
+
+
+@given(st.lists(any_term_lists(), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_coefficient_rows_match_the_reference(term_lists):
+    refs = [_ref(t) for t in term_lists]
+    columns = sorted({w for r in refs for w in r}, key=canonical_key)
+    want = []
+    for r in refs:
+        # each row is its vector times the lcm of its denominators
+        den = lcm(*(c.denominator for c in r.values()))
+        want.append([int(r.get(w, 0) * den) for w in columns])
+    assert coefficient_rows(map(WordSum, term_lists)) == want
+
+
+def test_equal_sums_are_equal_whatever_the_route():
+    half = word(2).scale(Fraction(1, 2))
+    routes = [
+        WordSum({(2,): Fraction(2, 4)}),
+        WordSum([((2,), Fraction(1, 4)), ((2,), Fraction(1, 4))]),
+        word(2).scale(Fraction(1, 4)) + word(2).scale(Fraction(1, 4)),
+        (word(2).scale(6) + word(3)).scale(Fraction(1, 12)) - word(3).scale(Fraction(1, 12)),
+        quasi_shuffle(word(), word(2).scale(Fraction(3, 6))),
+        -word(2).scale(Fraction(-2, 4)),
+    ]
+    for other in routes:
+        assert other == half and hash(other) == hash(half)
+    # the monic forms that de-duplicate the relation corpus
+    a = word(2).scale(2) + word(3).scale(4)
+    want = WordSum({(2,): Fraction(1, 2), (3,): 1})
+    keys = {a.normalized(), a.scale(Fraction(-3, 7)).normalized(),
+            (a + a).normalized(), want}
+    assert keys == {want}
+
+
+def test_word_layer_caches_are_bounded():
+    for cache in (words.diamond, words._shuffle_words, words._decompose_word,
+                  derivation._d_general_cached):
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
