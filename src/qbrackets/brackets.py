@@ -282,11 +282,15 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
     return out
 
 
-def _validated(comps: Iterable[Sequence[int]], order: int) -> list[Parts]:
-    """The compositions through as_composition, after the order check every
-    series entry point makes, so no bad input reaches the exact cache."""
+def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError("order must be at least 1")
+
+
+def _validated(comps: Iterable[Sequence[int]], order: int) -> list[Parts]:
+    """The compositions through as_composition, after _check_order, so no
+    bad input reaches the exact cache."""
+    _check_order(order)
     return [as_composition(c) for c in comps]
 
 

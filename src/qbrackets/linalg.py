@@ -9,7 +9,12 @@ elimination core, IntEchelon: rows are cleared of denominators and reduced
 fraction-free over the integers; fractions appear only in the final
 back-substitution.  Series become a linear system in one place,
 _series_kernel, whose kernel vectors are the candidate relations here and
-the discriminant representations in modular.  The dimension tables need
+the discriminant representations in modular.  It eliminates exactly only
+the rows that a ModEchelon keeps, independent mod p and so over Q; their
+kernel contains the true one and is it, with the same reduced echelon
+basis, when each basis vector, cleared of denominators, is orthogonal to
+every dropped row in exact integers.  Otherwise all rows are eliminated.
+The dimension tables need
 ranks only, and take them mod the prime 2^31 - 1 with ModEchelon, over rows
 packed into one integer each.  A rank mod p is at most the rank over Q, so
 a table cell is a lower bound by construction, and every cell says whether
@@ -30,6 +35,7 @@ import warnings
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, KeysView, List, Mapping, Sequence, Tuple
 
 from ._value import Value
@@ -66,13 +72,22 @@ def _cleared_row(row: Sequence[Fraction | int]) -> List[int]:
 
 
 def _series_kernel(series: Sequence[QSeries]) -> List[Tuple[Fraction, ...]]:
-    """The kernel_basis of the matrix whose column i holds the q^1..q^order
+    """The kernel_basis of the matrix whose column i holds the q^0..q^order
     numerators of series i over the lcm of all the denominators: the x with
-    sum_i x_i series_i zero at q^1..q^order, since each column is its series
-    times one common integer."""
+    sum_i x_i series_i zero through q^order, since each column is its series
+    times one common integer; rows chosen mod p (module docstring)."""
     common = lcm(*(s.den for s in series))
-    columns = [[x * (common // s.den) for x in s.nums[1:]] for s in series]
-    return IntEchelon(zip(*columns)).kernel_basis(len(series))
+    rows = list(zip(*[[x * (common // s.den) for x in s.nums] for s in series]))
+    ech = ModEchelon(len(series))
+    kept, dropped = [], []
+    for row in rows:
+        (kept if ech.add(ech.pack(row)) else dropped).append(row)
+    basis = IntEchelon(kept).kernel_basis(len(series))
+    for vec in basis:
+        nums = _cleared_row(vec)
+        if any(sum(map(mul, row, nums)) for row in dropped):
+            return IntEchelon(rows).kernel_basis(len(series))
+    return basis
 
 
 class ExactMatrix(Value):
@@ -220,9 +235,16 @@ class ModEchelon:
     of that width.  add() walks the pivot columns in ascending order; at
     pivot c it reads a = slot c mod p and, if a != 0, adds (p - a) times the
     stored row, whose slot c is 1 and whose earlier slots are 0.  That is
-    one big-integer multiply-add per step.  After the walk the vector is
-    unpacked once; its first nonzero residue is the new lead, and the row is
-    stored reduced mod p and normalised to a leading 1.
+    one big-integer multiply-add per step.  After the walk every slot is
+    reduced at once (_reduce); the highest nonzero slot is the new lead, and
+    the row is stored reduced mod p and normalised to a leading 1.
+
+    _reduce folds every slot at once, as 2^31 = 1 mod p: a slot x at most
+    B < 2^(8 width) becomes (x & p) + (x >> 31) <= p + (B >> 31), with no
+    carry; the folds that bring 2^(8 width) - 1 to at most 2^31 are counted
+    at construction.  A slot in [0, 2^31] then loses p when x + 1 has bit 31
+    set (x = p or p + 1).  Walked slots are below 2^(8 width) by
+    _mod_slot_bytes; reduced ones times an inverse are below p^2.
 
     The rank mod p is at most the rank over Q: a minor that vanishes over
     the integers vanishes mod p.  So 1 + rank is a lower bound for a
@@ -234,6 +256,14 @@ class ModEchelon:
         self._ncols = ncols
         self._width = _mod_slot_bytes(ncols)
         self._rows: Dict[int, int] = {}
+        bits = 8 * self._width
+        self._one = ((1 << bits * ncols) - 1) // ((1 << bits) - 1)
+        self._low = self._one * _PRIME
+        self._high = self._one * ((1 << bits - 31) - 1)
+        self._folds, bound = 0, (1 << bits) - 1
+        while bound > 1 << 31:
+            bound = _PRIME + (bound >> 31)
+            self._folds += 1
 
     @property
     def rank(self) -> int:
@@ -252,11 +282,17 @@ class ModEchelon:
         return int.from_bytes(b"".join((x % _PRIME).to_bytes(width, "big")
                                        for x in vector), "big")
 
+    def _reduce(self, vec: int) -> int:
+        """Every slot of vec, each below 2^(8 width), reduced mod p."""
+        one, low, high = self._one, self._low, self._high
+        for _ in range(self._folds):
+            vec = (vec & low) + ((vec >> 31) & high)
+        return vec - (((vec + one) >> 31) & one) * _PRIME
+
     def add(self, packed: int) -> bool:
         """Absorb a vector made by pack(); True if it was independent mod p
         of the rows so far."""
-        width = self._width
-        bits = 8 * width
+        bits = 8 * self._width
         mask = (1 << bits) - 1
         top = (self._ncols - 1) * bits
         vec = packed
@@ -264,14 +300,12 @@ class ModEchelon:
             a = ((vec >> (top - c * bits)) & mask) % _PRIME
             if a:
                 vec += (_PRIME - a) * self._rows[c]
-        raw = vec.to_bytes(self._ncols * width, "big")
-        residues = [int.from_bytes(raw[i:i + width], "big") % _PRIME
-                    for i in range(0, len(raw), width)]
-        lead = next((j for j, x in enumerate(residues) if x), None)
-        if lead is None:
+        vec = self._reduce(vec)
+        if not vec:
             return False
-        inverse = pow(residues[lead], -1, _PRIME)
-        self._rows[lead] = self.pack([x * inverse for x in residues])
+        slot = (vec.bit_length() - 1) // bits
+        inverse = pow((vec >> slot * bits) & mask, -1, _PRIME)
+        self._rows[self._ncols - 1 - slot] = self._reduce(vec * inverse)
         return True
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .brackets import bracket_series, bracket_series_many, canonical_key
+from .brackets import _check_order, _series_many, bracket_series, canonical_key
 from .numbers import as_composition, lambda_coeff
 from .series import QSeries, _linear, _rat_str, _signed_sum
 
@@ -211,8 +211,10 @@ def coefficient_rows(sums: Iterable[WordSum]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def evaluate(w: WordSum, order: int) -> QSeries:
-    """The series sum of coeff * [word] over the terms of w."""
-    series = bracket_series_many(w.words(), order)
+    """The series sum of coeff * [word] over the terms of w (compositions by
+    construction: only the order is checked)."""
+    _check_order(order)
+    series = _series_many(list(w.words()), order)
     s = _linear(order, ((x, series[word_]) for word_, x in w._nums.items()))
     return QSeries(order, s.nums, s.den * w._den)
 

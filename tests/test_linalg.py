@@ -1,5 +1,7 @@
 import hashlib
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from qbrackets import (SPACES, TABLE_KINDS, DimensionTable, ExactMatrix,
                        dimension_table, generators,
                        graded_relation_counts, homogeneous_relation_search,
                        relation_in_span, relation_search)
-from qbrackets import Config, ResourceCap, brackets, config, linalg
+from qbrackets import (Config, QSeries, ResourceCap, brackets, config, linalg,
+                       modular)
 from qbrackets.checks import RELATION_COUNTS_LOW
 
 P = 2**31 - 1
@@ -618,3 +621,117 @@ def test_unknown_space_and_kind_are_named():
     with pytest.raises(ValueError, match=r"^unknown table kind 'yy'; expected "
                        r"one of \('fil', 'gr'\)$"):
         dimension_table("MDA", 3, kind="yy")
+
+
+# the Mersenne folds of ModEchelon at slot widths of 8, 9 and 10 bytes
+WIDE = 1024  # the fewest columns whose slots need 10 bytes
+
+
+def test_mod_slot_widths_of_the_fold_tests():
+    widths = [linalg._mod_slot_bytes(n) for n in (1, 7, WIDE - 1, WIDE)]
+    assert widths == [8, 9, 9, 10]
+
+
+@pytest.mark.parametrize("ncols", [1, 7, WIDE])
+def test_mod_reduce_takes_every_slot_mod_p(ncols):
+    rnd = random.Random(ncols)
+    ech = ModEchelon(ncols)
+    bits = 8 * ech._width
+    pool = [0, 1, P - 1, P, P + 1, 2**31, 2 * P, P * P, (P - 1)**2,
+            2**bits - 1, 2**bits - P] + [rnd.randrange(2**bits)
+                                         for _ in range(3)]
+    for shift in range(len(pool)):  # each value in each of up to 14 slots
+        slots = [pool[(shift + j) % len(pool)] for j in range(ncols)]
+        vec = sum(x << (bits * (ncols - 1 - j)) for j, x in enumerate(slots))
+        assert ech._reduce(vec) == ech.pack(slots)
+
+
+def _fold_rows(ncols, count, seed):
+    """Rows of the worst case in test_mod_slot_width_holds_the_worst_case,
+    cut to count rows when ncols is large, then count rows of multiples of
+    P, their neighbours and small entries."""
+    rnd = random.Random(seed)
+    worst = [[0] * c + [1] + [P - 1] * (ncols - 1 - c)
+             for c in range(ncols - 1)][:count]
+    worst.append([(1 - c) % P for c in range(ncols)])
+    entries = [0, 1, -1, 2, P, -P, 3 * P, P - 1, P + 1, -P - 1, -P + 1]
+    return worst + [[rnd.choice(entries) for _ in range(ncols)]
+                    for _ in range(count)]
+
+
+@pytest.mark.parametrize("ncols,count", [(1, 8), (7, 12), (WIDE, 4)])
+def test_mod_folds_store_the_reference_rows(ncols, count):
+    for seed in range(3):
+        rows = _fold_rows(ncols, count, seed)
+        reference = _mod_reference(rows)
+        assert _mod_echelon(rows, ncols) == (len(reference), reference)
+
+
+# _series_kernel: rows chosen mod p, confirmed on the dropped rows
+
+
+def _full_kernel(series):
+    """The kernel of every coefficient row, q^0 included: the elimination
+    that _series_kernel falls back to."""
+    common = lcm(*(s.den for s in series))
+    rows = zip(*[[x * (common // s.den) for x in s.nums] for s in series])
+    return IntEchelon(rows).kernel_basis(len(series))
+
+
+class _CountedEchelon(IntEchelon):
+    built = []
+
+    def __init__(self, rows=()):
+        rows = list(rows)
+        self.built.append(len(rows))
+        super().__init__(rows)
+
+
+def test_series_kernel_reads_the_constant_row():
+    n = 10
+    assert linalg._series_kernel(
+        [QSeries.one(n), bracket_series((2,), n)]) == []
+
+
+def test_series_kernel_falls_back_when_a_dropped_row_refutes(monkeypatch):
+    # the q^2 row (0, P) vanishes mod P and is dropped; the kept q^1 row
+    # (1, 0) leaves the kernel vector (0, 1), which that row refutes
+    monkeypatch.setattr(_CountedEchelon, "built", [])
+    monkeypatch.setattr(linalg, "IntEchelon", _CountedEchelon)
+    series = [QSeries(2, (0, 1, 0)), QSeries(2, (0, 0, P))]
+    assert linalg._series_kernel(series) == []
+    assert _CountedEchelon.built == [1, 3]
+
+    # without the P the kept rows' kernel is confirmed: no second echelon
+    _CountedEchelon.built.clear()
+    series = [QSeries(2, (0, 1, 0)), QSeries(2, (0, 2, 0))]
+    assert linalg._series_kernel(series) == [(Fraction(-2), Fraction(1))]
+    assert _CountedEchelon.built == [1]
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_series_kernel_equals_full_elimination_in_relation_search(space):
+    for k in range(1, 8):
+        gens = generators(space, k, k)
+        order = linalg._series_order(None, gens, "test")
+        found = bracket_series_many(gens, order)
+        series = [found[c] for c in gens]
+        assert linalg._series_kernel(series) == _full_kernel(series)
+
+
+def test_series_kernel_equals_full_elimination_for_the_delta_systems(
+        monkeypatch):
+    systems = []
+
+    def recorded(series):
+        systems.append(series)
+        return linalg._series_kernel(series)
+
+    monkeypatch.setattr(modular, "_series_kernel", recorded)
+    for a, b in modular.DELTA_PAIRS:
+        modular.delta_representation(a, b)
+    modular.deltal2_word_sum()
+    assert len(systems) == 7
+    for series in systems:
+        kernel = linalg._series_kernel(series)
+        assert kernel == _full_kernel(series) and len(kernel) == 1

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (ExactMatrix, IntEchelon, OnePolynomial, WordSum,
-                       bracket_series, bracket_series_many,
+from qbrackets import (ExactMatrix, IntEchelon, OnePolynomial, QSeries,
+                       WordSum, bracket_series, bracket_series_many,
                        bracket_series_oracle_many, canonical_key,
                        decompose_in_one, diamond, evaluate, quasi_shuffle, word)
 from qbrackets import brackets, derivation, lambda_coeff, words
@@ -385,3 +385,29 @@ def test_word_layer_caches_are_bounded():
         info = cache.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
+
+
+def test_evaluate_checks_the_order_and_trusts_its_words(monkeypatch):
+    w = WordSum({(2, 1): 1, (3,): Fraction(1, 2), (): 3})
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        evaluate(w, 0)
+    checked = []
+
+    def as_composition(parts):
+        checked.append(tuple(parts))
+        return tuple(parts)
+
+    monkeypatch.setattr(brackets, "as_composition", as_composition)
+    assert evaluate(w, 12) == (bracket_series((2, 1), 12)
+                               + bracket_series((3,), 12).scale(Fraction(1, 2))
+                               + QSeries.one(12).scale(3))
+    assert checked == [(2, 1), (3,)]  # the two bracket_series calls only
+
+
+def test_bracket_series_many_still_checks_its_compositions():
+    with pytest.raises(ValueError, match="positive"):
+        bracket_series_many([(2, 1), (2, 0)], 5)
+    with pytest.raises(TypeError):
+        bracket_series_many([(2, 1.5)], 5)
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        bracket_series_many([(2,)], 0)
