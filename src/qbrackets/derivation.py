@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from ._value import Value
-from .brackets import bracket_series
+from .brackets import bracket_series, bracket_series_many
 from .config import get_config
 from .numbers import as_composition, compositions_up_to
 from .words import WordSum, _linear_extension, evaluate, quasi_shuffle, word
@@ -213,7 +213,12 @@ def proven_relation_corpus(max_weight: int) -> list[Relation]:
     when multiplied by a bracket or hit with d, so the corpus is closed under
     both moves up to the weight bound.  Proportional duplicates are dropped.
     Every relation passes Relation.verified at the configured order.
+
+    Every body and every word the seeds verify is a composition of weight
+    <= max_weight: one capped sweep of them all comes first, and every later
+    evaluation reads its cache (order 120 and the default cap admit <= 14).
     """
+    bracket_series_many(compositions_up_to(max_weight), _order(None))
     seeds = []
     for k in range(4, max_weight + 1):
         seeds.extend(split_relations(k))

@@ -83,11 +83,25 @@ def _series_kernel(series: Sequence[QSeries]) -> List[Tuple[Fraction, ...]]:
     for row in rows:
         (kept if ech.add(ech.pack(row)) else dropped).append(row)
     basis = IntEchelon(kept).kernel_basis(len(series))
-    for vec in basis:
-        nums = _cleared_row(vec)
-        if any(sum(map(mul, row, nums)) for row in dropped):
-            return IntEchelon(rows).kernel_basis(len(series))
-    return basis
+    if _orthogonal(basis, dropped):
+        return basis
+    return IntEchelon(rows).kernel_basis(len(series))
+
+
+def _orthogonal(vectors: Sequence[Sequence[Fraction]],
+                rows: Sequence[Sequence[int]]) -> bool:
+    """Whether every row is orthogonal to every vector cleared of
+    denominators.  Vector k is digit k, base 2^w, of one integer per column,
+    so a row takes one dot product; each true one is a digit below 2^(w-1)
+    in size, so the packed sum is zero iff all of them are."""
+    nums = [_cleared_row(vec) for vec in vectors]
+    if not nums or not rows:
+        return True
+    w = (max(abs(x) for vec in nums for x in vec).bit_length()
+         + max(abs(x) for row in rows for x in row).bit_length()
+         + len(nums[0]).bit_length() + 1)
+    columns = [sum(x << (w * k) for k, x in enumerate(col)) for col in zip(*nums)]
+    return not any(sum(map(mul, row, columns)) for row in rows)
 
 
 class ExactMatrix(Value):

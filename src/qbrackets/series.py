@@ -4,12 +4,15 @@ A QSeries holds the integer numerators of its coefficients for q^0 .. q^order
 over one positive common denominator, and exposes the coefficients as
 Fractions.  Binary operations on series of different orders silently truncate
 to the smaller order; asking for a coefficient beyond the recorded order is
-an error, never a guess.
+an error, never a guess.  A product is one integer product (Kronecker
+substitution): a w-byte slot has room for 2^(8w-1) > max|a| max|b| (n+1),
+a bound on every coefficient through q^n, so none carries (__mul__).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable
 
@@ -107,17 +110,33 @@ class QSeries(Value):
         return _linear(self.order, ((c, self),))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        """The product cut at q^n, n = min(order), by one integer product.
+
+        The numerators a_0..a_n fill w-byte slots, A = sum a_i 2^(8wi).
+        Every c_k = sum a_i b_(k-i), k <= n, has |c_k| <= max|a| max|b|
+        (n+1) < half = 2^(8w-1), so in A B + sum half 2^(8wk) each slot
+        c_k + half lies in [0, 2^(8w)) and carries into no other; the powers
+        past q^n make a multiple of 2^(8w(n+1)), of either sign, which the
+        mask removes.  A zero operand would leave w too small for the
+        other, so it returns zero at once.
+        """
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        b = other.nums
-        out = [0] * (n + 1)
-        for i, ai in enumerate(self.nums[:n + 1]):
-            if ai:
-                for j, bj in enumerate(b[:n + 1 - i], i):
-                    if bj:
-                        out[j] += ai * bj
-        return QSeries(n, tuple(out), self.den * other.den)
+        a, b = self.nums[:n + 1], other.nums[:n + 1]
+        if not any(a) or not any(b):
+            return QSeries.zero(n)
+        w = (max(map(abs, a)) * max(map(abs, b)) * (n + 1)).bit_length() // 8 + 1
+        half = 1 << (8 * w - 1)
+        offs = int.from_bytes(half.to_bytes(w, "little") * (n + 1), "little")
+        pa, pb = (int.from_bytes(b"".join((x + half).to_bytes(w, "little")
+                                          for x in t), "little") - offs
+                  for t in (a, b))
+        c = ((pa * pb + offs) & ((1 << (8 * w * (n + 1))) - 1)).to_bytes(
+            w * (n + 1), "little")
+        return QSeries(n, tuple(int.from_bytes(c[i:i + w], "little") - half
+                                for i in range(0, w * (n + 1), w)),
+                       self.den * other.den)
 
     def q_d_dq(self) -> "QSeries":
         """Apply q * d/dq: multiply the coefficient of q^n by n."""
@@ -175,6 +194,8 @@ def _signed_sum(terms: Iterable[tuple[RationalLike, str]]) -> str:
     return text or "0"
 
 
+# a command asks for a few orders, many times; the series is immutable
+@lru_cache(maxsize=8)
 def eta24(order: int) -> QSeries:
     """q * prod_{n>=1} (1 - q^n)^24, the discriminant cusp form; the
     coefficient of q^n is tau(n)."""
@@ -182,18 +203,9 @@ def eta24(order: int) -> QSeries:
         raise ValueError("order must be at least 1")
     n = order - 1  # need the 24th power of the Euler product to q^n
     euler = [0] * (n + 1)
-    euler[0] = 1
-    j = 1
-    while True:
-        p1 = j * (3 * j - 1) // 2
-        p2 = j * (3 * j + 1) // 2
-        if p1 > n:
-            break
-        sign = -1 if j % 2 else 1
-        euler[p1] += sign
-        if p2 <= n:
-            euler[p2] += sign
-        j += 1
+    for j in range(-n, n + 1):   # Euler: (-1)^j at each j(3j-1)/2 <= n
+        if j * (3 * j - 1) // 2 <= n:
+            euler[j * (3 * j - 1) // 2] += -1 if j % 2 else 1
     power = QSeries(n, tuple(euler))
     for _ in range(3):
         power = power * power          # the 8th power

@@ -76,6 +76,21 @@ def _ceil_scaled(x: Fraction, shift: int) -> int:
 # 2^-bits at m = N, on an error that is at most bound * (N/m)^e for every
 # m >= N.  Values are rounded down and bounds up; every floor is counted.
 
+# the weight-6 corpus asks for about 30 sigmas, at several keys each
+@lru_cache(maxsize=64)
+def _em_coefficients(sigma: int):
+    """The exact Euler-Maclaurin coefficients of N^sigma psi(m), as (e, a)
+    pairs for the terms a (N/m)^e, and the first omitted term's size."""
+    j = _MAX_EM_TERMS
+    exact = {sigma - 1: Fraction(1, sigma - 1), sigma: Fraction(-1, 2)}
+    for i in range(1, j + 1):
+        exact[sigma + 2 * i - 1] = (bernoulli(2 * i) / factorial(2 * i)
+                                    * perm(sigma + 2 * i - 2, 2 * i - 1))
+    omitted = (abs(bernoulli(2 * j + 2)) / factorial(2 * j + 2)
+               * perm(sigma + 2 * j, 2 * j + 1))
+    return tuple(exact.items()), omitted
+
+
 # An expansion holds at most 16 integers of about 230 to 310 bits, about
 # 1.5 KB with its mapping; every index up to weight 12 needs 259 of them
 # per level, so 1024 (about 1.5 MB) hold that set at nearly four levels.
@@ -98,17 +113,11 @@ def _psi_expansion(sigma: int, cutoff: int, emax: int, bits: int):
     if sigma < 2:
         raise ValueError("tail exponent must be at least 2")
     shift = cutoff.bit_length() - 1
-    j = _MAX_EM_TERMS
-    exact = {sigma - 1: Fraction(1, sigma - 1), sigma: Fraction(-1, 2)}
-    for i in range(1, j + 1):
-        exact[sigma + 2 * i - 1] = (bernoulli(2 * i) / factorial(2 * i)
-                                    * perm(sigma + 2 * i - 2, 2 * i - 1))
-    env_e = sigma + 2 * j + 1
-    env = _ceil_scaled(abs(bernoulli(2 * j + 2)) / factorial(2 * j + 2)
-                       * perm(sigma + 2 * j, 2 * j + 1),
-                       bits - shift * (env_e - sigma))
+    exact, omitted = _em_coefficients(sigma)
+    env_e = sigma + 2 * _MAX_EM_TERMS + 1
+    env = _ceil_scaled(omitted, bits - shift * (env_e - sigma))
     terms: Dict[int, int] = {}
-    for e, a in exact.items():
+    for e, a in exact:
         if e <= emax:
             terms[e] = _floor_scaled(a, bits - shift * (e - sigma))
         else:

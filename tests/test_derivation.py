@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrackets import (Relation, WordSum, bracket_series, compositions_up_to,
+from qbrackets import (Relation, WordSum, bracket_series, brackets,
+                       compositions_up_to,
                        d_general, d_len1, d_len2, d_word_sum, derivation,
                        evaluate, leibniz_relations, proven_relation_corpus,
                        quasi_shuffle, split_relations, word)
@@ -140,6 +141,26 @@ def test_relation_metadata_and_json():
         (5, "leibniz", 50)
     assert WordSum((tuple(t["parts"]), Fraction(t["coeff"]))
                    for t in doc["terms"]) == rel.body
+
+
+def test_proven_corpus_sweeps_once(monkeypatch):
+    # from a cold series cache: one sweep of every composition of weight
+    # <= 6 at the configured order, and every later request a cache hit
+    sweeps = []
+    sweep = brackets._sigma_lists
+
+    def counted(comps, order):
+        comps = set(comps)
+        if comps:
+            sweeps.append((order, comps))
+        return sweep(comps, order)
+
+    monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
+    monkeypatch.setattr(brackets, "_sigma_lists", counted)
+    derivation._d_general_cached.cache_clear()
+    corpus = proven_relation_corpus(6)
+    assert sweeps == [(120, set(compositions_up_to(6)))]
+    assert [rel.verified_order for rel in corpus] == [120] * len(corpus)
 
 
 def test_proven_corpus_closure_and_vanishing():

@@ -709,6 +709,73 @@ def test_series_kernel_falls_back_when_a_dropped_row_refutes(monkeypatch):
     assert _CountedEchelon.built == [1]
 
 
+def test_series_kernel_falls_back_when_one_of_several_vectors_is_refuted(
+        monkeypatch):
+    # the kept q^1 row (1, 0, 0) leaves the kernel vectors e_2 and e_3; the
+    # dropped q^2 row, 0 mod P, refutes only one of them
+    monkeypatch.setattr(linalg, "IntEchelon", _CountedEchelon)
+    for refuted in (1, 2):
+        monkeypatch.setattr(_CountedEchelon, "built", [])
+        series = [QSeries(2, (0, 1, 0))] + [
+            QSeries(2, (0, 0, P if i == refuted else 0)) for i in (1, 2)]
+        kept = [(Fraction(0), Fraction(1), Fraction(0)),
+                (Fraction(0), Fraction(0), Fraction(1))]
+        assert linalg._series_kernel(series) == [kept[2 - refuted]]
+        assert _CountedEchelon.built == [1, 3]
+
+
+def _dot(vec, row):
+    den = lcm(*(x.denominator for x in vec))
+    return sum(x * den * y for x, y in zip(vec, row))
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("top", [1, 2, 3, 255, 2**64 - 1])
+def test_orthogonal_at_the_slot_width_edge(ncols, top):
+    # every entry +-top: each dot product is a sum of ncols terms +-top^2,
+    # up to the bound ncols top^2 the width is taken from
+    rng = random.Random(ncols * top)
+    for _ in range(40):
+        vectors = [tuple(Fraction(rng.choice((top, -top))) for _ in range(ncols))
+                   for _ in range(rng.randint(1, 4))]
+        rows = [[rng.choice((top, -top)) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 3))]
+        want = all(_dot(vec, row) == 0 for vec in vectors for row in rows)
+        assert linalg._orthogonal(vectors, rows) == want
+    # all at the bound: the vectors' digits alternate between +- ncols top^2
+    vectors = [tuple(Fraction((-1) ** k * top) for _ in range(ncols))
+               for k in range(4)]
+    assert not linalg._orthogonal(vectors, [[top] * ncols])
+    assert not linalg._orthogonal(vectors, [[-top] * ncols])
+    if ncols % 2 == 0:
+        assert linalg._orthogonal(vectors, [[(-1) ** j * top
+                                             for j in range(ncols)]])
+
+
+@pytest.mark.parametrize("ncols", [2, 4, 8, 16])
+def test_orthogonal_digits_never_cancel_each_other(ncols):
+    # the row's dot products are d_0 = ncols, at the bound for entries of
+    # size 1, and d_1 = -ncols / 2^j: the packed sum d_0 + d_1 2^w would be
+    # zero for a slot of w = j bits, too narrow to hold d_0
+    row = [1] * ncols
+    for j in range(ncols.bit_length()):
+        second = (Fraction(-(ncols >> j)),) + (Fraction(0),) * (ncols - 1)
+        assert not linalg._orthogonal([(Fraction(1),) * ncols, second], [row])
+
+
+def test_orthogonal_sees_a_refutation_in_any_one_digit():
+    vectors = [(Fraction(1), Fraction(-1), Fraction(0)),
+               (Fraction(1, 2), Fraction(0), Fraction(-1, 3)),
+               (Fraction(0), Fraction(5), Fraction(5))]
+    assert linalg._orthogonal(vectors, [[0, 0, 0]])
+    # each row is orthogonal to two of the vectors, not to the third
+    for row in ([2, -3, 3], [1, 1, -1], [2, 2, 3]):
+        assert sum(_dot(vec, row) != 0 for vec in vectors) == 1
+        assert not linalg._orthogonal(vectors, [[0, 0, 0], row])
+    assert linalg._orthogonal(vectors, [])
+    assert linalg._orthogonal([], [[1, 2, 3]])
+
+
 @pytest.mark.parametrize("space", SPACES)
 def test_series_kernel_equals_full_elimination_in_relation_search(space):
     for k in range(1, 8):

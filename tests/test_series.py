@@ -99,6 +99,66 @@ def test_eta24_needs_positive_order():
         eta24(0)
 
 
+# -- the product by Kronecker substitution against the schoolbook product ------
+
+def _schoolbook(a, b):
+    n = min(a.order, b.order)
+    return QSeries(n, tuple(sum(a.nums[i] * b.nums[k - i] for i in range(k + 1))
+                            for k in range(n + 1)), a.den * b.den)
+
+
+@st.composite
+def wide_series(draw):
+    """Orders 0-80, sparse or dense numerators up to 10^40 of either sign,
+    or none at all, over a denominator."""
+    order = draw(st.integers(0, 80))
+    size = draw(st.sampled_from([1, 9, 10**6, 10**40]))
+    entry = st.one_of(st.just(0), st.integers(-size, size))
+    nums = draw(st.one_of(st.just([0] * (order + 1)),
+                          st.lists(entry, min_size=order + 1,
+                                   max_size=order + 1)))
+    return QSeries(order, tuple(nums), draw(st.integers(1, 10**6)))
+
+
+@given(wide_series(), wide_series())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_schoolbook(a, b):
+    # mixed orders truncate to the smaller; a zero operand gives zero
+    assert a * b == _schoolbook(a, b)
+    assert a * a == _schoolbook(a, a)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64])
+@pytest.mark.parametrize("m", [1, 255, 256, 2**64 - 1, 10**40])
+def test_product_at_the_slot_width_edges(n, m):
+    # every a_i = b_i = +-m: c_n = +-(n+1) m^2 is the bound the width is
+    # taken from, and with alternating signs the top slot is negative
+    for sa, sb in [(1, 1), (1, -1), (-1, -1)]:
+        a = QSeries(n, (sa * m,) * (n + 1))
+        b = QSeries(n, (sb * m,) * (n + 1))
+        assert (a * b).nums[n] == sa * sb * (n + 1) * m * m
+        assert a * b == _schoolbook(a, b)
+        alt = QSeries(n, tuple((-1) ** i * m for i in range(n + 1)))
+        assert alt * b == _schoolbook(alt, b)
+        # one nonzero slot in each: a single monomial, or nothing past q^n
+        for i, j in [(0, 0), (0, n), (n // 2, n - n // 2), (n, n)]:
+            x = QSeries(n, tuple(sa * m if k == i else 0 for k in range(n + 1)))
+            y = QSeries(n, tuple(sb * m if k == j else 0 for k in range(n + 1)))
+            assert x * y == _schoolbook(x, y)
+            assert (x * y).is_zero() == (i + j > n)
+
+
+def test_eta24_is_shared_and_bounded():
+    assert eta24.cache_info().maxsize is not None
+    first = eta24(30)
+    assert eta24(30) == first and eta24(30).nums == first.nums
+    assert eta24(12) == first.truncate(12)
+    for order in range(1, 40):
+        eta24(order)
+    assert eta24.cache_info().currsize <= eta24.cache_info().maxsize
+    assert eta24(30) == first
+
+
 # -- the integer representation against plain lists of Fractions ---------------
 
 @st.composite

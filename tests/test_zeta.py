@@ -1,6 +1,8 @@
 from collections import Counter
 from fractions import Fraction
 
+from math import factorial, perm
+
 import pytest
 from mpmath import mp, mpf, pi, workdps, zeta as mp_zeta
 
@@ -8,6 +10,7 @@ from qbrackets import (Z_k_alg, Z_k_symbolic, compositions, d_general,
                        delta_representations, mzv, mzv_oracle,
                        proven_relation_corpus, word)
 from qbrackets import zeta
+from qbrackets.numbers import bernoulli
 
 
 def _mpf(x: Fraction) -> mpf:
@@ -254,6 +257,47 @@ def test_shared_expansions_are_read_only():
     with pytest.raises(TypeError):
         terms[2] = 0
     assert isinstance(row, tuple)
+
+
+def _psi_reference(sigma, cutoff, emax, bits):
+    """The expansion of _psi_expansion from its Euler-Maclaurin terms,
+    rebuilt from the Bernoulli numbers on every call."""
+    shift = cutoff.bit_length() - 1
+    j = zeta._MAX_EM_TERMS
+    exact = {sigma - 1: Fraction(1, sigma - 1), sigma: Fraction(-1, 2)}
+    for i in range(1, j + 1):
+        exact[sigma + 2 * i - 1] = (bernoulli(2 * i) / factorial(2 * i)
+                                    * perm(sigma + 2 * i - 2, 2 * i - 1))
+    env_e = sigma + 2 * j + 1
+    env = zeta._ceil_scaled(abs(bernoulli(2 * j + 2)) / factorial(2 * j + 2)
+                            * perm(sigma + 2 * j, 2 * j + 1),
+                            bits - shift * (env_e - sigma))
+    terms = {}
+    for e, a in exact.items():
+        if e <= emax:
+            terms[e] = zeta._floor_scaled(a, bits - shift * (e - sigma))
+        else:
+            env += zeta._ceil_scaled(abs(a), bits - shift * (e - sigma))
+            env_e = min(env_e, e)
+    return terms, env, env_e
+
+
+@pytest.mark.parametrize("sigma, cutoff, emax, bits", [
+    (2, 256, 28, 232), (3, 256, 28, 298), (3, 512, 9, 232), (7, 1024, 40, 400),
+    (12, 4096, 20, 310), (30, 256, 100, 232)])
+def test_psi_expansion_matches_the_uncached_formula(sigma, cutoff, emax, bits):
+    _clear_shared_rows()
+    for _ in range(2):      # computed, then read back from the caches
+        terms, env, env_e = zeta._psi_expansion(sigma, cutoff, emax, bits)
+        assert (dict(terms), env, env_e) == _psi_reference(sigma, cutoff,
+                                                           emax, bits)
+    # other keys with the same sigma reuse its exact coefficients
+    misses = zeta._em_coefficients.cache_info().misses
+    for key in [(2 * cutoff, emax, bits), (cutoff, emax + 1, bits + 1)]:
+        assert dict(zeta._psi_expansion(sigma, *key)[0]) == \
+            _psi_reference(sigma, *key)[0]
+    assert zeta._em_coefficients.cache_info().misses == misses
+    assert zeta._em_coefficients.cache_info().maxsize is not None
 
 
 def test_mzv_cache_evicts_the_oldest_past_its_cap(cold_mzv_cache,
