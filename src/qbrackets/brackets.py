@@ -326,7 +326,9 @@ def bracket_series(c: Sequence[int], order: int) -> QSeries:
 # oracle algorithm: prefix recursion with Eulerian-kernel factors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# keyed by (part, order), each entry order + 1 integers: verify, the
+# weight-9 corpus and an order-1000 oracle call leave about 7 of them
+@lru_cache(maxsize=32)
 def _kernel_row(s: int, n_max: int) -> tuple[int, ...]:
     """Coefficients of z^0 .. z^n_max in z P_{s-1}(z)/(1-z)^s, the factor
     generating v^{s-1} summed over v >= 1 (its (s-1)! is divided out later),

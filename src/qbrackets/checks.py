@@ -275,7 +275,7 @@ def check_relation_leibniz5() -> str:
 
 
 def check_relation_counts() -> str:
-    got = graded_relation_counts(6, 4)
+    got = graded_relation_counts(6)
     for cell, want in sorted(RELATION_COUNTS_LOW.items()):
         if cell not in got:
             raise CheckFailure(f"cell {cell} missing from relation counts")

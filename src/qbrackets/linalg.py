@@ -605,7 +605,7 @@ def relation_in_span(target: Relation | WordSum,
     return not IntEchelon(rows).add(goal)
 
 
-def graded_relation_counts(max_weight: int, max_length: int | None = None,
+def graded_relation_counts(max_weight: int,
                            relations: Iterable[Relation] | None = None
                            ) -> Dict[Cell, int]:
     """Independent relation counts per graded (k, l) piece of the admissible
@@ -630,8 +630,6 @@ def graded_relation_counts(max_weight: int, max_length: int | None = None,
         if not top:
             continue  # a zero or constant body projects onto no cell
         l = max(len(w) for w, _ in top)
-        if max_length is not None and l > max_length:
-            continue
         projection = [(w, c) for w, c in top if len(w) == l]
         if any(w[0] == 1 for w, _ in projection):
             continue
@@ -639,8 +637,7 @@ def graded_relation_counts(max_weight: int, max_length: int | None = None,
 
     counts: Dict[Cell, int] = {}
     for k in range(2, max_weight + 1):
-        top_l = min(k - 1, max_length) if max_length is not None else k - 1
-        for l in range(1, top_l + 1):
+        for l in range(1, k):
             counts[(k, l)] = 0
     for (k, l), projections in buckets.items():
         counts[(k, l)] = IntEchelon(coefficient_rows(projections)).rank

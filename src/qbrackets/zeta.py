@@ -1,12 +1,13 @@
 """Numerical multiple zeta values and q -> 1 limit maps.
 
 zeta(s1,...,sl) = sum over n1 > ... > nl > 0 of n1^-s1 ... nl^-sl (s1 >= 2).
-The evaluator tabulates nested tails from the outside in; each level's tail
-beyond the cutoff is an asymptotic expansion in inverse powers produced by
-Euler-Maclaurin with an explicit first-omitted-term remainder.  The sums
-run in integers scaled by a power of two, values rounded down and bounds
-up, so every returned value is an exact Fraction with a rigorous error
-bound.  The limit maps connect
+The evaluator tabulates nested tails from the outside in; each letter's
+tail beyond the cutoff is an asymptotic expansion in inverse powers produced
+by Euler-Maclaurin with an explicit first-omitted-term remainder.  The sums
+run at one precision, in integers scaled by a power of two, values rounded
+down and bounds up, so every returned value is an exact Fraction with a
+rigorous error bound, about 1e-48 for every index up to weight 12.  The
+limit maps connect
 brackets to these numbers: a weight-k bracket combination vanishing as a
 q-series must map to an MZV combination vanishing numerically.
 """
@@ -29,12 +30,16 @@ Parts = Tuple[int, ...]
 _DPS = 60
 # A power of two: every power of the cutoff is then a shift.
 _CUTOFF = 256
+_SHIFT = _CUTOFF.bit_length() - 1
 _EXTRA_EXPONENTS = 26
 _MAX_EM_TERMS = 14
-_LEVELS = 5
-# Bits kept beyond the digits of a level: the floors a bound counts, a few
-# thousand units of 2^-bits, stay far below its last digit.
+# Bits kept beyond the digits: the floors a bound counts, a few thousand
+# units of 2^-bits, stay far below its last digit.
 _GUARD_BITS = 32
+# The fixed-point precision: the digits times log2(10), rounded up, plus
+# the guard bits; 232.  Every scale _floor_scaled meets is then a left
+# shift, _BITS - _SHIFT * (e - sigma) with e - sigma <= 2 _MAX_EM_TERMS + 1.
+_BITS = (10 ** _DPS).bit_length() + _GUARD_BITS
 # The error asked of every weight-k image.  verify's two MZV checks print
 # the same bytes for any target from 1e-3 to 1e-30.
 _TARGET_ERROR = 1e-10
@@ -49,21 +54,9 @@ def _require_admissible(c: Sequence[int]) -> Parts:
     return c
 
 
-def _digits(level: int) -> int:
-    return _DPS + 20 * level
-
-
-def _bits(level: int) -> int:
-    """The fixed-point precision of a level: its digits times log2(10),
-    rounded up, plus the guard bits."""
-    return (10 ** _digits(level)).bit_length() + _GUARD_BITS
-
-
 def _floor_scaled(x: Fraction, shift: int) -> int:
-    """floor(x * 2^shift), exactly, for a shift of either sign."""
-    if shift >= 0:
-        return (x.numerator << shift) // x.denominator
-    return x.numerator // (x.denominator << -shift)
+    """floor(x * 2^shift), exactly, for a shift >= 0."""
+    return (x.numerator << shift) // x.denominator
 
 
 def _ceil_scaled(x: Fraction, shift: int) -> int:
@@ -92,14 +85,14 @@ def _em_coefficients(sigma: int):
 
 
 # An expansion holds at most 16 integers of about 230 to 310 bits, about
-# 1.5 KB with its mapping; every index up to weight 12 needs 259 of them
-# per level, so 1024 (about 1.5 MB) hold that set at nearly four levels.
-@lru_cache(maxsize=1024)
-def _psi_expansion(sigma: int, cutoff: int, emax: int, bits: int):
+# 1.5 KB with its mapping; every index up to weight 12 needs 259 of them,
+# so 512 (about 0.75 MB) hold that set with room to spare.
+@lru_cache(maxsize=512)
+def _psi_expansion(sigma: int, emax: int):
     """Expansion of N^sigma psi(m), psi(m) = sum_{n>m} n^-sigma, valid for
-    m >= N = cutoff: returns (terms, env, env_e) with
-    N^sigma psi(m) = sum_e terms[e] (N/m)^e 2^-bits + r(m) and
-    |r(m)| <= env (N/m)^env_e 2^-bits.
+    m >= N = _CUTOFF: returns (terms, env, env_e) with
+    N^sigma psi(m) = sum_e terms[e] (N/m)^e 2^-_BITS + r(m) and
+    |r(m)| <= env (N/m)^env_e 2^-_BITS.
 
     Euler-Maclaurin runs to the fixed order _MAX_EM_TERMS.  x^-sigma is
     completely monotone, so the remainder is bounded by the first omitted
@@ -112,49 +105,45 @@ def _psi_expansion(sigma: int, cutoff: int, emax: int, bits: int):
     read-only mapping."""
     if sigma < 2:
         raise ValueError("tail exponent must be at least 2")
-    shift = cutoff.bit_length() - 1
     exact, omitted = _em_coefficients(sigma)
     env_e = sigma + 2 * _MAX_EM_TERMS + 1
-    env = _ceil_scaled(omitted, bits - shift * (env_e - sigma))
+    env = _ceil_scaled(omitted, _BITS - _SHIFT * (env_e - sigma))
     terms: Dict[int, int] = {}
     for e, a in exact:
         if e <= emax:
-            terms[e] = _floor_scaled(a, bits - shift * (e - sigma))
+            terms[e] = _floor_scaled(a, _BITS - _SHIFT * (e - sigma))
         else:
-            env += _ceil_scaled(abs(a), bits - shift * (e - sigma))
+            env += _ceil_scaled(abs(a), _BITS - _SHIFT * (e - sigma))
             env_e = min(env_e, e)
     return MappingProxyType(terms), env, env_e
 
 
-# A row is about 9 KB at level 0 (cutoff 256) and 0.2 MB at level 4
-# (cutoff 4096, letter 12).  Every letter up to weight 12 at one level
-# needs 12 rows; 24 hold them at two levels.
-@lru_cache(maxsize=24)
-def _inverse_powers(s: int, cutoff: int, bits: int):
-    """The row (1^s, ..., cutoff^s), exact, by whose entries a table step
-    divides, and sum_{m <= cutoff} m^-s in units of 2^-bits, rounded up.
+# A row is about 9 KB; every letter up to weight 12 needs 12 rows.
+@lru_cache(maxsize=16)
+def _inverse_powers(s: int):
+    """The row (1^s, ..., _CUTOFF^s), exact, by whose entries a table step
+    divides, and sum_{m <= _CUTOFF} m^-s in units of 2^-_BITS, rounded up.
     Every index with the letter s shares the row."""
-    row = tuple(m ** s for m in range(1, cutoff + 1))
-    one = 1 << bits
+    row = tuple(m ** s for m in range(1, _CUTOFF + 1))
+    one = 1 << _BITS
     return row, sum(-(-one // p) for p in row)
 
 
-def _tail_sum(terms, env, s: int, cutoff: int, emax: int, bits: int):
+def _tail_sum(terms, env, s: int, emax: int):
     """Expansion of m -> sum_{n>m} n^-s f(n), where f is given by
-    (terms, env); valid for m >= cutoff.  Every psi expansion is capped at
+    (terms, env); valid for m >= _CUTOFF.  Every psi expansion is capped at
     emax, so the result needs no further capping.  Each product is
     floored; its bound counts that floor and the floor of the psi
     coefficient it used."""
-    shift = cutoff.bit_length() - 1
-    drop = bits + s * shift     # the scale of b * p * N^-s
+    drop = _BITS + s * _SHIFT     # the scale of b * p * N^-s
     out: Dict[int, int] = defaultdict(int)
     out_env: Dict[int, int] = defaultdict(int)
     # integral comparison: sum_{n>m} (N/n)^(k+1) <= N/k (N/m)^k
     for e, bound in env.items():
         k = e + s - 1
-        out_env[k] -= -bound // (k << shift * (s - 1))
+        out_env[k] -= -bound // (k << _SHIFT * (s - 1))
     for e, b in terms.items():
-        psi, c, c_e = _psi_expansion(e + s, cutoff, emax, bits)
+        psi, c, c_e = _psi_expansion(e + s, emax)
         for e_out, p in psi.items():
             out[e_out] += b * p >> drop
         size = abs(b)
@@ -163,44 +152,9 @@ def _tail_sum(terms, env, s: int, cutoff: int, emax: int, bits: int):
     return out, out_env
 
 
-def _nested_value(comp: Parts, level: int):
-    """Value of the nested sum at a precision level and a rigorous error
-    bound, both exact Fractions.
-
-    The table holds T(m) for 0 <= m <= cutoff, starting from the empty sum
-    T = 1; each letter s turns it into m -> sum_{n>m} n^-s T(n), seeded at
-    the cutoff by the tail expansion and summed down to T(0).  The bound
-    adds, per letter, the envelopes at the cutoff, the previous bound times
-    sum m^-s, and one unit for each of the cutoff floors of the table
-    step.  On top it keeps a fixed cushion of 10^(12 - digits); at level 0
-    that is eight orders above what it counts for any index up to weight
-    8, so the bound of each of them reads 1.0e-48."""
-    cutoff = _CUTOFF << level
-    bits = _bits(level)
-    one = 1 << bits
-    terms: Mapping[int, int] = {0: one}
-    env: Dict[int, int] = {}
-    table: List[int] = [one] * (cutoff + 1)
-    err = lead = 0
-    for s in comp:
-        lead += s - 1
-        terms, env = _tail_sum(terms, env, s, cutoff,
-                               lead + _EXTRA_EXPONENTS, bits)
-        powers, weight_sum = _inverse_powers(s, cutoff, bits)
-        acc = sum(terms.values())
-        nxt = [0] * cutoff + [acc]
-        for m in range(cutoff, 0, -1):
-            acc += table[m] // powers[m - 1]
-            nxt[m - 1] = acc
-        err = sum(env.values()) - (-err * weight_sum >> bits) + cutoff
-        table = nxt
-    return (Fraction(table[0], one),
-            Fraction(err, one) + Fraction(1, 10 ** (_digits(level) - 12)))
-
-
 class MzvValue(Value):
     """A multiple zeta value with a rigorous absolute error bound, both
-    exact: the value is an integer over 2^bits of its precision level."""
+    exact: the value is an integer over 2^_BITS."""
 
     __slots__ = ("index", "value", "error_bound")
 
@@ -210,38 +164,57 @@ class MzvValue(Value):
         super().__init__(index, value, error_bound)
 
 
-# (index, level) -> the value at cutoff _CUTOFF << level and _DPS + 20 * level
-# digits; at most _LEVELS entries per index, whatever targets are asked for.
-# Past _MZV_CACHE_SIZE entries the oldest goes: every index up to weight 12
-# at one level is 2047 of them, each about 0.5 KB.
-_MZV_CACHE: Dict[Tuple[Parts, int], MzvValue] = {}
-_MZV_CACHE_SIZE = 4096
+# Every index up to weight 12 is 2047 entries, each about 0.5 KB.
+@lru_cache(maxsize=4096)
+def _nested_value(comp: Parts) -> MzvValue:
+    """Value of the nested sum and a rigorous error bound, both exact
+    Fractions.
+
+    The table holds T(m) for 0 <= m <= cutoff, starting from the empty sum
+    T = 1; each letter s turns it into m -> sum_{n>m} n^-s T(n), seeded at
+    the cutoff by the tail expansion and summed down to T(0).  The bound
+    adds, per letter, the envelopes at the cutoff, the previous bound times
+    sum m^-s, and one unit for each of the cutoff floors of the table
+    step.  On top it keeps a fixed cushion of 10^(12 - _DPS), eight orders
+    above what it counts for any index up to weight 8, so the bound of
+    each of them reads 1.0e-48."""
+    one = 1 << _BITS
+    terms: Mapping[int, int] = {0: one}
+    env: Dict[int, int] = {}
+    table: List[int] = [one] * (_CUTOFF + 1)
+    err = lead = 0
+    for s in comp:
+        lead += s - 1
+        terms, env = _tail_sum(terms, env, s, lead + _EXTRA_EXPONENTS)
+        powers, weight_sum = _inverse_powers(s)
+        acc = sum(terms.values())
+        nxt = [0] * _CUTOFF + [acc]
+        for m in range(_CUTOFF, 0, -1):
+            acc += table[m] // powers[m - 1]
+            nxt[m - 1] = acc
+        err = sum(env.values()) - (-err * weight_sum >> _BITS) + _CUTOFF
+        table = nxt
+    return MzvValue(comp, Fraction(table[0], one),
+                    Fraction(err, one) + Fraction(1, 10 ** (_DPS - 12)))
 
 
 def mzv(c: Sequence[int], target_error: float = _TARGET_ERROR) -> MzvValue:
     """Evaluate zeta(c) with error_bound at most target_error.
 
-    Precision level l (0 <= l < _LEVELS) sums to cutoff _CUTOFF << l in
-    integers scaled by 2^_bits(l), for _DPS + 20 * l digits.  The result
-    is the first level whose bound meets the target; each level is
-    computed once per index and cached, so the target only picks a level
-    and never causes a recomputation.
+    Every index is summed once, to cutoff _CUTOFF in integers scaled by
+    2^_BITS, for _DPS digits, and cached; its bound is about 1e-48 up to
+    weight 12.  The target, any positive real, is compared with the bound
+    exactly; one below the bound raises ArithmeticError, since there is
+    no higher precision to climb to.
     """
     comp = _require_admissible(c)
-    target_error = float(target_error)
     if not target_error > 0:
         raise ValueError("target_error must be positive")
-    for level in range(_LEVELS):
-        out = _MZV_CACHE.get((comp, level))
-        if out is None:
-            out = MzvValue(comp, *_nested_value(comp, level))
-            _MZV_CACHE[(comp, level)] = out
-            if len(_MZV_CACHE) > _MZV_CACHE_SIZE:
-                del _MZV_CACHE[next(iter(_MZV_CACHE))]
-        if out.error_bound <= target_error:
-            return out
-    raise ArithmeticError(
-        f"could not reach error {target_error} for zeta{comp}")
+    out = _nested_value(comp)
+    if out.error_bound > target_error:
+        raise ArithmeticError(f"the error bound {float(out.error_bound):.3g}"
+                              f" of zeta{comp} exceeds the target error")
+    return out
 
 
 def mzv_oracle(c: Sequence[int]) -> float:
@@ -279,9 +252,10 @@ def _combination_value(combination: Mapping[Parts, Fraction]):
     """The exact sum of coeff * zeta(word) and its error bound: the bounds
     of the zeta values, weighted by |coeff|."""
     value = err = Fraction(0)
-    per_term = _TARGET_ERROR / max(1, len(combination))
+    # exact: a coefficient may be too large for a float
+    per_term = Fraction(_TARGET_ERROR) / max(1, len(combination))
     for word_, coeff in sorted(combination.items()):
-        z = mzv(word_, per_term / max(1.0, abs(float(coeff))))
+        z = mzv(word_, per_term / max(1, abs(coeff)))
         value += coeff * z.value
         err += abs(coeff) * z.error_bound
     return value, err

@@ -98,6 +98,17 @@ def test_oracle_agreement_at_high_order(monkeypatch):
         assert fast[c] == slow[c], c
 
 
+def test_oracle_kernel_rows_are_bounded():
+    # one row per (part, order): more orders than the cache holds evict
+    # the oldest, and a row computed again is the same
+    cap = brackets._kernel_row.cache_info().maxsize
+    assert cap is not None
+    for order in range(1, cap + 2):
+        bracket_series_oracle((2,), order)
+    assert brackets._kernel_row.cache_info().currsize == cap
+    assert bracket_series_oracle((2,), 1) == bracket_series((2,), 1)
+
+
 def _sweep_matches_oracle(comps, order):
     rows = _sigma_lists(comps, order)
     slow = bracket_series_oracle_many(comps, order)

@@ -499,7 +499,7 @@ def test_relation_in_span():
 
 
 def test_graded_relation_counts_low_weights():
-    got = graded_relation_counts(6, 4)
+    got = graded_relation_counts(6)
     for cell, wanted in RELATION_COUNTS_LOW.items():
         assert got[cell] == wanted, cell
 
