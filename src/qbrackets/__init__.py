@@ -5,9 +5,9 @@ bridge to multiple zeta values."""
 
 from .numbers import (bernoulli, eulerian_number, eulerian_polynomial,
                       lambda_coeff, count_generators, compositions,
-                      compositions_up_to)
+                      compositions_up_to, canonical_key)
 from .series import QSeries, eta24
-from .brackets import (canonical_key, multiple_divisor_sum, bracket_series,
+from .brackets import (multiple_divisor_sum, bracket_series,
                        bracket_series_many, bracket_series_oracle,
                        bracket_series_oracle_many, partition_counts,
                        partition_identity_check)

@@ -21,6 +21,11 @@ bracket_series_oracle runs over the chain from the outermost index inward
 with each factor expanded into its coefficients through Eulerian
 polynomial coefficients and binomials.  Their agreement is a real
 mathematical identity, and the test suite insists on it.
+
+Every entry point checks its order (numbers.as_order), then its compositions
+(as_composition), before either reaches the cache, which holds each series
+at the highest order asked for: bracket_series and bracket_series_many cut
+it to the order asked for, and evaluate reads it as held.
 """
 
 from __future__ import annotations
@@ -31,17 +36,10 @@ from operator import index
 from typing import Iterable, Sequence
 
 from .config import ResourceCap, get_config
-from .numbers import as_composition, eulerian_polynomial
+from .numbers import as_composition, as_order, eulerian_polynomial
 from .series import QSeries, _linear
 
 Parts = tuple[int, ...]
-
-
-def canonical_key(parts: Sequence[int]) -> tuple[int, int, Parts]:
-    """Sort key for the canonical composition order: ascending weight, then
-    ascending length, then lexicographic on the parts."""
-    t = tuple(parts)
-    return (sum(t), len(t), t)
 
 
 def multiple_divisor_sum(r: Sequence[int], n: int) -> int:
@@ -282,44 +280,33 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
     return out
 
 
-def _check_order(order: int) -> None:
-    if order < 1:
-        raise ValueError("order must be at least 1")
-
-
-def _validated(comps: Iterable[Sequence[int]], order: int) -> list[Parts]:
-    """The compositions through as_composition, after _check_order, so no
-    bad input reaches the exact cache."""
-    _check_order(order)
-    return [as_composition(c) for c in comps]
-
-
 def _denominator(comp: Parts) -> int:
     return prod(factorial(s - 1) for s in comp)
 
 
 def _series_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
     """The one reader and writer of _SERIES_CACHE.  A composition cached at
-    this order or higher is served by truncation; the others share one
-    sweep, and their series are stored only after it returns, so a refused
-    sweep leaves the cache as it was."""
+    this order or higher is served as held; the others share one sweep, and
+    their series are stored only after it returns, so a refused sweep leaves
+    the cache as it was."""
     misses = {c for c in comps if c and (c not in _SERIES_CACHE
                                          or _SERIES_CACHE[c].order < order)}
     for c, row in _sigma_lists(misses, order).items():
         _SERIES_CACHE[c] = QSeries(order, tuple(row), _denominator(c))
-    return {c: _SERIES_CACHE[c].truncate(order) if c else QSeries.one(order)
-            for c in comps}
+    return {c: _SERIES_CACHE[c] if c else QSeries.one(order) for c in comps}
 
 
 def bracket_series_many(comps: Iterable[Parts], order: int) -> dict[Parts, QSeries]:
     """bracket_series for a family of compositions, sharing suffix work."""
-    return _series_many(_validated(comps, order), order)
+    order = as_order(order)
+    series = _series_many([as_composition(c) for c in comps], order)
+    return {c: s.truncate(order) for c, s in series.items()}
 
 
 def bracket_series(c: Sequence[int], order: int) -> QSeries:
     """The bracket [c] as an exact series through q^order."""
-    [comp] = _validated([c], order)
-    return _series_many([comp], order)[comp]
+    order, comp = as_order(order), as_composition(c)
+    return _series_many([comp], order)[comp].truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +329,7 @@ def _kernel_row(s: int, n_max: int) -> tuple[int, ...]:
 
 def bracket_series_oracle(c: Sequence[int], order: int) -> QSeries:
     """Independent recomputation of bracket_series; see the module docstring."""
-    [comp] = _validated([c], order)
+    order, comp = as_order(order), as_composition(c)
     return _oracle_many([comp], order)[comp]
 
 
@@ -396,7 +383,8 @@ def _oracle_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
 
 
 def bracket_series_oracle_many(comps: Iterable[Parts], order: int) -> dict[Parts, QSeries]:
-    return _oracle_many(_validated(comps, order), order)
+    order = as_order(order)
+    return _oracle_many([as_composition(c) for c in comps], order)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +417,7 @@ def partition_counts(n_max: int) -> list[int]:
 def partition_identity_check(order: int) -> bool:
     """sum_l [1,...,1] (l ones) counts all partitions: coefficient of q^n is
     p(n) whenever every l with l(l+1)/2 <= n is included."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    order = as_order(order)
     ones = [(1,) * l for l in range(1, order + 1) if l * (l + 1) // 2 <= order]
     total = _linear(order, ((1, s) for s in bracket_series_many(ones, order).values()))
     p = partition_counts(order)

@@ -21,7 +21,7 @@ from math import comb
 from ._value import Value
 from .brackets import bracket_series, bracket_series_many
 from .config import get_config
-from .numbers import as_composition, compositions_up_to
+from .numbers import as_composition, as_order, compositions_up_to
 from .words import WordSum, _linear_extension, evaluate, quasi_shuffle, word
 
 Parts = tuple[int, ...]
@@ -31,7 +31,8 @@ PROVEN_PROVENANCES = ("derivation-split", "leibniz", "modular")
 
 def _order(verify_order: int | None) -> int:
     """The verification order: as given, else the configured default."""
-    return get_config().default_order if verify_order is None else verify_order
+    return (get_config().default_order if verify_order is None
+            else as_order(verify_order))
 
 
 class Relation(Value):

@@ -42,7 +42,8 @@ from ._value import Value
 from .brackets import _sigma_lists, bracket_series_many
 from .config import ResourceCap, get_config
 from .derivation import Relation, proven_relation_corpus
-from .numbers import compositions, compositions_up_to, count_generators
+from .numbers import (as_order, compositions, compositions_up_to,
+                      count_generators)
 from .series import QSeries
 from .words import WordSum, coefficient_rows
 
@@ -366,12 +367,11 @@ def _series_order(order: int | None, columns: Sequence[Parts],
     """The order for a column set.  The default is the larger of the
     configured order and twice the column count: relation search verifies
     its candidates at that depth, and the dimension tables never go past it
-    (_table_rows).  An explicit order must be at least 1 and reach the first
-    coefficient of the longest column."""
+    (_table_rows).  An explicit order passes as_order and must reach the
+    first coefficient of the longest column."""
     if order is None:
         return max(get_config().default_order, 2 * len(columns))
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    order = as_order(order)
     max_length, least = _longest(columns)
     if order < least:
         raise ValueError(
@@ -416,8 +416,8 @@ def _walk(gens: Sequence[Parts], rows: Mapping[Parts, int], order: int,
     return walk, ech.pivots
 
 
-def _table_rows(space: str, k: int, gens: Sequence[Parts], order: int | None,
-                caller: str) -> Tuple[int, Dict[Parts, int], Walk]:
+def _table_rows(space: str, k: int, gens: Sequence[Parts],
+                order: int | None) -> Tuple[int, Dict[Parts, int], Walk]:
     """The order for the weight-k generators gens of a table, their rows
     packed at that order, and the _walk of weight k over them.
 
@@ -432,6 +432,7 @@ def _table_rows(space: str, k: int, gens: Sequence[Parts], order: int | None,
     independent is a proof at any order.  Warns when the rank reaches the
     order, which more coefficients may raise.
     """
+    caller = "dimension_table"
     if order is None:
         ceiling = _series_order(None, gens, caller)
         order = min(max(ceil(1.25 * _predicted_top(space, k)) + 16,
@@ -522,8 +523,7 @@ def dimension_table(space: str, max_weight: int, order: int | None = None,
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     all_gens = generators(space, max_weight)
-    order, rows, top = _table_rows(space, max_weight, all_gens, order,
-                                   "dimension_table")
+    order, rows, top = _table_rows(space, max_weight, all_gens, order)
 
     fil: Dict[Cell, Tuple[int, str]] = {}
     for k in range(max_weight + 1):

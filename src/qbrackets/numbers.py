@@ -1,4 +1,6 @@
-"""Bernoulli numbers, Eulerian polynomials, lambda coefficients, compositions.
+"""Bernoulli numbers, Eulerian polynomials, lambda coefficients, and what
+every entry point takes: compositions (as_composition), listed by stars and
+bars (compositions) in canonical order (canonical_key), and orders (as_order).
 
 Everything here is exact rational arithmetic on top of ``fractions.Fraction``
 and arbitrary-precision integers.  The Bernoulli convention is the generating
@@ -11,9 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
-from operator import index
-from typing import Iterable, Iterator
+from operator import index, sub
+from typing import Iterable, Iterator, Sequence
 
 
 @lru_cache(maxsize=None)
@@ -37,7 +40,9 @@ def eulerian_number(s: int, n: int) -> int:
     return sum((-1) ** i * comb(s + 1, i) * (n + 1 - i) ** s for i in range(n + 1))
 
 
-@lru_cache(maxsize=None)
+# keyed by s = part - 1: verify, the weight-9 corpus, dims mda 10 and
+# relations 9 9 leave 9 entries, so 32 holds every part up to 33
+@lru_cache(maxsize=32)
 def eulerian_polynomial(s: int) -> tuple[int, ...]:
     """Coefficients A_{s,0}, A_{s,1}, ... of the s-th Eulerian polynomial
     P_s(t) = sum_n A_{s,n} t^n, from the closed form A_{s,n}; P_s satisfies
@@ -97,42 +102,40 @@ def as_composition(parts: Iterable[int]) -> tuple[int, ...]:
     return comp
 
 
+def as_order(order: int) -> int:
+    """The truncation order as an int, after the one check every order
+    entering the library passes: an order that is not an integer raises
+    TypeError, an order below 1 ValueError."""
+    order = index(order)
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    return order
+
+
 def compositions(k: int, l: int, admissible: bool = False) -> Iterator[tuple[int, ...]]:
     """Yield the compositions of k into l positive parts in lexicographic order.
 
-    With admissible=True only compositions whose first part exceeds 1 are
-    produced.  k = l = 0 yields the empty composition.
+    Stars and bars: each is read off its l - 1 cut points in lo..k-1, with
+    lo = 2 when admissible=True (first part > 1) and 1 otherwise, and
+    lexicographic cut sets give lexicographic compositions.  k = l = 0
+    yields the empty composition.
     """
-    if k < 0 or l < 0:
-        return
-    if l == 0:
-        if k == 0:
+    if l < 1:
+        if k == l == 0:
             yield ()
         return
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            if remaining >= 1:
-                yield prefix + (remaining,)
-            return
-        for first in range(1, remaining - slots + 2):
-            yield from rec(prefix + (first,), remaining - first, slots - 1)
-
     lo = 2 if admissible else 1
-    if l == 1:
-        if k >= lo:
-            yield (k,)
-        return
-    for first in range(lo, k - l + 2):
-        yield from rec((first,), k - first, l - 1)
+    if k >= lo:
+        for cuts in combinations(range(lo, k), l - 1):
+            yield tuple(map(sub, (*cuts, k), (0, *cuts)))
 
 
 def compositions_up_to(max_weight: int, admissible: bool = False,
                        max_length: int | None = None) -> Iterator[tuple[int, ...]]:
     """All compositions of weight <= max_weight in canonical order.
 
-    Canonical order: ascending weight, then ascending length, then
-    lexicographic on the parts.
+    Canonical order (canonical_key): ascending weight, then ascending
+    length, then lexicographic on the parts.
     """
     for k in range(1, max_weight + 1):
         top = k if max_length is None else min(k, max_length)
@@ -140,14 +143,18 @@ def compositions_up_to(max_weight: int, admissible: bool = False,
             yield from compositions(k, l, admissible)
 
 
+def canonical_key(parts: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
+    """Sort key for the canonical composition order, the order of
+    compositions_up_to: ascending weight, then ascending length, then
+    lexicographic on the parts."""
+    t = tuple(parts)
+    return (sum(t), len(t), t)
+
+
 def count_generators(k: int, l: int, admissible: bool = False) -> int:
-    """Number of compositions of weight k and length l: C(k-1, l-1), or
-    C(k-2, l-1) when restricted to first part > 1."""
-    if k < 0 or l < 0:
-        return 0
-    if l == 0:
-        return 1 if k == 0 else 0
-    n = (k - 2) if admissible else (k - 1)
-    if n < l - 1:
-        return 0
-    return comb(n, l - 1)
+    """Number of compositions of weight k and length l, one per cut set:
+    C(k-1, l-1), or C(k-2, l-1) when restricted to first part > 1."""
+    if l < 1:
+        return int(k == l == 0)
+    lo = 2 if admissible else 1
+    return comb(k - lo, l - 1) if k >= lo else 0

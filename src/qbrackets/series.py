@@ -17,6 +17,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from ._value import Value
+from .numbers import as_order
 
 RationalLike = Fraction | int
 
@@ -194,13 +195,13 @@ def _signed_sum(terms: Iterable[tuple[RationalLike, str]]) -> str:
     return text or "0"
 
 
-# a command asks for a few orders, many times; the series is immutable
-@lru_cache(maxsize=8)
+# a few orders of an immutable series, asked for many times; typed, so
+# that 20.0 reaches as_order
+@lru_cache(maxsize=8, typed=True)
 def eta24(order: int) -> QSeries:
     """q * prod_{n>=1} (1 - q^n)^24, the discriminant cusp form; the
     coefficient of q^n is tau(n)."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    order = as_order(order)
     n = order - 1  # need the 24th power of the Euler product to q^n
     euler = [0] * (n + 1)
     for j in range(-n, n + 1):   # Euler: (-1)^j at each j(3j-1)/2 <= n

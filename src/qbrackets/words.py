@@ -16,8 +16,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .brackets import _check_order, _series_many, bracket_series, canonical_key
-from .numbers import as_composition, lambda_coeff
+from .brackets import _series_many, bracket_series
+from .numbers import as_composition, as_order, canonical_key, lambda_coeff
 from .series import QSeries, _linear, _rat_str, _signed_sum
 
 Word = tuple[int, ...]
@@ -212,8 +212,8 @@ def coefficient_rows(sums: Iterable[WordSum]) -> list[list[int]]:
 
 def evaluate(w: WordSum, order: int) -> QSeries:
     """The series sum of coeff * [word] over the terms of w (compositions by
-    construction: only the order is checked)."""
-    _check_order(order)
+    construction: only the order is checked), from the series as cached."""
+    order = as_order(order)
     series = _series_many(list(w.words()), order)
     s = _linear(order, ((x, series[word_]) for word_, x in w._nums.items()))
     return QSeries(order, s.nums, s.den * w._den)

@@ -10,10 +10,11 @@ from qbrackets import (Config, QSeries, ResourceCap, bracket_series,
                        bracket_series_many, bracket_series_oracle,
                        bracket_series_oracle_many, canonical_key,
                        compositions_up_to, d_general, d_len1, d_len2,
-                       generators, get_config,
-                       leibniz_relations, mzv, mzv_oracle,
+                       dimension_table, eta24, evaluate, generators,
+                       get_config, leibniz_relations, mzv, mzv_oracle,
                        multiple_divisor_sum, partition_counts,
-                       partition_identity_check, set_config, word)
+                       partition_identity_check, relation_search,
+                       set_config, word)
 from qbrackets import brackets
 from qbrackets.brackets import (_SERIES_CACHE, _convolution_bound,
                                 _sigma_lists, _slot_bytes)
@@ -417,6 +418,48 @@ def test_series_entry_points_validate_input(name, comp, order, error, message):
     # nothing computed from the bad input reaches the exact cache
     assert all(type(p) is int and p >= 1 for c in _SERIES_CACHE for p in c)
     assert all(type(x) is int for s in _SERIES_CACHE.values() for x in s.nums)
+
+
+# entry points that take a truncation order, each on small fixed inputs
+ORDER_ENTRY_POINTS = {
+    "bracket_series": lambda n: bracket_series((2, 1), n),
+    "bracket_series_many": lambda n: bracket_series_many([(2, 1)], n),
+    "bracket_series_oracle_many":
+        lambda n: bracket_series_oracle_many([(2, 1)], n),
+    "evaluate": lambda n: evaluate(word(2, 1), n),
+    "partition_identity_check": partition_identity_check,
+    "relation_search": lambda n: relation_search("mda", 3, 2, n),
+    "dimension_table": lambda n: dimension_table("mda", 3, n),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_ENTRY_POINTS)
+def test_order_entry_points_check_the_order(monkeypatch, name):
+    monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
+    call = ORDER_ENTRY_POINTS[name]
+    for _ in range(2):      # on a cold cache, then with (2, 1) cached
+        with pytest.raises(TypeError, match="integer"):
+            call(20.0)
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            call(0)
+        call(20)
+    assert all(s.order == 20 and type(s.order) is int
+               for s in brackets._SERIES_CACHE.values())
+
+
+def test_eta24_checks_the_order():
+    eta24.cache_clear()
+    for _ in range(2):      # on a cold cache, then with order 20 cached
+        with pytest.raises(TypeError, match="integer"):
+            eta24(20.0)
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            eta24(0)
+        eta24(20)
+
+
+def test_a_bool_order_is_an_int():
+    order = bracket_series((2,), True).order
+    assert order == 1 and type(order) is int
 
 
 @pytest.mark.parametrize("name", SERIES_ENTRY_POINTS)

@@ -350,7 +350,7 @@ def test_default_order_escalates_from_a_low_prediction(monkeypatch):
                 for kind in linalg.TABLE_KINDS}
     monkeypatch.setattr(linalg, "_predicted_top", lambda space, k: 0)
     orders = _record_orders(monkeypatch)
-    order, rows, walk = linalg._table_rows("md", 7, gens, None, "test")
+    order, rows, walk = linalg._table_rows("md", 7, gens, None)
     # 16 is below the first coefficient of [1,...,1] of length 7, q^28
     assert orders[0] == 28
     assert len(orders) > 2
@@ -365,7 +365,7 @@ def test_default_order_stops_at_the_ceiling(monkeypatch):
     gens = generators("mda", 7)
     monkeypatch.setattr(linalg, "_predicted_top", lambda space, k: 10**6)
     orders = _record_orders(monkeypatch)
-    order, _, _ = linalg._table_rows("mda", 7, gens, None, "test")
+    order, _, _ = linalg._table_rows("mda", 7, gens, None)
     assert orders == [order] == [linalg._series_order(None, gens, "test")]
 
 

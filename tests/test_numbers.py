@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qbrackets import (bernoulli, compositions, compositions_up_to,
                        count_generators, eulerian_number, eulerian_polynomial,
                        lambda_coeff)
-from qbrackets.numbers import eulerian_polynomial_recurrence
+from qbrackets.numbers import canonical_key, eulerian_polynomial_recurrence
 
 
 def test_bernoulli_golden():
@@ -66,15 +66,37 @@ def test_compositions_fixed_weight_and_length():
 
 
 def test_canonical_enumeration_order():
-    listed = list(compositions_up_to(4))
-    assert listed == sorted(listed, key=lambda c: (sum(c), len(c), c))
-    assert listed[0] == (1,)
-    assert listed[-1] == (1, 1, 1, 1)
+    for admissible, first, last in ((False, (1,), (1,) * 10),
+                                    (True, (2,), (2,) + (1,) * 8)):
+        listed = list(compositions_up_to(10, admissible))
+        assert listed == sorted(set(listed), key=canonical_key)
+        assert listed[0] == first
+        assert listed[-1] == last
+
+
+def _filtered_products(k, admissible):
+    """For l = 0, 1, ..., k + 1: the tuples of itertools.product(range(1,
+    k + 1), repeat=l) with sum k and, when admissible, first part > 1, in
+    the order product yields them.  A prefix with sum past k is dropped as
+    soon as it appears, since the filter drops all of its extensions; the
+    full product would be 14^14 tuples at k = l = 14."""
+    prefixes = [()]
+    for _ in range(k + 2):
+        yield [t for t in prefixes
+               if sum(t) == k and not (admissible and t and t[0] == 1)]
+        prefixes = [t + (p,) for t in prefixes
+                    for p in range(1, k - sum(t) + 1)]
 
 
 def test_count_generators_matches_enumeration():
-    for k in range(0, 8):
-        for l in range(0, k + 1):
-            assert count_generators(k, l) == len(list(compositions(k, l)))
-            assert count_generators(k, l, admissible=True) == \
-                len(list(compositions(k, l, admissible=True)))
+    for admissible in (False, True):
+        for k in range(-1, 15):
+            wanted = list(_filtered_products(k, admissible))
+            for l in range(-1, 15):
+                listed = list(compositions(k, l, admissible))
+                assert listed == (wanted[l] if 0 <= l < len(wanted) else [])
+                assert count_generators(k, l, admissible) == len(listed)
+
+
+def test_eulerian_polynomial_cache_is_bounded():
+    assert eulerian_polynomial.cache_info().maxsize is not None

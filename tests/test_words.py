@@ -207,6 +207,22 @@ def test_evaluate_matches_the_oracle_sum(w):
     assert s.is_zero() == w.is_zero()
 
 
+def test_evaluate_reads_the_cached_series_as_held(monkeypatch):
+    w = word(2, 1) + word(3).scale(Fraction(1, 2)) + word()
+    bracket_series_many(w.words(), 40)
+    cut = []
+    truncate = QSeries.truncate
+    monkeypatch.setattr(QSeries, "truncate",
+                        lambda s, n: cut.append(n) or truncate(s, n))
+    assert evaluate(w, 13).order == 13
+    assert cut == []
+    # the public functions still return exactly the order asked for
+    assert bracket_series((2, 1), 13).order == 13
+    assert {s.order for s in bracket_series_many(w.words(), 13).values()} \
+        == {13}
+    assert cut == [13] * 4
+
+
 def _word_sum_from_json(doc):
     return WordSum((tuple(t["parts"]), Fraction(t["coeff"])) for t in doc["terms"])
 
