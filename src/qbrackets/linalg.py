@@ -14,7 +14,8 @@ the rows that a ModEchelon keeps, independent mod p and so over Q; their
 kernel contains the true one and is it, with the same reduced echelon
 basis, when each basis vector, cleared of denominators, is orthogonal to
 every dropped row in exact integers.  Otherwise all rows are eliminated.
-The dimension tables need
+The choice of rows, _chosen_rows, serves graded_relation_counts too.  The
+dimension tables need
 ranks only, and take them mod the prime 2^31 - 1 with ModEchelon, over rows
 packed into one integer each.  A rank mod p is at most the rank over Q, so
 a table cell is a lower bound by construction, and every cell says whether
@@ -27,6 +28,7 @@ Pivot lemma: the stored rows of an echelon have distinct leading columns
 with zeros before them, and row operations act on every column alike, so
 the rank of the rows added, cut to their first m columns, is the number of
 pivots below m; the pivot set does not depend on the order of the rows.
+_table_rows and graded_relation_counts read their answers off pivots.
 """
 
 from __future__ import annotations
@@ -79,14 +81,21 @@ def _series_kernel(series: Sequence[QSeries]) -> List[Tuple[Fraction, ...]]:
     times one common integer; rows chosen mod p (module docstring)."""
     common = lcm(*(s.den for s in series))
     rows = list(zip(*[[x * (common // s.den) for x in s.nums] for s in series]))
-    ech = ModEchelon(len(series))
-    kept, dropped = [], []
-    for row in rows:
-        (kept if ech.add(ech.pack(row)) else dropped).append(row)
+    kept, dropped = _chosen_rows(rows, len(series))
     basis = IntEchelon(kept).kernel_basis(len(series))
     if _orthogonal(basis, dropped):
         return basis
     return IntEchelon(rows).kernel_basis(len(series))
+
+
+def _chosen_rows(rows: Iterable[Sequence], ncols: int) -> Tuple[list, list]:
+    """(kept, dropped): the rows a ModEchelon keeps, independent mod p and so
+    over Q, and the rest, each in input order."""
+    ech = ModEchelon(ncols)
+    kept, dropped = [], []
+    for row in rows:
+        (kept if ech.add(ech.pack(row)) else dropped).append(row)
+    return kept, dropped
 
 
 def _orthogonal(vectors: Sequence[Sequence[Fraction]],
@@ -161,6 +170,10 @@ class IntEchelon:
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    @property
+    def pivots(self) -> KeysView[int]:
+        return self._rows.keys()
 
     @staticmethod
     def _primitive(vec: List[int], lead: int) -> List[int]:
@@ -601,7 +614,7 @@ def relation_in_span(target: Relation | WordSum,
     def body(r: Relation | WordSum) -> WordSum:
         return r.body if isinstance(r, Relation) else r
 
-    *rows, goal = coefficient_rows([*map(body, relations), body(target)])
+    *rows, goal = coefficient_rows([*map(body, relations), body(target)])[1]
     return not IntEchelon(rows).add(goal)
 
 
@@ -609,38 +622,25 @@ def graded_relation_counts(max_weight: int,
                            relations: Iterable[Relation] | None = None
                            ) -> Dict[Cell, int]:
     """Independent relation counts per graded (k, l) piece of the admissible
-    space, from the proven corpus (splits and Leibniz by default).
+    space, from the proven corpus by default (splits, Leibniz pairs, their
+    products with brackets and their derivatives).
 
-    A relation of weight k whose longest weight-k terms have length l
-    projects onto the (k, l) graded piece by keeping exactly those terms:
-    everything of lower weight or shorter length dies in the quotient.  A
-    projection that touches a non-admissible word is a statement about the
-    full space, not about the admissible quotient, so such relations are
-    skipped.  The count per cell is the rank of the projections landing
-    there.
-    """
+    The rows of the relations of weight <= max_weight, chosen mod p
+    (_chosen_rows), are eliminated exactly over columns in cell order
+    (coefficient_rows).  Cell (k, l) counts the pivots on its words led by
+    more than 1: by the pivot lemma, the dimension of the cell's admissible
+    parts of the combinations that vanish on every higher cell and on the
+    cell's words led by 1.  The chosen rows are independent over Q and span
+    part of the relations' span, so no count exceeds that span's own."""
     if relations is None:
         relations = proven_relation_corpus(max_weight)
-    buckets: Dict[Cell, List[WordSum]] = {}
-    for relation in relations:
-        k = relation.weight
-        if k > max_weight:
-            continue
-        top = [(w, c) for w, c in relation.body.terms() if w and sum(w) == k]
-        if not top:
-            continue  # a zero or constant body projects onto no cell
-        l = max(len(w) for w, _ in top)
-        projection = [(w, c) for w, c in top if len(w) == l]
-        if any(w[0] == 1 for w, _ in projection):
-            continue
-        buckets.setdefault((k, l), []).append(WordSum(projection))
-
-    counts: Dict[Cell, int] = {}
-    for k in range(2, max_weight + 1):
-        for l in range(1, k):
-            counts[(k, l)] = 0
-    for (k, l), projections in buckets.items():
-        counts[(k, l)] = IntEchelon(coefficient_rows(projections)).rank
+    columns, rows = coefficient_rows(r.body for r in relations
+                                     if r.weight <= max_weight)
+    counts = {(k, l): 0 for k in range(2, max_weight + 1) for l in range(1, k)}
+    for pivot in IntEchelon(_chosen_rows(rows, len(columns))[0]).pivots:
+        w = columns[pivot]
+        if w and w[0] > 1:
+            counts[(sum(w), len(w))] += 1
     return counts
 
 

@@ -145,7 +145,7 @@ def representation_span_rank(reps: Sequence[WordSum]) -> int:
     """Rank of the differences between representations: the dimension of the
     relation space they witness."""
     base, *others = reps
-    return IntEchelon(coefficient_rows(rep - base for rep in others)).rank
+    return IntEchelon(coefficient_rows(rep - base for rep in others)[1]).rank
 
 
 def deltal2_word_sum() -> WordSum:

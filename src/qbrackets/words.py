@@ -192,18 +192,18 @@ def quasi_shuffle(w: WordSum, v: WordSum) -> WordSum:
                 for ww, x in w._nums.items() for vv, y in v._nums.items())
 
 
-def coefficient_rows(sums: Iterable[WordSum]) -> list[list[int]]:
-    """The sums as integer rows over the union of their words, in canonical
-    order: each row holds the numerators of its sum, a positive multiple of
-    its coefficient vector.
-
-    Scaling a row leaves the span of the rows unchanged, so ranks and span
-    membership read off these rows are those of the rational coefficient
-    vectors.
-    """
+def coefficient_rows(sums: Iterable[WordSum]
+                     ) -> tuple[list[Word], list[list[int]]]:
+    """(columns, rows): the sums' words in cell order, weight and then length
+    descending, then lexicographic, so each (weight, length) cell opens with
+    its words led by 1; and each sum's numerators over the columns, a
+    positive multiple of its coefficient vector.  Ranks and membership do
+    not depend on the column order; pivots do, and this order makes them
+    counts per graded cell (linalg's pivot lemma)."""
     sums = list(sums)
-    columns = sorted({w for s in sums for w in s.words()}, key=canonical_key)
-    return [[s._nums.get(w, 0) for w in columns] for s in sums]
+    columns = sorted({w for s in sums for w in s.words()},
+                     key=lambda w: (-sum(w), -len(w), w))
+    return columns, [[s._nums.get(w, 0) for w in columns] for s in sums]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from qbrackets import (SPACES, TABLE_KINDS, DimensionTable, ExactMatrix,
                        IntEchelon, ModEchelon, Relation, WordSum,
                        bracket_series, bracket_series_many,
                        compositions_up_to, conjecture_series_expansion,
-                       dimension_table, generators,
+                       count_generators, dimension_table, generators,
                        graded_relation_counts, homogeneous_relation_search,
                        relation_in_span, relation_search)
 from qbrackets import (Config, QSeries, ResourceCap, brackets, config, linalg,
@@ -516,6 +516,46 @@ def test_graded_relation_counts_skip_a_constant_body():
     one = Relation(WordSum({(): 1}), "leibniz", 0)
     assert graded_relation_counts(3, relations=[one]) == \
         graded_relation_counts(3, relations=[])
+
+
+def _counts_of(max_weight, *bodies):
+    """graded_relation_counts of the bodies, only its nonzero cells."""
+    relations = [Relation(WordSum(b), "leibniz", 0) for b in bodies]
+    counts = graded_relation_counts(max_weight, relations=relations)
+    return {cell: n for cell, n in counts.items() if n}
+
+
+def test_graded_relation_counts_see_what_lies_below_a_shared_leading_part():
+    # the difference [4] - [2,2] has no weight-5 part: it counts at (4, 2)
+    assert _counts_of(5, {(3, 2): 1, (4,): 1}, {(3, 2): 1, (2, 2): 1}) == \
+        {(5, 2): 1, (4, 2): 1}
+
+
+def test_graded_relation_counts_eliminate_only_the_rows_chosen_mod_p(
+        monkeypatch):
+    # the repeated body is dropped mod p: one echelon, over two rows
+    monkeypatch.setattr(_CountedEchelon, "built", [])
+    monkeypatch.setattr(linalg, "IntEchelon", _CountedEchelon)
+    body = {(3, 2): 1, (4,): 1}
+    assert _counts_of(5, body, body, {(3, 2): 1, (2, 2): 1}) == \
+        {(5, 2): 1, (4, 2): 1}
+    assert _CountedEchelon.built == [2]
+
+
+def test_graded_relation_counts_see_a_cancelled_word_led_by_1():
+    # each body leads with [1,3]; their difference [2,2] - [3] is admissible
+    assert _counts_of(4, {(1, 3): 1, (2, 2): 1}, {(1, 3): 1, (3,): 1}) == \
+        {(4, 2): 1}
+
+
+def test_graded_relation_counts_close_every_cell_through_weight_7():
+    # the corpus holds every relation through weight 7: each count is the
+    # generators of the cell less its graded dimension
+    gr = dimension_table("mda", 7, kind="gr")
+    counts = graded_relation_counts(7)
+    assert counts[(7, 3)] == 6
+    for (k, l), n in counts.items():
+        assert n == count_generators(k, l, admissible=True) - gr.value(k, l)
 
 
 def test_conjectured_count_series():

@@ -103,14 +103,22 @@ def test_word_sum_sums_duplicates_and_drops_zeros(terms):
     assert list(got.words()) == sorted(reference, key=canonical_key)
 
 
+def _cell_key(w):
+    """The cell order of coefficient_rows: weight descending, then length
+    descending; within one cell the words led by 1 first, then the rest,
+    each lexicographic."""
+    return (-sum(w), -len(w), w[:1] != (1,), w)
+
+
 @given(st.lists(word_sums(), max_size=5), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_coefficient_rows_keep_the_rank(sums, dependent):
     if dependent and sums:
         sums.append(sums[0].scale(Fraction(-3, 2)) + sums[-1])
-    columns = sorted({w for s in sums for w in s.words()}, key=canonical_key)
+    columns, rows = coefficient_rows(sums)
+    assert columns == sorted({w for s in sums for w in s.words()},
+                             key=_cell_key)
     vectors = [[s.coefficient(w) for w in columns] for s in sums]
-    rows = coefficient_rows(sums)
     for row, vector in zip(rows, vectors):
         # an integer row, a positive multiple of the coefficient vector
         assert all(type(x) is int for x in row)
@@ -366,13 +374,13 @@ def test_normalized_matches_the_reference(terms, c):
 @settings(max_examples=40, deadline=None)
 def test_coefficient_rows_match_the_reference(term_lists):
     refs = [_ref(t) for t in term_lists]
-    columns = sorted({w for r in refs for w in r}, key=canonical_key)
+    columns = sorted({w for r in refs for w in r}, key=_cell_key)
     want = []
     for r in refs:
         # each row is its vector times the lcm of its denominators
         den = lcm(*(c.denominator for c in r.values()))
         want.append([int(r.get(w, 0) * den) for w in columns])
-    assert coefficient_rows(map(WordSum, term_lists)) == want
+    assert coefficient_rows(map(WordSum, term_lists)) == (columns, want)
 
 
 def test_equal_sums_are_equal_whatever_the_route():
