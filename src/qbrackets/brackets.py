@@ -16,7 +16,7 @@ p(order) is computed only where it can set the width).  A step writes the
 weights v^{s-1} of a length-1 suffix straight into their slots, sums a long
 run of v by the Eulerian form x P_{s-1}(x)/(1-x)^s in log-many shift-adds,
 and a short run term by term; one last pass adds every element above
-order/2 at once.
+order/2 at once, and each requested row is unpacked as it is handed on.
 bracket_series_oracle runs over the chain from the outermost index inward
 with each factor expanded into its coefficients through Eulerian
 polynomial coefficients and binomials.  Their agreement is a real
@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, isqrt, prod
 from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import ResourceCap, get_config
 from .numbers import as_composition, as_order, eulerian_polynomial
@@ -183,8 +183,9 @@ def _power_run(p: int, s: int, shift: int, n: int) -> int:
 _RUN_FACTOR = 8
 
 
-def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
-    """Integer sigma coefficient lists for many nonempty compositions at once.
+def _sigma_lists(comps: Iterable[Parts],
+                 order: int) -> Iterator[tuple[Parts, list[int]]]:
+    """(comp, sigma coefficient list) for many nonempty compositions at once.
 
     Every suffix t of a composition is a node holding one non-negative
     integer partial[t]: the packed row of the chains of t whose elements all
@@ -224,12 +225,12 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
     Every command and library call that needs series passes through here,
     so this is the one place the work cap is enforced: a sweep whose nodes
     (the suffixes of comps) times order exceed max_cells raises ResourceCap
-    before any allocation.  Only the rows of comps are unpacked and returned;
-    nothing is cached here.
+    at the first next(), before any allocation.  A row is unpacked when it
+    is asked for, and its node dropped as it is yielded; nothing is cached.
     """
     comps = set(comps)
     if not comps:
-        return {}
+        return
     nodes = {c[i:] for c in comps for i in range(len(c))}
     cells, cap = len(nodes) * order, get_config().max_cells
     if cells > cap:
@@ -272,12 +273,10 @@ def _sigma_lists(comps: Iterable[Parts], order: int) -> dict[Parts, list[int]]:
             partial[t] += _power_run(p, 1, bits, order - half)
 
     size = (order + 1) * width
-    out: dict[Parts, list[int]] = {}
     for t in comps:
-        packed = partial[t].to_bytes(size, "big")
-        out[t] = [int.from_bytes(packed[i:i + width], "big")
+        packed = partial.pop(t).to_bytes(size, "big")
+        yield t, [int.from_bytes(packed[i:i + width], "big")
                   for i in range(0, size, width)]
-    return out
 
 
 def _denominator(comp: Parts) -> int:
@@ -287,11 +286,11 @@ def _denominator(comp: Parts) -> int:
 def _series_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
     """The one reader and writer of _SERIES_CACHE.  A composition cached at
     this order or higher is served as held; the others share one sweep, and
-    their series are stored only after it returns, so a refused sweep leaves
-    the cache as it was."""
+    each series is stored as the sweep hands its row on.  A refused sweep
+    raises before it hands on the first, so it leaves the cache as it was."""
     misses = {c for c in comps if c and (c not in _SERIES_CACHE
                                          or _SERIES_CACHE[c].order < order)}
-    for c, row in _sigma_lists(misses, order).items():
+    for c, row in _sigma_lists(misses, order):
         _SERIES_CACHE[c] = QSeries(order, tuple(row), _denominator(c))
     return {c: _SERIES_CACHE[c] if c else QSeries.one(order) for c in comps}
 

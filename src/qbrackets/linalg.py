@@ -159,13 +159,21 @@ class IntEchelon:
     reports it dependent.  Content is stripped only when a row is stored:
     stripping after every elimination step costs more gcds than the smaller
     entries save.  _kernel_vector() back-substitutes through the stored
-    rows; it is the only place where fractions appear.
+    rows; it is the only place where fractions appear.  The first row fixes
+    the width: a vector or kernel size of any other raises ValueError.
     """
 
     def __init__(self, rows: Iterable[Sequence[int]] = ()) -> None:
         self._rows: Dict[int, List[int]] = {}
+        self._ncols: int | None = None
         for row in rows:
             self.add(row)
+
+    def _check_width(self, n: int) -> None:
+        if self._ncols is None:
+            self._ncols = n
+        elif n != self._ncols:
+            raise ValueError(f"expected {self._ncols} entries, got {n}")
 
     @property
     def rank(self) -> int:
@@ -187,6 +195,7 @@ class IntEchelon:
     def add(self, vector: Sequence[int]) -> bool:
         """Absorb the vector; True if it was independent of the rows so far."""
         vec = list(vector)
+        self._check_width(len(vec))
         while True:
             lead = next((j for j, x in enumerate(vec) if x), None)
             if lead is None:
@@ -229,6 +238,7 @@ class IntEchelon:
 
     def kernel_basis(self, size: int) -> List[Tuple[Fraction, ...]]:
         """The _kernel_vector of every column below size without a pivot."""
+        self._check_width(size)
         return [tuple(self._kernel_vector(free, size))
                 for free in range(size) if free not in self._rows]
 
@@ -395,14 +405,13 @@ def _series_order(order: int | None, columns: Sequence[Parts],
 
 def _packed_rows(comps: Sequence[Parts], order: int) -> Dict[Parts, int]:
     """The multiple divisor sums sigma(1..order) of each composition, packed
-    by ModEchelon(order) straight from the sweep; no series is built or
+    by ModEchelon(order) as the sweep hands it on; no series is built or
     cached.  Such a row is the bracket's row of numerators times a positive
     g dividing prod (s_i - 1)!, whose prime factors are all below 2^31 - 1,
     so it spans the same line mod p and every rank and pivot is unchanged.
     """
-    sigma = _sigma_lists(comps, order)
     packer = ModEchelon(order)
-    return {c: packer.pack(sigma[c][1:]) for c in comps}
+    return {c: packer.pack(row[1:]) for c, row in _sigma_lists(comps, order)}
 
 
 def _predicted_top(space: str, k: int) -> int:

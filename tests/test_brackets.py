@@ -15,7 +15,7 @@ from qbrackets import (Config, QSeries, ResourceCap, bracket_series,
                        multiple_divisor_sum, partition_counts,
                        partition_identity_check, relation_search,
                        set_config, word)
-from qbrackets import brackets
+from qbrackets import brackets, linalg
 from qbrackets.brackets import (_SERIES_CACHE, _convolution_bound,
                                 _sigma_lists, _slot_bytes)
 from qbrackets.checks import SERIES_EXAMPLES
@@ -111,7 +111,7 @@ def test_oracle_kernel_rows_are_bounded():
 
 
 def _sweep_matches_oracle(comps, order):
-    rows = _sigma_lists(comps, order)
+    rows = dict(_sigma_lists(comps, order))
     slow = bracket_series_oracle_many(comps, order)
     for c in comps:
         assert QSeries(order, tuple(rows[c]), brackets._denominator(c)) \
@@ -165,7 +165,7 @@ def test_slot_width_bound(comp, order):
     k, l = sum(comp), len(comp)
     slot_bits = 8 * _slot_bytes([comp[i:] for i in range(l)], order)
     p = partition_counts(order)
-    row = _sigma_lists([comp], order)[comp]
+    row = dict(_sigma_lists([comp], order))[comp]
     assert len(row) == order + 1 and row[0] == 0
     for m in range(1, order + 1):
         assert row[m].bit_length() < slot_bits
@@ -207,7 +207,7 @@ def _three_bound_bytes(nodes, order):
 def test_convolution_bound(comp, order):
     # parts 1, 2 and 3..6 give r = 0, r = 1 and r >= 2
     nodes = _suffixes(comp)
-    rows = _sigma_lists(nodes, order)
+    rows = dict(_sigma_lists(nodes, order))
     for t in nodes:
         bounds = [_convolution_bound(t, order, m)
                   for m in range(1, order + 1)]
@@ -249,18 +249,33 @@ def test_slot_widths(monkeypatch):
         assert calls == want, (order, calls)
 
 
-def test_sweep_memory_is_one_row_per_node(monkeypatch):
-    # tracemalloc peak of a cold (4, 4, 4) at order 400: 20.9 MB with the
-    # earlier list-of-lists suffix recursion, 0.10 MB with the packed sweep
+# (warm-up, measured call, bound on the tracemalloc peak in bytes)
+SWEEP_MEMORY_CASES = {
+    # a cold (4, 4, 4) at order 400: 20.9 MB with the earlier list-of-lists
+    # suffix recursion, 0.10 MB with the packed sweep
+    "series": (lambda: bracket_series((2,), 5),
+               lambda: bracket_series((4, 4, 4), 400), 2_000_000),
+    # the 255 mda rows of weight <= 9 that dims packs at order 178, 0.45 MB
+    # once packed: 2.4-2.5 MB when the sweep unpacked every row before the
+    # first was packed, 0.75-0.78 MB with each row packed as it is handed on
+    "packed rows": (lambda: linalg._packed_rows(generators("mda", 3), 10),
+                    lambda: linalg._packed_rows(generators("mda", 9), 178),
+                    1_500_000),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_MEMORY_CASES)
+def test_sweep_memory_is_one_row_per_node(monkeypatch, case):
+    warm, run, bound = SWEEP_MEMORY_CASES[case]
     monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
-    bracket_series((2,), 5)  # first-call work outside the measured span
+    warm()  # first-call work outside the measured span
     tracemalloc.start()
     try:
-        bracket_series((4, 4, 4), 400)
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000
+    assert peak < bound
 
 
 def test_series_cache_not_mutated_by_larger_order():

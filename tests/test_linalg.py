@@ -65,6 +65,25 @@ def test_int_echelon_matches_matrix_rank():
     assert ech.rank == ExactMatrix.from_rows(rows).rank() == added == 2
 
 
+def test_int_echelon_rejects_a_vector_of_another_width():
+    # zipping against the stored rows once dropped the third entry and
+    # called [1, 0, 1] dependent on [1, 0], which padded has rank 2
+    ech = IntEchelon([[1, 0]])
+    with pytest.raises(ValueError, match="expected 2 entries, got 3"):
+        ech.add([1, 0, 1])
+    with pytest.raises(ValueError, match="expected 2 entries, got 1"):
+        ech.add([1])
+    assert ech.rank == 1 and ech.add([0, 1])
+
+
+def test_int_echelon_kernel_size_is_the_width():
+    # once an IndexError from back-substitution past the stored rows
+    with pytest.raises(ValueError, match="expected 2 entries, got 3"):
+        IntEchelon([[0, 1]]).kernel_basis(3)
+    assert IntEchelon([[0, 1]]).kernel_basis(2) == [(1, 0)]
+    assert IntEchelon().kernel_basis(2) == [(1, 0), (0, 1)]
+
+
 def _reference_rref(rows, ncols):
     """Reduced row echelon form over Fraction by plain Gauss-Jordan:
     {pivot column: row with 1 at the pivot and 0 at every other pivot}."""
