@@ -420,4 +420,4 @@ def partition_identity_check(order: int) -> bool:
     ones = [(1,) * l for l in range(1, order + 1) if l * (l + 1) // 2 <= order]
     total = _linear(order, ((1, s) for s in bracket_series_many(ones, order).values()))
     p = partition_counts(order)
-    return all(total.coefficient(n) == p[n] for n in range(1, order + 1))
+    return total.den == 1 and list(total.nums[1:]) == p[1:]

@@ -6,14 +6,14 @@ and kernel vectors of the transposed matrix are candidate linear relations.
 
 Kernels, span membership and ExactMatrix.rank are exact and run on one
 elimination core, IntEchelon: rows are cleared of denominators and reduced
-fraction-free over the integers; fractions appear only in the final
-back-substitution.  Series become a linear system in one place,
+fraction-free over the integers, and each kernel vector comes back as a
+primitive integer vector.  Series become a linear system in one place,
 _series_kernel, whose kernel vectors are the candidate relations here and
 the discriminant representations in modular.  It eliminates exactly only
 the rows that a ModEchelon keeps, independent mod p and so over Q; their
 kernel contains the true one and is it, with the same reduced echelon
-basis, when each basis vector, cleared of denominators, is orthogonal to
-every dropped row in exact integers.  Otherwise all rows are eliminated.
+basis up to positive scale, when each basis vector is orthogonal to every
+dropped row in exact integers.  Otherwise all rows are eliminated.
 The choice of rows, _chosen_rows, serves graded_relation_counts too.  The
 dimension tables need
 ranks only, and take them mod the prime 2^31 - 1 with ModEchelon, over rows
@@ -74,7 +74,7 @@ def _cleared_row(row: Sequence[Fraction | int]) -> List[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _series_kernel(series: Sequence[QSeries]) -> List[Tuple[Fraction, ...]]:
+def _series_kernel(series: Sequence[QSeries]) -> List[Tuple[int, ...]]:
     """The kernel_basis of the matrix whose column i holds the q^0..q^order
     numerators of series i over the lcm of all the denominators: the x with
     sum_i x_i series_i zero through q^order, since each column is its series
@@ -98,19 +98,19 @@ def _chosen_rows(rows: Iterable[Sequence], ncols: int) -> Tuple[list, list]:
     return kept, dropped
 
 
-def _orthogonal(vectors: Sequence[Sequence[Fraction]],
+def _orthogonal(vectors: Sequence[Sequence[int]],
                 rows: Sequence[Sequence[int]]) -> bool:
-    """Whether every row is orthogonal to every vector cleared of
-    denominators.  Vector k is digit k, base 2^w, of one integer per column,
-    so a row takes one dot product; each true one is a digit below 2^(w-1)
-    in size, so the packed sum is zero iff all of them are."""
-    nums = [_cleared_row(vec) for vec in vectors]
-    if not nums or not rows:
+    """Whether every integer row is orthogonal to every integer vector.
+    Vector k is digit k, base 2^w, of one integer per column, so a row takes
+    one dot product; each true one is a digit below 2^(w-1) in size, so the
+    packed sum is zero iff all of them are."""
+    if not vectors or not rows:
         return True
-    w = (max(abs(x) for vec in nums for x in vec).bit_length()
+    w = (max(abs(x) for vec in vectors for x in vec).bit_length()
          + max(abs(x) for row in rows for x in row).bit_length()
-         + len(nums[0]).bit_length() + 1)
-    columns = [sum(x << (w * k) for k, x in enumerate(col)) for col in zip(*nums)]
+         + len(vectors[0]).bit_length() + 1)
+    columns = [sum(x << (w * k) for k, x in enumerate(col))
+               for col in zip(*vectors)]
     return not any(sum(map(mul, row, columns)) for row in rows)
 
 
@@ -140,12 +140,12 @@ class ExactMatrix(Value):
     def rank(self) -> int:
         return IntEchelon(map(_cleared_row, self.entries)).rank
 
-    def kernel_basis(self) -> List[Tuple[Fraction, ...]]:
-        """Basis of {x : Mx = 0}, one monic vector per free column.
+    def kernel_basis(self) -> List[Tuple[int, ...]]:
+        """Basis of {x : Mx = 0}, one primitive integer vector per free column.
 
-        Pivots are chosen at the earliest columns; each basis vector has
-        coefficient 1 at its free column, which is also its last nonzero
-        entry, and 0 at the other free columns.
+        Pivots are chosen at the earliest columns; each basis vector is the
+        monic reduced echelon one times a positive integer: positive at its
+        free column, its last nonzero entry, and 0 at the other free columns.
         """
         return IntEchelon(map(_cleared_row, self.entries)).kernel_basis(self.cols)
 
@@ -159,8 +159,8 @@ class IntEchelon:
     reports it dependent.  Content is stripped only when a row is stored:
     stripping after every elimination step costs more gcds than the smaller
     entries save.  _kernel_vector() back-substitutes through the stored
-    rows; it is the only place where fractions appear.  The first row fixes
-    the width: a vector or kernel size of any other raises ValueError.
+    rows in integers, to a primitive vector.  The first row added fixes the
+    width: a vector or kernel size of any other raises ValueError.
     """
 
     def __init__(self, rows: Iterable[Sequence[int]] = ()) -> None:
@@ -170,9 +170,7 @@ class IntEchelon:
             self.add(row)
 
     def _check_width(self, n: int) -> None:
-        if self._ncols is None:
-            self._ncols = n
-        elif n != self._ncols:
+        if self._ncols not in (None, n):
             raise ValueError(f"expected {self._ncols} entries, got {n}")
 
     @property
@@ -196,6 +194,7 @@ class IntEchelon:
         """Absorb the vector; True if it was independent of the rows so far."""
         vec = list(vector)
         self._check_width(len(vec))
+        self._ncols = len(vec)
         while True:
             lead = next((j for j, x in enumerate(vec) if x), None)
             if lead is None:
@@ -209,17 +208,18 @@ class IntEchelon:
             fa, fb = b // g, a // g
             vec = [x * fa - y * fb for x, y in zip(vec, row)]
 
-    def _kernel_vector(self, free: int, size: int) -> List[Fraction]:
-        """The x of length size with x[free] = 1, zero at every other column
-        without a pivot, and every stored row orthogonal to it.
+    def _kernel_vector(self, free: int, size: int) -> List[int]:
+        """The primitive x of length size, positive at free, zero at every
+        other column without a pivot, and orthogonal to every stored row.
 
-        free must not be a pivot column.  Such an x is unique, so it is the
-        kernel basis vector of reduced row echelon form; its last nonzero
-        entry is the 1 at free.
+        free must not be a pivot column.  Such an x is unique, a positive
+        multiple of the kernel basis vector of reduced row echelon form; its
+        last nonzero entry is the one at free.  x stays primitive from its
+        start at 1: a step against the row r at pivot p, with s = r . x and
+        g = gcd(s, r[p]), scales x by r[p] / g > 0 and sets x[p] = -s / g,
+        and those two are coprime.
         """
-        # x = num / den with one common denominator: pure integer arithmetic
         num = {free: 1}
-        den = 1
         for p in sorted((p for p in self._rows if p < free), reverse=True):
             row = self._rows[p]
             s = sum(row[j] * x for j, x in num.items())
@@ -229,14 +229,10 @@ class IntEchelon:
                 if scale != 1:
                     for j in num:
                         num[j] *= scale
-                    den *= scale
                 num[p] = -s // g
-        vec = [Fraction(0)] * size
-        for j, x in num.items():
-            vec[j] = Fraction(x, den)
-        return vec
+        return [num.get(j, 0) for j in range(size)]
 
-    def kernel_basis(self, size: int) -> List[Tuple[Fraction, ...]]:
+    def kernel_basis(self, size: int) -> List[Tuple[int, ...]]:
         """The _kernel_vector of every column below size without a pivot."""
         self._check_width(size)
         return [tuple(self._kernel_vector(free, size))
@@ -586,8 +582,8 @@ def _candidate_relations(columns: Sequence[Parts], order: int | None,
             f"2 x {len(columns)} generators; the rank may undershoot",
             RuntimeWarning, stacklevel=3)
     series = bracket_series_many(columns, order)
-    return [Relation.verified(WordSum(zip(columns, vec)), "numeric-kernel",
-                              order)
+    return [Relation.verified(WordSum(zip(columns, vec)).normalized(),
+                              "numeric-kernel", order)
             for vec in _series_kernel([series[c] for c in columns])]
 
 

@@ -96,18 +96,19 @@ def _pair_coefficients(a: int, b: int) -> Dict[int, Fraction]:
 
 def _solve_for_delta(columns: Sequence[Parts]) -> WordSum:
     """The combination of the brackets of columns that equals the
-    discriminant form through q^DELTA_ORDER: minus the rest of the one
-    kernel vector of the columns and the form (last) that has 1 at the form,
-    whose column is then the only free one.  Any other kernel, that is no
-    such combination or more than one, raises ArithmeticError."""
+    discriminant form through q^DELTA_ORDER: the one kernel vector of the
+    columns and the form (last), nonzero at the free form column, over minus
+    that entry.  Any other kernel, that is no such combination or more than
+    one, raises ArithmeticError."""
     series = bracket_series_many(columns, DELTA_ORDER)
     kernel = _series_kernel([*(series[c] for c in columns),
                              eta24(DELTA_ORDER)])
-    if len(kernel) != 1 or kernel[0][-1] != 1:
+    if len(kernel) != 1 or not kernel[0][-1]:
         raise ArithmeticError(f"the discriminant form is not a unique "
                               f"combination of {columns} "
                               f"({len(kernel)} kernel vectors)")
-    return WordSum(zip(columns, (-x for x in kernel[0][:-1])))
+    *rest, form = kernel[0]
+    return WordSum(zip(columns, rest)).scale(Fraction(-1, form))
 
 
 def delta_representation(a: int, b: int) -> WordSum:

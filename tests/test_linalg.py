@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +82,17 @@ def test_int_echelon_kernel_size_is_the_width():
         IntEchelon([[0, 1]]).kernel_basis(3)
     assert IntEchelon([[0, 1]]).kernel_basis(2) == [(1, 0)]
     assert IntEchelon().kernel_basis(2) == [(1, 0), (0, 1)]
+    # a kernel query on an empty echelon once recorded its size as the
+    # width, so a first row or a later query of another width was refused
+    ech = IntEchelon()
+    assert ech.kernel_basis(2) == [(1, 0), (0, 1)]
+    assert ech.add([1, 0, 1])
+    assert ech.kernel_basis(3) == [(0, 1, 0), (-1, 0, 1)]
+    with pytest.raises(ValueError, match="expected 3 entries, got 2"):
+        ech.kernel_basis(2)
+    ech = IntEchelon()
+    assert ech.kernel_basis(2) == [(1, 0), (0, 1)]
+    assert ech.kernel_basis(3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def _reference_rref(rows, ncols):
@@ -143,13 +154,24 @@ def test_kernel_basis_equals_reduced_echelon_reference(rows):
     ncols = len(rows[0])
     m = ExactMatrix.from_rows(rows)
     basis = m.kernel_basis()
-    assert basis == _reference_kernel(rows, ncols)
-    assert len(basis) == ncols - m.rank() >= 1
+    reference = _reference_kernel(rows, ncols)
+    assert len(basis) == len(reference) == ncols - m.rank() >= 1
     pivots = _reference_rref(rows, ncols)
     free = [j for j in range(ncols) if j not in pivots]
-    for j, vec in zip(free, basis):
-        assert vec[j] == 1
+    for j, vec, monic in zip(free, basis, reference):
+        assert tuple(Fraction(x, vec[j]) for x in vec) == monic
+        assert gcd(*vec) == 1
+        assert vec[j] > 0
         assert all(x == 0 for x in vec[j + 1:])
+
+
+@given(deficient_tall_matrix())
+@settings(max_examples=30, deadline=None)
+def test_kernel_basis_entries_are_integers(rows):
+    basis = ExactMatrix.from_rows(rows).kernel_basis()
+    assert basis
+    assert all(type(vec) is tuple for vec in basis)
+    assert all(type(x) is int for vec in basis for x in vec)
 
 
 def _mod_reference(rows):
@@ -658,9 +680,8 @@ def test_md_top_cells_sum_the_mda_top_cells():
 
 
 def test_relation_bodies_are_already_monic():
-    # a kernel vector is 1 at its free column, the canonically greatest
-    # word of the relation, so printing rel.body equals printing the
-    # normalized body
+    # relation bodies are admitted in WordSum.normalized() form, so printing
+    # rel.body equals printing the normalized body
     rels = [rel for args in [("mda", 4, 2), ("mda", 6, 6), ("mda", 7, 7),
                              ("md", 5, 3), ("md", 6, 4)]
             for rel in relation_search(*args)]
@@ -668,6 +689,21 @@ def test_relation_bodies_are_already_monic():
     assert len(rels) == 51
     for rel in rels:
         assert rel.body == rel.body.normalized()
+
+
+def test_relation_bodies_do_not_depend_on_the_kernel_scale(monkeypatch):
+    # the normal form is WordSum's to decide: kernel vectors scaled by any
+    # nonzero integer give the same relations
+    want = relation_search("mda", 6, 6)
+    series_kernel = linalg._series_kernel
+
+    def scaled(series):
+        return [tuple(-3 * x for x in vec) for vec in series_kernel(series)]
+
+    monkeypatch.setattr(linalg, "_series_kernel", scaled)
+    got = relation_search("mda", 6, 6)
+    assert len(got) == len(want) == 9
+    assert [rel.body for rel in got] == [rel.body for rel in want]
 
 
 def test_unknown_space_and_kind_are_named():
@@ -764,7 +800,7 @@ def test_series_kernel_falls_back_when_a_dropped_row_refutes(monkeypatch):
     # without the P the kept rows' kernel is confirmed: no second echelon
     _CountedEchelon.built.clear()
     series = [QSeries(2, (0, 1, 0)), QSeries(2, (0, 2, 0))]
-    assert linalg._series_kernel(series) == [(Fraction(-2), Fraction(1))]
+    assert linalg._series_kernel(series) == [(-2, 1)]
     assert _CountedEchelon.built == [1]
 
 
@@ -777,15 +813,13 @@ def test_series_kernel_falls_back_when_one_of_several_vectors_is_refuted(
         monkeypatch.setattr(_CountedEchelon, "built", [])
         series = [QSeries(2, (0, 1, 0))] + [
             QSeries(2, (0, 0, P if i == refuted else 0)) for i in (1, 2)]
-        kept = [(Fraction(0), Fraction(1), Fraction(0)),
-                (Fraction(0), Fraction(0), Fraction(1))]
+        kept = [(0, 1, 0), (0, 0, 1)]
         assert linalg._series_kernel(series) == [kept[2 - refuted]]
         assert _CountedEchelon.built == [1, 3]
 
 
 def _dot(vec, row):
-    den = lcm(*(x.denominator for x in vec))
-    return sum(x * den * y for x, y in zip(vec, row))
+    return sum(x * y for x, y in zip(vec, row))
 
 
 @pytest.mark.parametrize("ncols", [1, 2, 3, 8, 9])
@@ -795,14 +829,14 @@ def test_orthogonal_at_the_slot_width_edge(ncols, top):
     # up to the bound ncols top^2 the width is taken from
     rng = random.Random(ncols * top)
     for _ in range(40):
-        vectors = [tuple(Fraction(rng.choice((top, -top))) for _ in range(ncols))
+        vectors = [tuple(rng.choice((top, -top)) for _ in range(ncols))
                    for _ in range(rng.randint(1, 4))]
         rows = [[rng.choice((top, -top)) for _ in range(ncols)]
                 for _ in range(rng.randint(1, 3))]
         want = all(_dot(vec, row) == 0 for vec in vectors for row in rows)
         assert linalg._orthogonal(vectors, rows) == want
     # all at the bound: the vectors' digits alternate between +- ncols top^2
-    vectors = [tuple(Fraction((-1) ** k * top) for _ in range(ncols))
+    vectors = [tuple((-1) ** k * top for _ in range(ncols))
                for k in range(4)]
     assert not linalg._orthogonal(vectors, [[top] * ncols])
     assert not linalg._orthogonal(vectors, [[-top] * ncols])
@@ -818,14 +852,12 @@ def test_orthogonal_digits_never_cancel_each_other(ncols):
     # zero for a slot of w = j bits, too narrow to hold d_0
     row = [1] * ncols
     for j in range(ncols.bit_length()):
-        second = (Fraction(-(ncols >> j)),) + (Fraction(0),) * (ncols - 1)
-        assert not linalg._orthogonal([(Fraction(1),) * ncols, second], [row])
+        second = (-(ncols >> j),) + (0,) * (ncols - 1)
+        assert not linalg._orthogonal([(1,) * ncols, second], [row])
 
 
 def test_orthogonal_sees_a_refutation_in_any_one_digit():
-    vectors = [(Fraction(1), Fraction(-1), Fraction(0)),
-               (Fraction(1, 2), Fraction(0), Fraction(-1, 3)),
-               (Fraction(0), Fraction(5), Fraction(5))]
+    vectors = [(1, -1, 0), (3, 0, -2), (0, 5, 5)]
     assert linalg._orthogonal(vectors, [[0, 0, 0]])
     # each row is orthogonal to two of the vectors, not to the third
     for row in ([2, -3, 3], [1, 1, -1], [2, 2, 3]):
@@ -842,7 +874,9 @@ def test_series_kernel_equals_full_elimination_in_relation_search(space):
         order = linalg._series_order(None, gens, "test")
         found = bracket_series_many(gens, order)
         series = [found[c] for c in gens]
-        assert linalg._series_kernel(series) == _full_kernel(series)
+        kernel = linalg._series_kernel(series)
+        assert kernel == _full_kernel(series)
+        assert all(gcd(*vec) == 1 for vec in kernel)
 
 
 def test_series_kernel_equals_full_elimination_for_the_delta_systems(
