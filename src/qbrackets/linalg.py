@@ -4,25 +4,25 @@ Dimension questions reduce to ranks: each generator contributes the row of
 its q-expansion coefficients, independent rows prove independent elements,
 and kernel vectors of the transposed matrix are candidate linear relations.
 
-Kernels, span membership and ExactMatrix.rank are exact and run on one
-elimination core, IntEchelon: rows are cleared of denominators and reduced
-fraction-free over the integers, and each kernel vector comes back as a
-primitive integer vector.  Series become a linear system in one place,
-_series_kernel, whose kernel vectors are the candidate relations here and
-the discriminant representations in modular.  It eliminates exactly only
-the rows that a ModEchelon keeps, independent mod p and so over Q; their
-kernel contains the true one and is it, with the same reduced echelon
+Every exact question about a span is asked of one kernel, _kernel.  Its
+vectors for a matrix of series (_series_kernel) are the candidate relations
+here and the discriminant representations in modular; a vector lies in the
+row space over Q iff it is orthogonal to the kernel (relation_in_span); the
+rank is the column count less the kernel size; the pivots are the columns
+that are not free (graded_relation_counts).  _kernel eliminates with
+IntEchelon, fraction-free over the integers, to primitive integer vectors,
+only the rows that a ModEchelon keeps, independent mod p and so over Q:
+their kernel contains the true one and is it, with the same reduced echelon
 basis up to positive scale, when each basis vector is orthogonal to every
-dropped row in exact integers.  Otherwise all rows are eliminated.
-The choice of rows, _chosen_rows, serves graded_relation_counts too.  The
-dimension tables need
-ranks only, and take them mod the prime 2^31 - 1 with ModEchelon, over rows
-packed into one integer each.  A rank mod p is at most the rank over Q, so
-a table cell is a lower bound by construction, and every cell says whether
-it is exact (all of its generators independent) or a bound.  A table's
-default order starts a little above the top cell the dimension conjecture
-predicts and grows until the rank stops growing with it (_table_rows); the
-conjecture only picks the order, so it never affects what a cell claims.
+dropped row in exact integers (_orthogonal).  Otherwise all rows are
+eliminated.  The dimension tables need ranks only, and take them mod the
+prime 2^31 - 1 with ModEchelon, over rows packed into one integer each.  A
+rank mod p is at most the rank over Q, so a table cell is a lower bound by
+construction, and every cell says whether it is exact (all of its
+generators independent) or a bound.  A table's default order starts a
+little above the top cell the dimension conjecture predicts and grows until
+the rank stops growing with it (_table_rows); the conjecture only picks the
+order, so it never affects what a cell claims.
 
 Pivot lemma: the stored rows of an echelon have distinct leading columns
 with zeros before them, and row operations act on every column alike, so
@@ -74,28 +74,29 @@ def _cleared_row(row: Sequence[Fraction | int]) -> List[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _series_kernel(series: Sequence[QSeries]) -> List[Tuple[int, ...]]:
-    """The kernel_basis of the matrix whose column i holds the q^0..q^order
-    numerators of series i over the lcm of all the denominators: the x with
-    sum_i x_i series_i zero through q^order, since each column is its series
-    times one common integer; rows chosen mod p (module docstring)."""
-    common = lcm(*(s.den for s in series))
-    rows = list(zip(*[[x * (common // s.den) for x in s.nums] for s in series]))
-    kept, dropped = _chosen_rows(rows, len(series))
-    basis = IntEchelon(kept).kernel_basis(len(series))
-    if _orthogonal(basis, dropped):
-        return basis
-    return IntEchelon(rows).kernel_basis(len(series))
-
-
-def _chosen_rows(rows: Iterable[Sequence], ncols: int) -> Tuple[list, list]:
-    """(kept, dropped): the rows a ModEchelon keeps, independent mod p and so
-    over Q, and the rest, each in input order."""
+def _kernel(rows: Iterable[Sequence[int]],
+            ncols: int) -> List[Tuple[int, ...]]:
+    """The IntEchelon kernel_basis of the integer rows, each of ncols
+    entries, computed on the rows a ModEchelon keeps (module docstring)."""
+    rows = list(rows)
     ech = ModEchelon(ncols)
     kept, dropped = [], []
     for row in rows:
         (kept if ech.add(ech.pack(row)) else dropped).append(row)
-    return kept, dropped
+    basis = IntEchelon(kept).kernel_basis(ncols)
+    if _orthogonal(basis, dropped):
+        return basis
+    return IntEchelon(rows).kernel_basis(ncols)
+
+
+def _series_kernel(series: Sequence[QSeries]) -> List[Tuple[int, ...]]:
+    """The _kernel of the matrix whose column i holds the q^0..q^order
+    numerators of series i over the lcm of all the denominators: the x with
+    sum_i x_i series_i zero through q^order, since each column is its series
+    times one common integer."""
+    common = lcm(*(s.den for s in series))
+    rows = zip(*[[x * (common // s.den) for x in s.nums] for s in series])
+    return _kernel(rows, len(series))
 
 
 def _orthogonal(vectors: Sequence[Sequence[int]],
@@ -176,10 +177,6 @@ class IntEchelon:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    @property
-    def pivots(self) -> KeysView[int]:
-        return self._rows.keys()
 
     @staticmethod
     def _primitive(vec: List[int], lead: int) -> List[int]:
@@ -619,8 +616,9 @@ def relation_in_span(target: Relation | WordSum,
     def body(r: Relation | WordSum) -> WordSum:
         return r.body if isinstance(r, Relation) else r
 
-    *rows, goal = coefficient_rows([*map(body, relations), body(target)])[1]
-    return not IntEchelon(rows).add(goal)
+    columns, (*rows, goal) = coefficient_rows(
+        [*map(body, relations), body(target)])
+    return _orthogonal(_kernel(rows, len(columns)), [goal])
 
 
 def graded_relation_counts(max_weight: int,
@@ -630,21 +628,21 @@ def graded_relation_counts(max_weight: int,
     space, from the proven corpus by default (splits, Leibniz pairs, their
     products with brackets and their derivatives).
 
-    The rows of the relations of weight <= max_weight, chosen mod p
-    (_chosen_rows), are eliminated exactly over columns in cell order
-    (coefficient_rows).  Cell (k, l) counts the pivots on its words led by
-    more than 1: by the pivot lemma, the dimension of the cell's admissible
-    parts of the combinations that vanish on every higher cell and on the
-    cell's words led by 1.  The chosen rows are independent over Q and span
-    part of the relations' span, so no count exceeds that span's own."""
+    The rows of the relations of weight <= max_weight have columns in cell
+    order (coefficient_rows); their pivots are the columns that are not the
+    free one, the last nonzero entry, of a _kernel vector.  Cell (k, l)
+    counts the pivots on its words led by more than 1: by the pivot lemma,
+    the dimension of the cell's admissible parts of the combinations that
+    vanish on every higher cell and on the cell's words led by 1."""
     if relations is None:
         relations = proven_relation_corpus(max_weight)
     columns, rows = coefficient_rows(r.body for r in relations
                                      if r.weight <= max_weight)
+    free = {max(j for j, x in enumerate(vec) if x)
+            for vec in _kernel(rows, len(columns))}
     counts = {(k, l): 0 for k in range(2, max_weight + 1) for l in range(1, k)}
-    for pivot in IntEchelon(_chosen_rows(rows, len(columns))[0]).pivots:
-        w = columns[pivot]
-        if w and w[0] > 1:
+    for j, w in enumerate(columns):
+        if j not in free and w and w[0] > 1:
             counts[(sum(w), len(w))] += 1
     return counts
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .brackets import bracket_series_many
 from .derivation import Relation, d_word_sum
-from .linalg import IntEchelon, _series_kernel
+from .linalg import _kernel, _series_kernel
 from .numbers import bernoulli
 from .series import eta24
 from .words import WordSum, coefficient_rows, evaluate
@@ -144,9 +144,10 @@ def delta_representations() -> Tuple[WordSum, ...]:
 
 def representation_span_rank(reps: Sequence[WordSum]) -> int:
     """Rank of the differences between representations: the dimension of the
-    relation space they witness."""
+    relation space they witness, the column count less the kernel size."""
     base, *others = reps
-    return IntEchelon(coefficient_rows(rep - base for rep in others)[1]).rank
+    columns, rows = coefficient_rows(rep - base for rep in others)
+    return len(columns) - len(_kernel(rows, len(columns)))
 
 
 def deltal2_word_sum() -> WordSum:

@@ -8,6 +8,9 @@ somewhere in the package or the benchmark: one that only tests reach is a
 second way to do what the package already does, except for the few
 independent recomputations kept for tests to compare against.
 
+Only linalg builds an echelon: every exact question about a span is asked
+of its one kernel, so no other module of the package eliminates on its own.
+
 Calls are matched to definitions by name only (a method by its attribute
 name, __init__ by its class name), so the scans can miss a knob or an entry
 point whose name another one shares; they never flag one that is used.
@@ -149,3 +152,18 @@ def test_every_public_definition_is_used_outside_the_tests():
 
 def test_the_cross_checks_are_reached_only_by_tests():
     assert CROSS_CHECKS <= unreached_definitions()
+
+
+ECHELONS = {"IntEchelon", "ModEchelon"}
+
+
+def test_only_linalg_builds_an_echelon():
+    built = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and _callee(node) in ECHELONS:
+                built.append(f"{path.name}:{node.lineno} {_callee(node)}")
+    assert not built, ("echelons built outside linalg.py: "
+                       + ", ".join(built))

@@ -645,6 +645,8 @@ GOLDEN_SHA256 = {
         "aedecb47632ea312149dcb1d678342ce75abd120c863c9e3cece28cb1aa90da2",
     "--format csv verify --quick":
         "5c93d55fcaf1199b01b394a2df0b9c1bab32e10670f269f3f6b5d9a44cc1eb75",
+    "--format json verify":
+        "ed5ebd51567e371db5a354b60b1474d95f74c75e51a7184717b4067cd47b13a9",
     "--format json dims --space mda --max-weight 8":
         "3e196a1128a28e83e0acb14c2626d817c065c952c219f48e293eb66c0adb5575",
     "dims --space md --max-weight 7 --kind gr":

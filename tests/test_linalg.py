@@ -583,6 +583,26 @@ def test_graded_relation_counts_eliminate_only_the_rows_chosen_mod_p(
     assert _CountedEchelon.built == [2]
 
 
+def test_graded_relation_counts_see_past_a_row_dropped_mod_p():
+    # P [4] + [3] and [3] are one row mod P, so the second is dropped; it
+    # refutes the kept row's kernel, and all rows count both cells
+    assert _counts_of(4, {(4,): P, (3,): 1}, {(3,): 1}) == \
+        {(3, 1): 1, (4, 1): 1}
+
+
+def test_relation_in_span_sees_past_a_row_dropped_mod_p(monkeypatch):
+    # the same two bodies: the dropped [3] refutes the kept row's kernel,
+    # and the echelon of both rows puts [4] in the span
+    monkeypatch.setattr(_CountedEchelon, "built", [])
+    monkeypatch.setattr(linalg, "IntEchelon", _CountedEchelon)
+    first, second = (Relation(WordSum(body), "leibniz", 0)
+                     for body in ({(4,): P, (3,): 1}, {(3,): 1}))
+    target = WordSum({(4,): 1})
+    assert relation_in_span(target, [first, second])
+    assert _CountedEchelon.built == [1, 2]
+    assert not relation_in_span(target, [first])
+
+
 def test_graded_relation_counts_see_a_cancelled_word_led_by_1():
     # each body leads with [1,3]; their difference [2,2] - [3] is admissible
     assert _counts_of(4, {(1, 3): 1, (2, 2): 1}, {(1, 3): 1, (3,): 1}) == \
