@@ -8,19 +8,21 @@ sigma_{s_1-1,...,s_l-1}(n) / prod (s_i - 1)!, with the multiple divisor sum
 over all representations n = u_1 v_1 + ... + u_l v_l with u_1 > ... > u_l > 0.
 
 Two independent series algorithms live here.  bracket_series sweeps a line
-u = 1..order/2 upward through the chain elements, keeping for every suffix
-of the requested compositions one packed integer of coefficients, each
-slot as wide as the least of three proven bounds on sigma requires (by
+u = order/2 .. 1 down through the chain elements, keeping for every prefix
+of the requested compositions one packed integer of coefficients, each slot
+as wide as the least of three proven bounds on sigma requires (by
 partitions, by compositions and by a convolution of single divisor sums;
 p(order) is computed only where it can set the width).  A step writes the
-weights v^{s-1} of a length-1 suffix straight into their slots, sums a long
+weights v^{s-1} of a length-1 prefix straight into their slots, sums a long
 run of v by the Eulerian form x P_{s-1}(x)/(1-x)^s in log-many shift-adds,
-and a short run term by term; one last pass adds every element above
-order/2 at once, and each requested row is unpacked as it is handed on.
-bracket_series_oracle runs over the chain from the outermost index inward
-with each factor expanded into its coefficients through Eulerian
-polynomial coefficients and binomials.  Their agreement is a real
-mathematical identity, and the test suite insists on it.
+and a short run term by term; a run ends where the prefix row, which holds
+chains above the line and so starts late, would pass q^order.  The elements
+above order/2 are the tail the length-1 rows start from, and each requested
+row is unpacked as it is handed on.  bracket_series_oracle also splits
+chains by their smallest element, but by dense per-coefficient convolution:
+each factor expanded through Eulerian polynomial coefficients and
+binomials, with no packed shifts, slot widths, runs or tail.  Their
+agreement is a real mathematical identity, and the test suite insists on it.
 
 Every entry point checks its order (numbers.as_order), then its compositions
 (as_composition), before either reaches the cache, which holds each series
@@ -70,11 +72,11 @@ def multiple_divisor_sum(r: Sequence[int], n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# primary algorithm: a sweep line over packed suffix rows
+# primary algorithm: a sweep line down over packed prefix rows
 # ---------------------------------------------------------------------------
 
 # comp -> its series at the highest order requested so far: one entry per
-# composition a caller asked for, never a bare suffix of one
+# composition a caller asked for, never a bare prefix row of one
 _SERIES_CACHE: dict[Parts, QSeries] = {}
 
 
@@ -178,8 +180,8 @@ def _power_run(p: int, s: int, shift: int, n: int) -> int:
     return y
 
 
-# order // u at or above this multiple of t[0] sums a step by _power_run:
-# about s log2(order/u) shift-adds beat order/u multiply-shifts there
+# a run of n at or above this multiple of s = t[-1] sums a step by
+# _power_run: about s log2(n) shift-adds beat n multiply-shifts there
 _RUN_FACTOR = 8
 
 
@@ -187,33 +189,35 @@ def _sigma_lists(comps: Iterable[Parts],
                  order: int) -> Iterator[tuple[Parts, list[int]]]:
     """(comp, sigma coefficient list) for many nonempty compositions at once.
 
-    Every suffix t of a composition is a node holding one non-negative
+    Every prefix t of a composition is a node holding one non-negative
     integer partial[t]: the packed row of the chains of t whose elements all
-    lie below the sweep line, the coefficient of q^m in slot order - m of
+    lie above the sweep line, the coefficient of q^m in slot order - m of
     _slot_bytes bytes (Kronecker substitution, q^0 in the highest slot).
-    partial[()] is the row of the empty chain, 1 at q^0.  At step u every
-    node takes the chains whose first element is u:
+    partial[()] is the row of the empty chain, 1 at q^0.  The line runs
+    down, u = order//2 .. 1, and at step u every node takes the chains whose
+    smallest element is u:
 
-        partial[t] += sum_v v^(t[0]-1) * (partial[t[1:]] >> u*v*slot)
+        partial[t] += sum_v v^(t[-1]-1) * (partial[t[:-1]] >> u*v*slot)
 
     where the right shift by u*v slots multiplies by q^(uv) and drops every
-    power past q^order.  Nodes are visited longest first, so t[1:] still
-    holds the chains below u.  Compositions sharing a suffix share its node,
-    and memory is one row per node.  A step takes one of three paths:
+    power past q^order.  Nodes are visited longest first, so t[:-1] still
+    holds the chains above u.  Compositions sharing a prefix share its node,
+    and memory is one row per node.  The row p = partial[t[:-1]] starts
+    late, as a chain of j elements above u weighs more than j u: its lowest
+    power q^m sits in its top slot order - m = (p.bit_length() - 1) // bits,
+    so the run is v = 1..n, n = (order - m) // u, and the node idles while
+    n = 0.  A step takes one of three paths:
 
-    * a node of length 1 (t[1:] = ()) writes v^(s-1), s = t[0], straight
+    * a node of length 1 (t[:-1] = ()) writes v^(s-1), s = t[0], straight
       into slot order - uv of one byte string for v = 1..order//u, and
       reads it as one integer, instead of shifting the unit row;
-    * a long run, order//u >= 8 s, sums through _power_run: s - 1 shifts
-      by the Eulerian coefficients, then s log-step prefix sums;
-    * a shorter run sums its order//u multiply-shifts directly.
+    * a long run, n >= 8 s with s = t[-1], sums through _power_run: s - 1
+      shifts by the Eulerian coefficients, then s log-step prefix sums;
+    * a shorter run sums its n multiply-shifts directly.
 
-    The line stops at h = order//2.  Past it order//u = 1, and a chain of
-    weight at most order - u < u, the most that q^u leaves room for, has
-    every element at most h, so partial[t[1:]] at step h already holds every
-    chain that step u > h can use.  One last pass, longest node first so
-    that t[1:] is still at step h, adds sum_{u>h} q^u partial[t[1:]], the
-    same log-step prefix sum with s = 1, and updates the rows in place.
+    No pass follows the line: a chain above h = order//2 has one element
+    (two weigh at least 2h + 3 > order), u > h, with v = 1, so the length-1
+    rows start as the tail sum_{u>h} q^u and the longer ones as 0.
 
     The packing is exact: every intermediate value is a non-negative sum of
     shifted rows with non-negative weights (the Eulerian numbers included),
@@ -224,53 +228,49 @@ def _sigma_lists(comps: Iterable[Parts],
 
     Every command and library call that needs series passes through here,
     so this is the one place the work cap is enforced: a sweep whose nodes
-    (the suffixes of comps) times order exceed max_cells raises ResourceCap
+    (the prefixes of comps) times order exceed max_cells raises ResourceCap
     at the first next(), before any allocation.  A row is unpacked when it
     is asked for, and its node dropped as it is yielded; nothing is cached.
     """
     comps = set(comps)
     if not comps:
         return
-    nodes = {c[i:] for c in comps for i in range(len(c))}
+    nodes = {c[:i] for c in comps for i in range(1, len(c) + 1)}
     cells, cap = len(nodes) * order, get_config().max_cells
     if cells > cap:
-        raise ResourceCap(f"{len(nodes)} suffix rows x order {order} = "
+        raise ResourceCap(f"{len(nodes)} prefix rows x order {order} = "
                           f"{cells} coefficient cells exceed the cap of "
                           f"{cap} (raise --max-cells)")
     width = _slot_bytes(nodes, order)
     bits = 8 * width
     powers = {s: [v ** (s - 1) for v in range(_RUN_FACTOR * s)]
-              for s in {t[0] for t in nodes}}
+              for s in {t[-1] for t in nodes}}
     slot_powers = {s: [(v ** (s - 1)).to_bytes(width, "big")
                        for v in range(order + 1)]
                    for s in {t[0] for t in nodes if len(t) == 1}}
-    plan = [(t, t[1:], t[0]) for t in sorted(nodes, key=len, reverse=True)]
-    partial = dict.fromkeys(nodes, 0)
-    partial[()] = 1 << (order * bits)
+    plan = [(t, t[:-1], t[-1]) for t in sorted(nodes, key=len, reverse=True)]
     half = order // 2
-    for u in range(1, half + 1):
-        n = order // u
+    tail = ((1 << (order - half) * bits) - 1) // ((1 << bits) - 1)
+    partial = {t: tail if len(t) == 1 else 0 for t in nodes}
+    partial[()] = 1 << (order * bits)
+    for u in range(half, 0, -1):
         step = u * bits
         gap = bytes((u - 1) * width)
-        for t, below, s in plan:
-            if not below:
+        for t, above, s in plan:
+            p = partial[above]
+            n = (p.bit_length() - 1) // bits // u
+            if n < 1:
+                continue
+            if not above:
                 partial[t] += int.from_bytes(
                     gap.join(slot_powers[s][1:n + 1]), "big") << (
                         (order - u * n) * bits)
-                continue
-            p = partial[below]
-            if not p:
-                continue
-            if n >= _RUN_FACTOR * s:
+            elif n >= _RUN_FACTOR * s:
                 partial[t] += _power_run(p, s, step, n)
             else:
                 pows = powers[s]
                 partial[t] += sum(pows[v] * (p >> (step * v))
                                   for v in range(n, 0, -1))
-    for t, below, _ in plan:
-        p = partial[below] >> half * bits
-        if p:
-            partial[t] += _power_run(p, 1, bits, order - half)
 
     size = (order + 1) * width
     for t in comps:
@@ -296,7 +296,7 @@ def _series_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
 
 
 def bracket_series_many(comps: Iterable[Parts], order: int) -> dict[Parts, QSeries]:
-    """bracket_series for a family of compositions, sharing suffix work."""
+    """bracket_series for a family of compositions, sharing prefix work."""
     order = as_order(order)
     series = _series_many([as_composition(c) for c in comps], order)
     return {c: s.truncate(order) for c, s in series.items()}

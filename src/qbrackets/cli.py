@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "or text)")
     parser.add_argument("--max-cells", type=int, dest="max_cells",
                         help="any command exits 4 before a series sweep that "
-                             "would hold more than this many cells (suffix "
+                             "would hold more than this many cells (prefix "
                              "rows x order)")
     sub = parser.add_subparsers(dest="command", required=True)
 

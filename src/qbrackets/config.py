@@ -17,7 +17,7 @@ class ResourceCap(RuntimeError):
 
 
 class Config(Value):
-    """The effective options; max_cells caps suffix rows x order per sweep."""
+    """The effective options; max_cells caps prefix rows x order per sweep."""
 
     __slots__ = ("default_order", "output_format", "max_cells")
 

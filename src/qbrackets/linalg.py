@@ -346,7 +346,7 @@ class ModEchelon:
 
 def _refuse_past_the_cap(counts: Iterable[int]) -> None:
     """Raise ResourceCap once the generator counts add up past max_cells,
-    before any generator is listed.  Every generator is at least one suffix
+    before any generator is listed.  Every generator is at least one prefix
     row of the sweep that expands it, at an order of at least 1, so the
     sweep would refuse them all the same, after the listing."""
     cap = get_config().max_cells

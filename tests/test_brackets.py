@@ -86,8 +86,8 @@ def test_batched_variants_match_single():
 
 
 def test_oracle_agreement_at_high_order(monkeypatch):
-    # shared suffixes ((1,), (1, 1), (2, 1, 1), (3,)) under mixed first
-    # parts, at an order where a packed slot spans several bytes
+    # shared prefixes ((1,), (1, 1), (2,), (3,)) under mixed last parts,
+    # at an order where a packed slot spans several bytes
     monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
     comps = [(1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 1, 1), (4, 2, 1, 1),
              (3, 2, 2, 1, 1), (5, 3), (2, 3), (1, 1, 3), (6,)]
@@ -119,10 +119,41 @@ def _sweep_matches_oracle(comps, order):
     return rows
 
 
+@pytest.mark.parametrize("comps", [
+    [(2, 1), (3, 2, 1)],                  # prefixes and suffixes differ
+    [(1, 2, 3), (1, 2, 4), (1, 5)],       # shared prefixes (1,), (1, 2)
+])
+def test_prefix_rows_match_oracle(comps):
+    _sweep_matches_oracle(comps, 40)
+
+
+def test_first_coefficient_at_the_order():
+    # l(l+1)/2 = 21: the row of (1,)*6 starts at its last slot
+    row = _sweep_matches_oracle([(1,) * 6], 21)[(1,) * 6]
+    assert row == [0] * 21 + [1]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_tail_alone_at_the_lowest_orders(order):
+    # no step of the line reaches a chain of two; the length-1 row is the
+    # tail sum_{u > order/2} q^u plus, at order 2, the step u = 1
+    rows = _sweep_matches_oracle([(3,), (2, 1), (1, 1, 1)], order)
+    assert rows[(2, 1)] == rows[(1, 1, 1)] == [0] * (order + 1)
+    assert rows[(3,)] == ([0, 1] if order == 1 else [0, 1, 5])
+
+
+@given(st.lists(st.sampled_from([c for c in compositions_up_to(7) if c]),
+                min_size=1, max_size=6, unique=True),
+       st.integers(min_value=1, max_value=60))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_prefix_families_match_oracle(comps, order):
+    _sweep_matches_oracle(comps, order)
+
+
 def test_sweep_paths_at_every_order_to_40():
-    # the line stops at order // 2 for odd and even orders, and a step
-    # sums through _power_run once order // u >= 8 t[0]: (1, 4) and
-    # (1, 1, 4) from order 8, (2, 1) from 16, (3, 2, 1) from 24
+    # the line starts at order // 2 for odd and even orders, and a step
+    # sums through _power_run once its run n >= 8 t[-1]: (1, 1) and (2, 1)
+    # from order 10, (3, 2, 1) from 13, (3, 2) from 18, (1, 1, 4) from 37
     comps = [(1,), (2, 1), (3, 2, 1), (1, 1, 4), (5,)]
     for order in range(1, 41):
         rows = _sweep_matches_oracle(comps, order)
@@ -163,7 +194,7 @@ def test_power_run_is_the_truncated_eulerian_series(step):
 @settings(max_examples=40, deadline=None)
 def test_slot_width_bound(comp, order):
     k, l = sum(comp), len(comp)
-    slot_bits = 8 * _slot_bytes([comp[i:] for i in range(l)], order)
+    slot_bits = 8 * _slot_bytes(_prefixes(comp), order)
     p = partition_counts(order)
     row = dict(_sigma_lists([comp], order))[comp]
     assert len(row) == order + 1 and row[0] == 0
@@ -174,8 +205,9 @@ def test_slot_width_bound(comp, order):
         assert row[m] == multiple_divisor_sum([s - 1 for s in comp], m)
 
 
-def _suffixes(*comps):
-    return {c[i:] for c in comps for i in range(len(c))}
+def _prefixes(*comps):
+    """The nodes the sweep holds for comps."""
+    return {c[:i] for c in comps for i in range(1, len(c) + 1)}
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +238,7 @@ def _three_bound_bytes(nodes, order):
 @settings(max_examples=60, deadline=None)
 def test_convolution_bound(comp, order):
     # parts 1, 2 and 3..6 give r = 0, r = 1 and r >= 2
-    nodes = _suffixes(comp)
+    nodes = _prefixes(comp)
     rows = dict(_sigma_lists(nodes, order))
     for t in nodes:
         bounds = [_convolution_bound(t, order, m)
@@ -221,12 +253,12 @@ def test_convolution_bound(comp, order):
 def test_slot_widths(monkeypatch):
     tens = [c for c in compositions_up_to(10) if len(c) == 5 and sum(c) == 10]
     assert len(tens) == 126
-    ones = _suffixes(*((1,) * l for l in range(1, 20)))
-    assert _slot_bytes(_suffixes((4, 4, 4)), 1000) == 12
+    ones = _prefixes(*((1,) * l for l in range(1, 20)))
+    assert _slot_bytes(_prefixes((4, 4, 4)), 1000) == 12
     assert _slot_bytes(ones, 200) == 6
-    cases = [(_suffixes((4, 4, 4)), 1000), (ones, 200)]
-    cases += [(_suffixes(c), 600) for c in tens]
-    cases += [(_suffixes((1,) * l), 200) for l in range(1, 20)]
+    cases = [(_prefixes((4, 4, 4)), 1000), (ones, 200)]
+    cases += [(_prefixes(c), 600) for c in tens]
+    cases += [(_prefixes((1,) * l), 200) for l in range(1, 20)]
     for nodes, order in cases:
         width = _slot_bytes(nodes, order)
         assert width <= _two_bound_bytes(nodes, order)
@@ -240,8 +272,8 @@ def test_slot_widths(monkeypatch):
         return partition_counts(n_max)
 
     monkeypatch.setattr(brackets, "partition_counts", counted)
-    for nodes, order, want in [(_suffixes((4, 4, 4)), 1000, []),
-                               (_suffixes((2,)), 20000, []),
+    for nodes, order, want in [(_prefixes((4, 4, 4)), 1000, []),
+                               (_prefixes((2,)), 20000, []),
                                (ones, 200, [200])]:
         brackets._partition_count.cache_clear()
         calls.clear()
@@ -285,13 +317,14 @@ def test_series_cache_not_mutated_by_larger_order():
 
 
 def test_cache_keeps_a_requested_series_of_higher_order(monkeypatch):
-    # a lower-order batch sweeping (2, 1) as a suffix must not replace the
-    # longer cached series, and a suffix nobody requested is not kept
+    # a lower-order batch sweeping (2, 1) as a prefix must not replace the
+    # longer cached series, and a prefix nobody requested is not kept
     monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
     longer = bracket_series((2, 1), 40)
     bracket_series((3, 2, 1), 10)
+    bracket_series((2, 1, 3), 10)
     assert brackets._SERIES_CACHE[(2, 1)].order == 40
-    assert (1,) not in brackets._SERIES_CACHE
+    assert not {(1,), (2,), (3, 2)} & set(brackets._SERIES_CACHE)
     assert bracket_series((2, 1), 40) == longer
 
 
@@ -305,16 +338,17 @@ def cap_cells(monkeypatch):
     set_config(before)
 
 
-def test_sweep_cap_counts_suffix_rows_times_order(cap_cells):
-    # suffix rows (3, 2, 1), (2, 1), (1,) at order 40: 120 cells
+def test_sweep_cap_counts_prefix_rows_times_order(cap_cells):
+    # prefix rows (2,), (2, 1), (3,), (3, 2), (3, 2, 1) at order 40: 200
+    # cells
     comps, order = [(2, 1), (3, 2, 1)], 40
-    cap_cells(119)
-    with pytest.raises(ResourceCap, match="3 suffix rows x order 40 = 120 "
+    cap_cells(199)
+    with pytest.raises(ResourceCap, match="5 prefix rows x order 40 = 200 "
                                           "coefficient cells exceed"):
         bracket_series_many(comps, order)
     assert brackets._SERIES_CACHE == {}
     slow = bracket_series_oracle_many(comps, order)  # the oracle is not capped
-    cap_cells(120)
+    cap_cells(200)
     assert bracket_series_many(comps, order) == slow
 
 
@@ -329,8 +363,8 @@ def test_sweep_cap_never_counts_cached_rows(cap_cells):
 
 
 def test_cache_holds_only_the_requested_compositions(monkeypatch):
-    # a cold batch of the mda generators sweeps every suffix, the
-    # non-admissible ones too, but keeps one series per generator
+    # a cold batch of the mda generators sweeps every prefix of them, each
+    # a generator itself, and keeps one series per generator
     monkeypatch.setattr(brackets, "_SERIES_CACHE", {})
     gens = generators("mda", 7)
     bracket_series_many(gens, 60)
