@@ -10,19 +10,19 @@ over all representations n = u_1 v_1 + ... + u_l v_l with u_1 > ... > u_l > 0.
 Two independent series algorithms live here.  bracket_series sweeps a line
 u = order/2 .. 1 down through the chain elements, keeping for every prefix
 of the requested compositions one packed integer of coefficients, each slot
-as wide as the least of three proven bounds on sigma requires (by
-partitions, by compositions and by a convolution of single divisor sums;
-p(order) is computed only where it can set the width).  A step writes the
-weights v^{s-1} of a length-1 prefix straight into their slots, sums a long
-run of v by the Eulerian form x P_{s-1}(x)/(1-x)^s in log-many shift-adds,
-and a short run term by term; a run ends where the prefix row, which holds
-chains above the line and so starts late, would pass q^order.  The elements
-above order/2 are the tail the length-1 rows start from, and each requested
-row is unpacked as it is handed on.  bracket_series_oracle also splits
-chains by their smallest element, but by dense per-coefficient convolution:
-each factor expanded through Eulerian polynomial coefficients and
-binomials, with no packed shifts, slot widths, runs or tail.  Their
-agreement is a real mathematical identity, and the test suite insists on it.
+as wide as the lesser of two proven bounds on sigma requires (by partitions
+and by a convolution of single divisor sums; p(order) is computed only where
+it can set the width).  A step writes the weights v^{s-1} of a length-1
+prefix straight into their slots, sums a long run of v by the Eulerian form
+x P_{s-1}(x)/(1-x)^s in log-many shift-adds, and a short run term by term;
+a run ends where the prefix row, which holds chains above the line and so
+starts late, would pass q^order.  The elements above order/2 are the tail
+the length-1 rows start from, and each requested row is unpacked as it is
+handed on.  bracket_series_oracle is the definition split at the smallest
+chain element, a prefix loop adding rows coefficient by coefficient with
+plain weights v^{s-1}: no packing, slot widths, runs, tail or Eulerian
+expansion, so it shares only the split with the sweep.  Their agreement is
+a real mathematical identity, and the test suite insists on it.
 
 Every entry point checks its order (numbers.as_order), then its compositions
 (as_composition), before either reaches the cache, which holds each series
@@ -109,7 +109,7 @@ def _slot_bytes(nodes: Iterable[Parts], order: int) -> int:
     """Bytes per packed coefficient: room for sigma_t(m), 0 <= m <= order,
     of every node t, plus one spare bit, rounded up to whole bytes.
 
-    Three proven bounds, each non-decreasing in m, so their least at
+    Two proven bounds, each non-decreasing in m, so their least at
     m = order serves every slot.  Let t have weight k, length l and
     r_i = t_i - 1.
 
@@ -117,9 +117,6 @@ def _slot_bytes(nodes: Iterable[Parts], order: int) -> int:
       u_1 > ... > u_l > 0 is a partition of m with l distinct part sizes
       (u_i taken v_i times), and every v_i <= m, so
       sigma_t(m) <= m^(k-l) p(m).
-    * Compositions.  The products u_i v_i form one of the C(m-1, l-1)
-      compositions of m into l parts and each u_i divides its product, so
-      sigma_t(m) <= C(m-1, l-1) m^l m^(k-l) <= m^(k+l-1).
     * Convolution (_convolution_bound).  Map each representation to its
       composition n_i = u_i v_i and drop the ordering of the u_i: then u_i
       runs over the divisors of n_i independently, so
@@ -142,12 +139,11 @@ def _slot_bytes(nodes: Iterable[Parts], order: int) -> int:
     can set the width.  A partition of n into exactly j parts is one of at
     most j! orderings of a composition of n into j parts, so
     p(n) >= C(n-1, j-1) / j! for j = isqrt(n).  Where order^(k-l) times that
-    floor reaches the least of the other two bounds for every node, the
-    partition bound is no smaller than that least for any node and cannot
-    change the width, so it is skipped.
+    floor reaches the convolution bound for every node, the partition bound
+    is no smaller than it for any node and cannot change the width, so it
+    is skipped.
     """
-    least = {t: min(order ** (sum(t) + len(t) - 1),
-                    _convolution_bound(t, order, order)) for t in nodes}
+    least = {t: _convolution_bound(t, order, order) for t in nodes}
     j = isqrt(order)
     floor = comb(order - 1, j - 1) // factorial(j)
     if any(order ** (sum(t) - len(t)) * floor < b for t, b in least.items()):
@@ -309,22 +305,8 @@ def bracket_series(c: Sequence[int], order: int) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# oracle algorithm: prefix recursion with Eulerian-kernel factors
+# oracle algorithm: the definition, split at the smallest chain element
 # ---------------------------------------------------------------------------
-
-# keyed by (part, order), each entry order + 1 integers: verify, the
-# weight-9 corpus and an order-1000 oracle call leave about 7 of them
-@lru_cache(maxsize=32)
-def _kernel_row(s: int, n_max: int) -> tuple[int, ...]:
-    """Coefficients of z^0 .. z^n_max in z P_{s-1}(z)/(1-z)^s, the factor
-    generating v^{s-1} summed over v >= 1 (its (s-1)! is divided out later),
-    expanded through the Eulerian polynomial P_{s-1} and binomials instead
-    of power sums; the coefficient of z^w is w^{s-1}."""
-    eulerian = eulerian_polynomial(s - 1)
-    return (0, *(sum(a * comb(w - 1 - i + s - 1, s - 1)
-                     for i, a in enumerate(eulerian[:w]))
-                 for w in range(1, n_max + 1)))
-
 
 def bracket_series_oracle(c: Sequence[int], order: int) -> QSeries:
     """Independent recomputation of bracket_series; see the module docstring."""
@@ -333,51 +315,39 @@ def bracket_series_oracle(c: Sequence[int], order: int) -> QSeries:
 
 
 def _oracle_many(comps: list[Parts], order: int) -> dict[Parts, QSeries]:
-    n_max = order
-    trie: dict = {}
-    for comp in comps:
-        node = trie
-        for part in comp:
-            node = node.setdefault(part, {})
-            node.setdefault(None, None)
-        node[None] = comp
+    """sigma_t for each requested t, split at the smallest chain element:
+    with rows[n] the coefficients over the chains of a prefix t whose
+    elements all exceed n, and above those of t[:-1] (all 1 for t = ()),
 
-    unit = [1] + [0] * n_max
-    root_over = [unit] * (n_max + 1)  # over[n]: chains so far, all elements > n
-    out: dict[Parts, QSeries] = {(): QSeries.one(order)} if () in comps else {}
+        rows[n - 1] = rows[n] + sum_v v^(t[-1]-1) q^(n v) above[n],
 
-    def dfs(node: dict, over: list) -> None:
-        for part, sub in node.items():
-            if part is None:
-                continue
-            kern = _kernel_row(part, n_max)
-            levels: list = [None] * (n_max + 1)   # A[n]: new element exactly at n
-            for n in range(1, n_max + 1):
-                src = over[n]
-                a = [0] * (n_max + 1)
-                for w in range(1, n_max // n + 1):
-                    kw = kern[w]
-                    base = n * w
-                    for m in range(base, n_max + 1):
-                        x = src[m - base]
-                        if x:
-                            a[m] += kw * x
-                levels[n] = a
-            # suffix sums: chains with smallest element > n
-            child_over: list = [None] * (n_max + 1)
-            acc = [0] * (n_max + 1)
-            for n in range(n_max, 0, -1):
-                acc = [p + q for p, q in zip(acc, levels[n])]
-                child_over[n - 1] = acc
-            for n in range(1, n_max + 1):
-                if child_over[n] is None:
-                    child_over[n] = [0] * (n_max + 1)
-            comp = sub.get(None)
-            if comp is not None:
-                out[comp] = QSeries(n_max, tuple(child_over[0]), _denominator(comp))
-            dfs(sub, child_over)
-
-    dfs(trie, root_over)
+    each row of above added over its nonzero span.  In lexicographic order
+    a prefix follows its parent with only the parent's descendants between,
+    so path[d] holds the rows of the current prefix of length d, no more.
+    """
+    wanted = set(comps)
+    path = [[[1] + [0] * order] * (order + 1)]
+    out = {}
+    for t in sorted({c[:i] for c in wanted for i in range(len(c) + 1)}):
+        if t:
+            del path[len(t):]
+            above, power = path[-1], t[-1] - 1
+            row = [0] * (order + 1)
+            rows = [row] * (order + 1)
+            for n in range(order, 0, -1):
+                src = above[n]
+                nonzero = [m for m, y in enumerate(src) if y]
+                if nonzero and nonzero[0] + n <= order:
+                    lo, hi = nonzero[0], nonzero[-1] + 1
+                    row = row[:]
+                    for v in range(1, (order - lo) // n + 1):
+                        w, b = v ** power, lo + n * v
+                        row[b:b + hi - lo] = [x + w * y for x, y in zip(
+                            row[b:b + hi - lo], src[lo:hi])]
+                rows[n - 1] = row
+            path.append(rows)
+        if t in wanted:
+            out[t] = QSeries(order, tuple(path[-1][0]), _denominator(t))
     return out
 
 

@@ -35,6 +35,7 @@ class QSeries(Value):
     __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, nums: tuple[int, ...], den: int = 1) -> None:
+        nums = tuple(nums)
         if order < 0:
             raise ValueError("order must be non-negative")
         if len(nums) != order + 1:
@@ -99,9 +100,13 @@ class QSeries(Value):
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
+        if not isinstance(other, QSeries):
+            return NotImplemented
         return _linear(min(self.order, other.order), ((1, self), (1, other)))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
+        if not isinstance(other, QSeries):
+            return NotImplemented
         return _linear(min(self.order, other.order), ((1, self), (-1, other)))
 
     def __neg__(self) -> "QSeries":
@@ -165,7 +170,7 @@ def _linear(order: int, terms: Iterable[tuple[RationalLike, QSeries]]) -> QSerie
     """sum c * s over the (c, s) terms, cut at q^order: the numerator rows
     brought to the lcm of the c.den * s.den and summed in one integer pass,
     reduced once by the constructor.  Each s must reach q^order."""
-    rows = [(*c.as_integer_ratio(), s) for c, s in terms]
+    rows = [(*_ratio(c), s) for c, s in terms]
     if any(s.order < order for _, _, s in rows):
         raise ValueError(f"cannot extend a series to order {order}")
     den = lcm(*(q * s.den for _, q, s in rows))
@@ -174,6 +179,15 @@ def _linear(order: int, terms: Iterable[tuple[RationalLike, QSeries]]) -> QSerie
         m = p * (den // (q * s.den))
         out = [x + m * a for x, a in zip(out, s.nums)]
     return QSeries(order, tuple(out), den)
+
+
+def _ratio(c: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of an exact coefficient.  A float or a
+    string is refused, not rounded: 0.1 would be 3602879701896397/2^55."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"an exact coefficient is an int or a Fraction, "
+                        f"not {type(c).__name__}")
+    return c.as_integer_ratio()
 
 
 def _rat_str(x: int, den: int) -> str:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .brackets import _series_many, bracket_series
 from .numbers import as_composition, as_order, canonical_key, lambda_coeff
-from .series import QSeries, _linear, _rat_str, _signed_sum
+from .series import QSeries, _linear, _rat_str, _ratio, _signed_sum
 
 Word = tuple[int, ...]
 Row = tuple[int, int, Iterable[tuple[Word, int]]]
@@ -33,7 +33,7 @@ class WordSum:
 
     def __init__(self, terms: Mapping[Word, Fraction] | Iterable[tuple[Word, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        out = _sum([(*Fraction(c).as_integer_ratio(), ((as_composition(w), 1),))
+        out = _sum([(*_ratio(c), ((as_composition(w), 1),))
                     for w, c in items])
         self._nums, self._den = out._nums, out._den
 
@@ -91,7 +91,7 @@ class WordSum:
         return _sum([self._row(-1)])
 
     def scale(self, c: Fraction | int) -> "WordSum":
-        return _sum([self._row(*Fraction(c).as_integer_ratio())])
+        return _sum([self._row(*_ratio(c))])
 
     def normalized(self) -> "WordSum":
         """The normal form up to scale: coefficient 1 at the canonically
@@ -309,5 +309,18 @@ def decompose_in_one(w: WordSum) -> OnePolynomial:
     The result satisfies substitute_one(order) == evaluate(w, order) for any
     order, and every coefficient is admissible: each of its words is empty or
     starts with a letter > 1.
+
+    It respects the filtration: for a word of weight k and length l, every
+    word of the coefficient of [1]^j has weight <= k - j and length
+    <= l - j.  By induction over _decompose_word's recursion: an admissible
+    word is its own coefficient of [1]^0.  Otherwise w = 1^m t is
+    (T * 1^(m-1) t - rest) / m.  The peeled 1 costs one weight and one
+    length, so T times the shorter word's decomposition meets the bound at
+    each j + 1.  [1] * 1^(m-1) t adds at most one of each, so every word of
+    rest has weight <= k and length <= l and its decomposition meets the
+    bound at each j.  The recursion ends, as each word of rest comes before
+    w in (weight, length, leading 1s): the 1 inserted after t_1 leaves m - 1
+    leading 1s, a merged z_(1+b) shortens the word, and diamond's lambda
+    terms lower the weight.
     """
     return _combine((word_, x, w._den, 0) for word_, x in w._nums.items())

@@ -8,6 +8,10 @@ somewhere in the package or the benchmark: one that only tests reach is a
 second way to do what the package already does, except for the few
 independent recomputations kept for tests to compare against.
 
+Every functools cache in the package has a finite maxsize, so no cache
+grows for the life of the process, except the few named here with their
+reason.
+
 Only linalg builds an echelon: every exact question about a span is asked
 of its one kernel, so no other module of the package eliminates on its own.
 
@@ -167,3 +171,47 @@ def test_only_linalg_builds_an_echelon():
                 built.append(f"{path.name}:{node.lineno} {_callee(node)}")
     assert not built, ("echelons built outside linalg.py: "
                        + ", ".join(built))
+
+
+# Recursive, so an LRU smaller than the largest index asked for would
+# recompute in cascades; its entries are one Fraction per index.
+UNBOUNDED_CACHES = {"numbers.bernoulli"}
+
+
+def _bounded(decorator: ast.expr) -> bool:
+    """False for functools.cache and for an lru_cache whose maxsize is not
+    a literal integer (None, or an expression the scan cannot read); a
+    bare lru_cache holds its default of 128."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = getattr(target, "id", getattr(target, "attr", None))
+    if name == "cache":
+        return False
+    if name != "lru_cache" or call is None:
+        return True
+    sizes = call.args[:1] + [k.value for k in call.keywords
+                             if k.arg == "maxsize"]
+    return all(isinstance(a, ast.Constant) and type(a.value) is int
+               for a in sizes)
+
+
+def unbounded_caches():
+    """Qualified names of the package's functions under a cache without a
+    finite maxsize."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and not all(
+                    _bounded(d) for d in node.decorator_list):
+                found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_every_cache_is_bounded():
+    unbounded = sorted(unbounded_caches() - UNBOUNDED_CACHES)
+    assert not unbounded, ("caches without a finite maxsize: "
+                           + ", ".join(unbounded))
+
+
+def test_the_unbounded_exceptions_are_still_unbounded():
+    assert UNBOUNDED_CACHES <= unbounded_caches()

@@ -214,6 +214,27 @@ def test_constructor_reduces_and_validates():
         QSeries(-1, ())
 
 
+def test_a_list_of_numerators_is_stored_as_a_tuple():
+    s = QSeries(2, [1, 2, 3])
+    assert s.nums == (1, 2, 3) and isinstance(s.nums, tuple)
+    assert hash(s) == hash(QSeries(2, (1, 2, 3)))
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, "1/3"])
+def test_scale_refuses_an_inexact_coefficient(c):
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        QSeries.one(3).scale(c)
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5])
+def test_adding_a_scalar_is_unsupported(other):
+    s = QSeries.one(3)
+    for op in (lambda: s + other, lambda: s - other,
+               lambda: other + s, lambda: other - s):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+
+
 # Every value class of the package: the constructor arguments of one
 # instance, those of an equal one, and whether its fields are hashable.
 VALUES = [

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from qbrackets import (ExactMatrix, IntEchelon, OnePolynomial, QSeries,
                        WordSum, bracket_series, bracket_series_many,
                        bracket_series_oracle_many, canonical_key,
-                       decompose_in_one, diamond, evaluate, quasi_shuffle, word)
+                       compositions_up_to, decompose_in_one, diamond,
+                       evaluate, quasi_shuffle, word)
 from qbrackets import brackets, derivation, lambda_coeff, words
 from qbrackets.words import coefficient_rows
 from qbrackets.checks import PRODUCT_EXAMPLES
@@ -75,6 +76,18 @@ def test_words_are_checked_where_they_enter(monkeypatch):
             WordSum([(bad, 1)])
         with pytest.raises(error):
             word(*bad)
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, "1/3"])
+def test_word_sums_refuse_an_inexact_coefficient(c):
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        WordSum({(2,): c})
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        word(2).scale(c)
+    for product in (lambda: c * word(2), lambda: word(2) * c):
+        with pytest.raises(TypeError):
+            product()
 
 
 # few words and few coefficients, so words repeat and terms cancel
@@ -248,6 +261,20 @@ def test_decompose_golden():
     assert poly.coefficient(1) == word(2)
     assert poly.coefficient(0) == _ws({(2,): Fraction(1, 2), (3,): -1,
                                        (2, 1): -1})
+
+
+def test_decompose_filtration_lemma():
+    # the coefficient of [1]^j of a bracket of weight k and length l lies
+    # in the admissible words of weight <= k - j and length <= l - j
+    coefficients = 0
+    for c in compositions_up_to(10):
+        poly = decompose_in_one(word(*c))
+        for j, p in enumerate(poly.powers):
+            coefficients += not p.is_zero()
+            for w in p.words():
+                assert (not w or w[0] > 1) and sum(w) <= sum(c) - j \
+                    and len(w) <= len(c) - j, (c, j, w)
+    assert coefficients == 2045
 
 
 @given(st.lists(letters, min_size=1, max_size=4).map(tuple))
