@@ -25,8 +25,8 @@ from .modular import (DELTA_PAIRS, DELTA_SCALE, eisenstein,
                       verify_quasi_modular_identities, delta_representation,
                       delta_representations, representation_span_rank,
                       deltal2_word_sum)
-from .zeta import (MzvValue, mzv, mzv_oracle, ZImage, Z_k_symbolic,
-                   ZPolynomial, Z_k_alg)
+from .zeta import (MzvValue, mzv, ZImage, Z_k_symbolic, ZPolynomial,
+                   Z_k_alg)
 from .config import Config, ResourceCap, load_config, get_config, set_config
 from .checks import REGISTRY, CheckResult, first_failure, run_suite
 
@@ -51,8 +51,7 @@ __all__ = [
     "DELTA_PAIRS", "DELTA_SCALE", "eisenstein",
     "verify_quasi_modular_identities", "delta_representation",
     "delta_representations", "representation_span_rank", "deltal2_word_sum",
-    "MzvValue", "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic", "ZPolynomial",
-    "Z_k_alg",
+    "MzvValue", "mzv", "ZImage", "Z_k_symbolic", "ZPolynomial", "Z_k_alg",
     "Config", "ResourceCap", "load_config", "get_config", "set_config",
     "REGISTRY", "CheckResult", "first_failure", "run_suite",
 ]

@@ -38,7 +38,8 @@ from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .config import ResourceCap, get_config
-from .numbers import as_composition, as_order, eulerian_polynomial
+from .numbers import (_euler_product, as_composition, as_order,
+                      eulerian_polynomial)
 from .series import QSeries, _linear
 
 Parts = tuple[int, ...]
@@ -361,25 +362,19 @@ def bracket_series_oracle_many(comps: Iterable[Parts], order: int) -> dict[Parts
 # ---------------------------------------------------------------------------
 
 def partition_counts(n_max: int) -> list[int]:
-    """p(0..n_max) by the Euler pentagonal-number recurrence."""
+    """p(0..n_max) by the Euler pentagonal-number recurrence.  sum_n p(n) q^n
+    is 1/prod_{k>=1} (1 - q^k), so p(n) = -sum_{k>=1} e_k p(n - k) over the
+    nonzero coefficients e_k of the product: plus holds the k with e_k = -1,
+    minus those with e_k = 1."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    p = [0] * (n_max + 1)
-    p[0] = 1
+    euler = _euler_product(n_max)
+    p = [1]
+    plus, minus = [], []
     for n in range(1, n_max + 1):
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            if g1 > n:
-                break
-            sign = -1 if j % 2 == 0 else 1
-            total += sign * p[n - g1]
-            g2 = j * (3 * j + 1) // 2
-            if g2 <= n:
-                total += sign * p[n - g2]
-            j += 1
-        p[n] = total
+        if euler[n]:
+            (plus if euler[n] < 0 else minus).append(n)
+        p.append(sum(p[n - k] for k in plus) - sum(p[n - k] for k in minus))
     return p
 
 

@@ -1,6 +1,7 @@
-"""Bernoulli numbers, Eulerian polynomials, lambda coefficients, and what
-every entry point takes: compositions (as_composition), listed by stars and
-bars (compositions) in canonical order (canonical_key), and orders (as_order).
+"""Bernoulli numbers, Eulerian polynomials, lambda coefficients, Euler's
+product prod (1 - q^k), and what every entry point takes: compositions
+(as_composition), listed by stars and bars (compositions) in canonical order
+(canonical_key), and orders (as_order).
 
 Everything here is exact rational arithmetic on top of ``fractions.Fraction``
 and arbitrary-precision integers.  The Bernoulli convention is the generating
@@ -41,7 +42,7 @@ def eulerian_number(s: int, n: int) -> int:
 
 
 # keyed by s = part - 1: verify, the weight-9 corpus, dims mda 10 and
-# relations 9 9 leave 9 entries, so 32 holds every part up to 33
+# relations 9 9 leave 8 entries, so 32 holds every part up to 33
 @lru_cache(maxsize=32)
 def eulerian_polynomial(s: int) -> tuple[int, ...]:
     """Coefficients A_{s,0}, A_{s,1}, ... of the s-th Eulerian polynomial
@@ -52,28 +53,6 @@ def eulerian_polynomial(s: int) -> tuple[int, ...]:
     if s == 0:
         return (1,)
     return tuple(eulerian_number(s, n) for n in range(s))
-
-
-def eulerian_polynomial_recurrence(s: int) -> tuple[int, ...]:
-    """Same coefficients computed by P_{k+1} = P_k (1 + k t) + t (1 - t) P_k'.
-
-    Kept public as an independent cross-check of the closed form.
-    """
-    if s < 0:
-        raise ValueError("Eulerian polynomial index must be non-negative")
-    coeffs = [1]
-    for k in range(s):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c                      # P_k
-            nxt[i + 1] += k * c              # k t P_k
-            if i >= 1:
-                nxt[i] += i * c              # t P_k' picks i c t^i
-                nxt[i + 1] -= i * c          # -t^2 P_k'
-        while len(nxt) > 1 and nxt[-1] == 0:
-            nxt.pop()
-        coeffs = nxt
-    return tuple(coeffs)
 
 
 def lambda_coeff(a: int, b: int, j: int) -> Fraction:
@@ -89,6 +68,20 @@ def lambda_coeff(a: int, b: int, j: int) -> Fraction:
     m = a + b - j
     sign = -1 if b % 2 == 0 else 1
     return Fraction(sign * comb(m - 1, a - j)) * bernoulli(m) / factorial(m)
+
+
+def _euler_product(n: int) -> list[int]:
+    """Coefficients of prod_{k>=1} (1 - q^k) through q^n.  By Euler's
+    pentagonal number theorem the coefficient is (-1)^j at the pentagonal
+    numbers j(3j-1)/2 and j(3j+1)/2, j >= 0, and 0 elsewhere."""
+    coeffs = [0] * (n + 1)
+    j = 0
+    while j * (3 * j - 1) // 2 <= n:
+        for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if g <= n:
+                coeffs[g] = -1 if j % 2 else 1
+        j += 1
+    return coeffs
 
 
 def as_composition(parts: Iterable[int]) -> tuple[int, ...]:

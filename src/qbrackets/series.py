@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from ._value import Value
-from .numbers import as_order
+from .numbers import _euler_product, as_order
 
 RationalLike = Fraction | int
 
@@ -217,11 +217,7 @@ def eta24(order: int) -> QSeries:
     coefficient of q^n is tau(n)."""
     order = as_order(order)
     n = order - 1  # need the 24th power of the Euler product to q^n
-    euler = [0] * (n + 1)
-    for j in range(-n, n + 1):   # Euler: (-1)^j at each j(3j-1)/2 <= n
-        if j * (3 * j - 1) // 2 <= n:
-            euler[j * (3 * j - 1) // 2] += -1 if j % 2 else 1
-    power = QSeries(n, tuple(euler))
+    power = QSeries(n, tuple(_euler_product(n)))
     for _ in range(3):
         power = power * power          # the 8th power
     power = power * power * power

@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
+from ._value import Value
 from .brackets import _series_many, bracket_series
 from .numbers import as_composition, as_order, canonical_key, lambda_coeff
 from .series import QSeries, _linear, _rat_str, _ratio, _signed_sum
@@ -223,53 +224,41 @@ def evaluate(w: WordSum, order: int) -> QSeries:
 # writing everything as a polynomial in [1] over the admissible part
 # ---------------------------------------------------------------------------
 
-class OnePolynomial:
+class OnePolynomial(Value):
     """sum_j P_j T^j with admissible WordSum coefficients P_j; T stands for
-    the single word [1]."""
+    the single word [1].  powers holds P_0, P_1, ... without zero top
+    powers, so equal polynomials have equal fields."""
 
-    __slots__ = ("_powers",)
+    __slots__ = ("powers",)
 
-    def __init__(self, powers: Iterable[WordSum] = ()):
+    def __init__(self, powers: Iterable[WordSum] = ()) -> None:
         ps = list(powers)
         while ps and ps[-1].is_zero():
             ps.pop()
-        self._powers = tuple(ps)
-
-    @property
-    def powers(self) -> tuple[WordSum, ...]:
-        return self._powers
+        super().__init__(tuple(ps))
 
     def degree(self) -> int:
-        return len(self._powers) - 1
+        return len(self.powers) - 1
 
     def coefficient(self, j: int) -> WordSum:
-        return self._powers[j] if 0 <= j < len(self._powers) else WordSum()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OnePolynomial) and self._powers == other._powers
-
-    def __hash__(self) -> int:
-        return hash(self._powers)
+        return self.powers[j] if 0 <= j < len(self.powers) else WordSum()
 
     def substitute_one(self, order: int) -> QSeries:
         """Replace T by the series [1] and evaluate everything."""
         one_series = bracket_series((1,), order)
         total = QSeries.zero(order)
-        for p in reversed(self._powers):    # Horner, top power first
+        for p in reversed(self.powers):     # Horner, top power first
             total = total * one_series + evaluate(p, order)
         return total
-
-    def __repr__(self) -> str:
-        return f"OnePolynomial({self.to_text()})"
 
     def to_text(self) -> str:
         return " + ".join(
             p.to_text() if j == 0
             else f"({p.to_text()})*{'T' if j == 1 else f'T^{j}'}"
-            for j, p in enumerate(self._powers) if not p.is_zero()) or "0"
+            for j, p in enumerate(self.powers) if not p.is_zero()) or "0"
 
     def to_json(self) -> dict:
-        return {"powers": [p.to_json() for p in self._powers]}
+        return {"powers": [p.to_json() for p in self.powers]}
 
 
 def _combine(parts: Iterable[tuple[Word, int, int, int]]) -> OnePolynomial:

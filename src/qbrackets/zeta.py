@@ -217,22 +217,6 @@ def mzv(c: Sequence[int], target_error: float = _TARGET_ERROR) -> MzvValue:
     return out
 
 
-def mzv_oracle(c: Sequence[int]) -> float:
-    """Plain nested summation over n1 <= 20000 in double precision; slow
-    and crude on purpose, used once to validate the accelerated evaluator."""
-    comp = _require_admissible(c)
-    n_max = 20000
-    inner = [1.0] * (n_max + 1)
-    for s in reversed(comp[1:]):
-        acc = 0.0
-        nxt = [0.0] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            nxt[n] = acc
-            acc += inner[n] * n ** (-s)
-        inner = nxt
-    return sum(inner[n] * n ** (-comp[0]) for n in range(1, n_max + 1))
-
-
 # ---------------------------------------------------------------------------
 # the weight-k evaluation maps
 

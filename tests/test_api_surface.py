@@ -12,6 +12,10 @@ Every functools cache in the package has a finite maxsize, so no cache
 grows for the life of the process, except the few named here with their
 reason.
 
+Every class of the package takes its equality and hash from _value.Value,
+so value semantics are written once, except the few classes named here
+with their reason.
+
 Only linalg builds an echelon: every exact question about a span is asked
 of its one kernel, so no other module of the package eliminates on its own.
 
@@ -31,8 +35,7 @@ CALLERS = (ROOT / "src", ROOT / "bench")
 ALLOWED = {"config.load_config(environ)"}
 
 # The independent recomputations tests compare the package against.
-CROSS_CHECKS = {"brackets.bracket_series_oracle", "zeta.mzv_oracle",
-                "numbers.eulerian_polynomial_recurrence"}
+CROSS_CHECKS = {"brackets.bracket_series_oracle"}
 
 
 def _caller_trees():
@@ -215,3 +218,40 @@ def test_every_cache_is_bounded():
 
 def test_the_unbounded_exceptions_are_still_unbounded():
     assert UNBOUNDED_CACHES <= unbounded_caches()
+
+
+# Value itself; QSeries, written out for speed (its docstring says why); and
+# WordSum, which holds a dict, so a hash of its field tuple cannot work.
+OWN_EQUALITY = {"_value.Value", "series.QSeries", "words.WordSum"}
+
+
+def _defines(item: ast.stmt, names: set) -> bool:
+    """True for a def of one of names, or an assignment to one."""
+    if isinstance(item, ast.FunctionDef):
+        return item.name in names
+    targets = (item.targets if isinstance(item, ast.Assign)
+               else [item.target] if isinstance(item, ast.AnnAssign) else [])
+    return any(isinstance(t, ast.Name) and t.id in names for t in targets)
+
+
+def own_equality():
+    """Qualified names of the package's classes that define __eq__ or
+    __hash__ themselves."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    _defines(item, {"__eq__", "__hash__"})
+                    for item in node.body):
+                found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_value_semantics_are_written_once():
+    own = sorted(own_equality() - OWN_EQUALITY)
+    assert not own, ("classes with their own __eq__ or __hash__ instead of "
+                     "Value's: " + ", ".join(own))
+
+
+def test_the_own_equality_exceptions_still_define_it():
+    assert OWN_EQUALITY <= own_equality()

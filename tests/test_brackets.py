@@ -11,7 +11,7 @@ from qbrackets import (Config, QSeries, ResourceCap, bracket_series,
                        bracket_series_oracle_many, canonical_key,
                        compositions_up_to, d_general, d_len1, d_len2,
                        dimension_table, eta24, evaluate, generators,
-                       get_config, leibniz_relations, mzv, mzv_oracle,
+                       get_config, leibniz_relations, mzv,
                        multiple_divisor_sum, partition_counts,
                        partition_identity_check, relation_search,
                        set_config, word)
@@ -421,6 +421,11 @@ def test_cache_hit_at_the_stored_order_is_the_stored_series(cap_cells):
 
 def test_partition_counts_golden():
     assert partition_counts(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    # p(100), p(200) and p(1000), as published (OEIS A000041)
+    p = partition_counts(1000)
+    assert p[100] == 190569292
+    assert p[200] == 3972999029388
+    assert p[1000] == 24061467864032622473692149727991
     assert partition_identity_check(30)
 
 
@@ -468,7 +473,6 @@ COMPOSITION_ENTRY_POINTS = {
     "leibniz_relations": lambda c, n: leibniz_relations(c, (2,), 40),
     "leibniz_relations v": lambda c, n: leibniz_relations((2,), c, 40),
     "mzv": lambda c, n: mzv(c),
-    "mzv_oracle": lambda c, n: mzv_oracle(c),
 }
 
 BAD_INPUT = [

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from qbrackets import (bernoulli, compositions, compositions_up_to,
                        count_generators, eulerian_number, eulerian_polynomial,
                        lambda_coeff)
-from qbrackets.numbers import canonical_key, eulerian_polynomial_recurrence
+from qbrackets.numbers import canonical_key
 
 
 def test_bernoulli_golden():
@@ -37,9 +38,17 @@ def test_eulerian_row_sums_to_factorial(s):
     assert sum(eulerian_number(s, n) for n in range(s)) == math.factorial(s)
 
 
-def test_eulerian_polynomial_matches_recurrence():
-    for s in range(12):
-        assert eulerian_polynomial(s) == eulerian_polynomial_recurrence(s)
+@pytest.mark.parametrize("s", range(14))
+def test_eulerian_polynomial_generating_function(s):
+    # (1-z)^(s+1) sum_{v>=1} v^s z^v = z P_s(z), the identity _power_run
+    # sums by, compared through z^n with n past the degree s of z P_s
+    n = 2 * s + 3
+    powers = [0] + [v ** s for v in range(1, n + 1)]
+    product = [sum((-1) ** i * comb(s + 1, i) * powers[m - i]
+                   for i in range(min(m, s + 1) + 1))
+               for m in range(n + 1)]
+    want = [0, *eulerian_polynomial(s)]
+    assert product == want + [0] * (n + 1 - len(want))
 
 
 def test_lambda_coeff_bounds():

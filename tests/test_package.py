@@ -14,8 +14,8 @@ import qbrackets
 
 ROOT = Path(__file__).resolve().parent.parent
 
-ZETA_NAMES = ("MzvValue", "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic",
-              "ZPolynomial", "Z_k_alg")
+ZETA_NAMES = ("MzvValue", "mzv", "ZImage", "Z_k_symbolic", "ZPolynomial",
+              "Z_k_alg")
 
 # The package's public API, in the order of __all__.
 PUBLIC_API = (
@@ -36,7 +36,7 @@ PUBLIC_API = (
     "eisenstein", "verify_quasi_modular_identities",
     "delta_representation", "delta_representations",
     "representation_span_rank", "deltal2_word_sum", "MzvValue",
-    "mzv", "mzv_oracle", "ZImage", "Z_k_symbolic", "ZPolynomial",
+    "mzv", "ZImage", "Z_k_symbolic", "ZPolynomial",
     "Z_k_alg", "Config", "ResourceCap", "load_config",
     "get_config", "set_config", "REGISTRY", "CheckResult", "first_failure",
     "run_suite",

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbrackets import (CheckResult, Config, DimensionTable, ExactMatrix,
-                       MzvValue, QSeries, Relation, ZImage, ZPolynomial,
-                       eta24, word)
+                       MzvValue, OnePolynomial, QSeries, Relation, WordSum,
+                       ZImage, ZPolynomial, eta24, word)
 from qbrackets.checks import Check, check_series_examples
 
 rationals = st.fractions(min_value=-5, max_value=5)
@@ -246,6 +246,8 @@ VALUES = [
     (MzvValue, ((2,), Fraction(1, 2), Fraction(1, 10**12)), None, True),
     (ZImage, (2, {(2,): Fraction(1)}, Fraction(1), Fraction(0)), None, False),
     (ZPolynomial, (2, ((Fraction(1), Fraction(0)),)), None, True),
+    (OnePolynomial, ((word(2), word(3, 1)),),
+     ((word(2), word(3, 1), WordSum(), WordSum()),), True),
     (CheckResult, ("series-examples", True, "fine", 0.5), None, True),
     (Check, ("series-examples", "opening expansions", True,
              check_series_examples), None, True),

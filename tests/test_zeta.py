@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf, pi, workdps, zeta as mp_zeta
 
 from qbrackets import (Z_k_alg, Z_k_symbolic, compositions, d_general,
-                       delta_representations, mzv, mzv_oracle,
+                       delta_representations, mzv,
                        proven_relation_corpus, word, WordSum)
 from qbrackets import zeta
 from qbrackets.numbers import bernoulli
@@ -40,6 +40,8 @@ def test_mzv_depth_two_identities():
             < mpf("1e-40")
         assert abs(_mpf(mzv((4,)).value)
                    - _mpf(Fraction(4, 3) * mzv((2, 2)).value)) < mpf("1e-40")
+        assert abs(_mpf(mzv((2, 1, 1)).value) - _mpf(mzv((4,)).value)) \
+            < mpf("1e-40")
 
 
 def test_mzv_rejects_divergent_index():
@@ -49,13 +51,6 @@ def test_mzv_rejects_divergent_index():
         mzv(())
     with pytest.raises(ValueError):
         mzv((2, 0))
-
-
-def test_mzv_agrees_with_plain_summation():
-    for comp in [(2,), (3,), (2, 1), (3, 1), (2, 2), (2, 1, 1)]:
-        fast = float(mzv(comp).value)
-        slow = mzv_oracle(comp)
-        assert abs(fast - slow) / abs(slow) < 1e-2
 
 
 def test_mzv_respects_target_error():
