@@ -58,8 +58,11 @@ def multiple_divisor_sum(r: Sequence[int], n: int) -> int:
     l = len(r)
 
     def rec(i: int, u_bound: int, budget: int) -> int:
-        if i == l:
-            return 1 if budget == 0 else 0
+        if i == l - 1:
+            # the last v is forced: u v = budget, so u runs over divisors
+            return sum((budget // u) ** r[i]
+                       for u in range(1, min(u_bound, budget + 1))
+                       if budget % u == 0)
         slots_left = l - i           # this element and everything below it
         tail_min = (slots_left - 1) * slots_left // 2   # cheapest completion below u
         total = 0

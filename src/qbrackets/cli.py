@@ -5,6 +5,9 @@ printed, which builds only the configured format (text, JSON or CSV).
 `dims --out FILE` runs the same _emit into the file, so the file holds the
 bytes stdout would have held, and stdout gets `wrote FILE`.
 
+Each command imports the layer modules it runs (`from . import layer`),
+so that building the parser loads none and `series` loads three of nine.
+
 Exit codes: 0 success, 2 usage or parse error, 3 verification failure,
 4 resource cap exceeded, 5 stdout closed early by its reader (never 0: the
 verdict may not have been reached).  Output depends only on the effective
@@ -20,16 +23,14 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
-from .brackets import bracket_series
-from .checks import REGISTRY, first_failure, run_suite
-from .config import FORMATS, Config, ResourceCap, _environment_values, \
-    set_config
-from .derivation import d_general
-from .linalg import SPACES, TABLE_KINDS, dimension_table, relation_search
-from .words import OnePolynomial, WordSum, decompose_in_one, evaluate, \
-    quasi_shuffle, word
+from .config import FORMATS, SPACES, TABLE_KINDS, Config, ResourceCap, \
+    _environment_values, set_config
+
+if TYPE_CHECKING:
+    from .words import OnePolynomial, WordSum
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -105,8 +106,9 @@ def _order(args, cfg: Config) -> int:
 
 
 def cmd_series(args, cfg: Config) -> int:
+    from . import brackets
     parts = parse_parts(args.parts)
-    series = bracket_series(parts, _order(args, cfg))
+    series = brackets.bracket_series(parts, _order(args, cfg))
     _emit(cfg,
           lambda: {"composition": list(parts), "series": series.to_json()},
           lambda: ["n,coefficient"] + [f"{n},{series.coefficient(n)}"
@@ -116,10 +118,12 @@ def cmd_series(args, cfg: Config) -> int:
 
 
 def cmd_product(args, cfg: Config) -> int:
+    from . import brackets, words
     w, v = parse_parts(args.left), parse_parts(args.right)
     order = _order(args, cfg)
-    result = quasi_shuffle(word(*w), word(*v))
-    ok = evaluate(result, order) == bracket_series(w, order) * bracket_series(v, order)
+    result = words.quasi_shuffle(words.word(*w), words.word(*v))
+    ok = words.evaluate(result, order) == \
+        brackets.bracket_series(w, order) * brackets.bracket_series(v, order)
     _emit_checked(cfg, "product", result,
                   lambda: _terms_csv("word,coefficient", [("", result)]),
                   order, ok, "quasi-shuffle matches the series product")
@@ -127,10 +131,11 @@ def cmd_product(args, cfg: Config) -> int:
 
 
 def cmd_derive(args, cfg: Config) -> int:
+    from . import derivation
     parts = parse_parts(args.parts)
     order = _order(args, cfg)
     # d_general's own check is the verdict: it raises (exit 3) on a mismatch
-    result = d_general(parts, verify_order=order)
+    result = derivation.d_general(parts, verify_order=order)
     _emit_checked(cfg, "derive", result,
                   lambda: _terms_csv("word,coefficient", [("", result)]),
                   order, True, "expression matches q d/dq of the series")
@@ -138,10 +143,11 @@ def cmd_derive(args, cfg: Config) -> int:
 
 
 def cmd_decompose(args, cfg: Config) -> int:
+    from . import brackets, words
     parts = parse_parts(args.parts)
     order = _order(args, cfg)
-    poly = decompose_in_one(word(*parts))
-    ok = poly.substitute_one(order) == bracket_series(parts, order)
+    poly = words.decompose_in_one(words.word(*parts))
+    ok = poly.substitute_one(order) == brackets.bracket_series(parts, order)
     _emit_checked(cfg, "decompose", poly,
                   lambda: _terms_csv("power,word,coefficient",
                                      ((f"{j},", p)
@@ -152,8 +158,9 @@ def cmd_decompose(args, cfg: Config) -> int:
 
 
 def cmd_dims(args, cfg: Config) -> int:
-    table = dimension_table(args.space, args.max_weight, args.order,
-                            kind=args.kind)
+    from . import linalg
+    table = linalg.dimension_table(args.space, args.max_weight, args.order,
+                                   kind=args.kind)
     emit = functools.partial(
         _emit, cfg, lambda: {"space": table.space, "kind": table.kind,
                  "cells": [{"k": k, "l": l, "value": table.value(k, l),
@@ -177,7 +184,9 @@ def cmd_dims(args, cfg: Config) -> int:
 
 
 def cmd_relations(args, cfg: Config) -> int:
-    rels = relation_search(args.space, args.weight, args.length, args.order)
+    from . import linalg
+    rels = linalg.relation_search(args.space, args.weight, args.length,
+                                  args.order)
     _emit(cfg,
           lambda: {"space": args.space, "weight": args.weight,
                    "length": args.length,
@@ -192,18 +201,19 @@ def cmd_relations(args, cfg: Config) -> int:
 
 
 def cmd_verify(args, cfg: Config) -> int:
+    from . import checks
     if args.list:
         _emit_rows(cfg, ("name", "quick", "description"),
-                   [(c.name, c.quick, c.description) for c in REGISTRY],
+                   [(c.name, c.quick, c.description) for c in checks.REGISTRY],
                    lambda: [f"{'quick' if c.quick else 'full '} {c.name:<28} "
-                            f"{c.description}" for c in REGISTRY])
+                            f"{c.description}" for c in checks.REGISTRY])
         return EXIT_OK
     names = args.only.split(",") if args.only is not None else None
-    results = run_suite(names=names, quick=args.quick)
+    results = checks.run_suite(names=names, quick=args.quick)
     _emit_rows(cfg, ("name", "pass", "detail"),
                [(r.name, r.passed, r.detail) for r in results],
                lambda: [r.line() for r in results])
-    failed = first_failure(results)
+    failed = checks.first_failure(results)
     if failed is not None:
         print(f"first failure: {failed.name} ({failed.detail})",
               file=sys.stderr)

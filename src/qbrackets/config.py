@@ -10,6 +10,10 @@ from ._value import Value
 
 ENV_PREFIX = "QBRACKETS_"
 FORMATS = ("text", "json", "csv")
+# the choices of the dims and relations commands, here so that building
+# the command line parser loads no layer
+SPACES = ("md", "mda")
+TABLE_KINDS = ("fil", "gr")
 
 
 class ResourceCap(RuntimeError):

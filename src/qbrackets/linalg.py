@@ -42,7 +42,7 @@ from typing import Dict, Iterable, KeysView, List, Mapping, Sequence, Tuple
 
 from ._value import Value
 from .brackets import _sigma_lists, bracket_series_many
-from .config import ResourceCap, get_config
+from .config import SPACES, TABLE_KINDS, ResourceCap, get_config
 from .derivation import Relation, proven_relation_corpus
 from .numbers import (as_order, compositions, compositions_up_to,
                       count_generators)
@@ -52,9 +52,6 @@ from .words import WordSum, coefficient_rows
 Cell = Tuple[int, int]
 Parts = Tuple[int, ...]
 Walk = List[Tuple[int, int]]
-
-SPACES = ("md", "mda")
-TABLE_KINDS = ("fil", "gr")
 
 
 def _require(what: str, value: str, choices: Tuple[str, ...]) -> str:

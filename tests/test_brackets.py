@@ -1,6 +1,8 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,26 @@ def test_double_divisor_sum_by_hand():
     assert multiple_divisor_sum((1, 0), 4) == 2   # v1 values 1 and 1
     assert multiple_divisor_sum((0, 1), 4) == 3   # v2 values 2 and 1
     assert multiple_divisor_sum((0, 0), 1) == 0
+
+
+def _divisor_sum_brute_force(r, n):
+    """sigma_r(n) over every tuple u_1 > ... > u_l > 0 and every tuple of
+    v_i with 1 <= u_i v_i <= n: each slot is bounded by n alone."""
+    total = 0
+    for us in itertools.combinations(range(n, 0, -1), len(r)):
+        for vs in itertools.product(*(range(1, n // u + 1) for u in us)):
+            if sum(u * v for u, v in zip(us, vs)) == n:
+                total += prod(v ** e for v, e in zip(vs, r))
+    return total
+
+
+@pytest.mark.parametrize("r", [(0,), (3,), (0, 0), (1, 0), (0, 2), (3, 1),
+                               (0, 0, 0), (2, 0, 1), (1, 3, 2)])
+def test_divisor_sum_matches_brute_force(r):
+    # the last slot's v is forced by the others; the brute force forces
+    # nothing
+    assert [multiple_divisor_sum(r, n) for n in range(1, 26)] == \
+        [_divisor_sum_brute_force(r, n) for n in range(1, 26)]
 
 
 def test_printed_expansions():

@@ -1,8 +1,13 @@
 """The package namespace, and the promise that the package needs nothing
 beyond the standard library: mpmath, a test extra, is never loaded.  Each
 import check runs in a fresh interpreter, since this suite's own process
-has long since loaded mpmath for the tests that compare against it."""
+has long since loaded mpmath for the tests that compare against it.
 
+The namespace is lazy: importing the package or its command line loads no
+layer, and each command loads the layers it runs."""
+
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -106,6 +111,59 @@ def test_importing_the_package_loads_no_introspection_modules():
     assert fresh(script, *STARTUP_EXCLUDED) == "[]\n"
 
 
+# The modules that hold the package's objects; config and the command line
+# are loaded by every command.
+LAYERS = ("numbers", "series", "brackets", "words", "derivation", "linalg",
+          "modular", "zeta", "checks")
+
+LAYERS_LOADED = ("def loaded():\n"
+                 "    return [l for l in layers "
+                 "if 'qbrackets.' + l in sys.modules]\n")
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    script = ("import io, json, contextlib, qbrackets, qbrackets.cli\n"
+              "layers = json.loads(sys.argv[2])\n"
+              + LAYERS_LOADED +
+              "print(json.dumps(loaded()))\n"
+              "for argv in json.loads(sys.argv[3]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert qbrackets.cli.main(argv) == 0, argv\n"
+              "    print(json.dumps(loaded()))")
+    commands = [["series", "4,2"],
+                ["dims", "--space", "mda", "--max-weight", "5"],
+                ["relations", "--weight", "5", "--length", "5"],
+                ["verify", "--quick"]]
+    out = fresh(script, json.dumps(LAYERS), json.dumps(commands))
+    imported, series, dims, relations, verify = \
+        [json.loads(line) for line in out.splitlines()]
+    assert imported == []
+    assert series == ["numbers", "series", "brackets"]
+    for loaded in (dims, relations):
+        assert not {"modular", "zeta", "checks"} & set(loaded)
+    assert verify == list(LAYERS)
+
+
+def test_only_the_commands_import_and_only_layers():
+    # a function body imports only in cli's commands, `from . import layer`
+    found = []
+    for path in sorted((ROOT / "src" / "qbrackets").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append((path.stem, function.name, node))
+    assert found
+    for module, function, node in found:
+        assert module == "cli" and function.startswith("cmd_"), function
+        assert isinstance(node, ast.ImportFrom)
+        assert (node.level, node.module) == (1, None), ast.dump(node)
+        assert {alias.name for alias in node.names} <= set(LAYERS)
+
+
 def test_the_zeta_layer_runs_where_mpmath_cannot_be_imported():
     script = ("import io, contextlib, importlib.abc\n"
               "class Refuse(importlib.abc.MetaPathFinder):\n"
@@ -130,6 +188,31 @@ def test_the_zeta_layer_runs_where_mpmath_cannot_be_imported():
 def test_zeta_names_resolve_to_the_zeta_layer(name):
     assert name in qbrackets.__all__
     assert getattr(qbrackets, name) is getattr(qbrackets.zeta, name)
+
+
+@pytest.mark.parametrize("name", PUBLIC_API)
+def test_public_names_are_the_objects_of_their_home_layers(name):
+    home = importlib.import_module(f"qbrackets.{qbrackets._HOME[name]}")
+    value = getattr(qbrackets, name)
+    assert value is getattr(home, name)
+    if callable(value):
+        assert value.__module__ == home.__name__
+
+
+def test_a_layer_is_imported_on_first_use_of_a_name():
+    script = ("import json, qbrackets\n"
+              "layers = json.loads(sys.argv[2])\n"
+              + LAYERS_LOADED +
+              "from qbrackets import bracket_series\n"
+              "print(json.dumps(loaded()))\n"
+              "print(json.dumps(vars(qbrackets)['bracket_series'] is "
+              "bracket_series))\n"
+              "print(json.dumps([getattr(qbrackets, l).__name__ "
+              "for l in layers]))")
+    lines = fresh(script, json.dumps(LAYERS)).splitlines()
+    assert [json.loads(line) for line in lines] == [
+        ["numbers", "series", "brackets"], True,
+        [f"qbrackets.{layer}" for layer in LAYERS]]
 
 
 def test_package_namespace_still_lists_the_public_api():
