@@ -18,11 +18,14 @@ x P_{s-1}(x)/(1-x)^s in log-many shift-adds, and a short run term by term;
 a run ends where the prefix row, which holds chains above the line and so
 starts late, would pass q^order.  The elements above order/2 are the tail
 the length-1 rows start from, and each requested row is unpacked as it is
-handed on.  bracket_series_oracle is the definition split at the smallest
-chain element, a prefix loop adding rows coefficient by coefficient with
-plain weights v^{s-1}: no packing, slot widths, runs, tail or Eulerian
-expansion, so it shares only the split with the sweep.  Their agreement is
-a real mathematical identity, and the test suite insists on it.
+handed on.  The rows sit in one list that a plan indexes, each node joins
+the line at the first step where a chain of its length fits below q^order,
+and rows of slots up to 8 bytes are unpacked in C.  bracket_series_oracle
+is the definition split at the smallest chain element, a prefix loop adding
+rows coefficient by coefficient with plain weights v^{s-1}: no packing,
+slot widths, runs, tail or Eulerian expansion, so it shares only the split
+with the sweep.  Their agreement is a real mathematical identity, and the
+test suite insists on it.
 
 Every entry point checks its order (numbers.as_order), then its compositions
 (as_composition), before either reaches the cache, which holds each series
@@ -32,6 +35,9 @@ it to the order asked for, and evaluate reads it as held.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from bisect import bisect_left
 from functools import lru_cache
 from math import comb, factorial, isqrt, prod
 from operator import index
@@ -164,14 +170,16 @@ def _power_run(p: int, s: int, shift: int, n: int) -> int:
 
     With x the shift by one step, sum_{v>=1} v^(s-1) x^v = x P(x)/(1-x)^s
     for the Eulerian polynomial P = P_{s-1}: y = x P(x) p takes one term per
-    coefficient of P, and each of the s divisions by 1 - x is the prefix
-    sum y + x y + x^2 y + ..., built by y += x^k y for k = 1, 2, 4, ... < n.
-    Every power x^v with v > n shifts p to zero, so terms x^0..x^(n-1) of
-    each prefix sum are all that can add anything, and the passes with
-    k < n cover them.
+    coefficient of P, deepest shift first, and each of the s divisions by
+    1 - x is the prefix sum y + x y + x^2 y + ..., built by y += x^k y for
+    k = 1, 2, 4, ... < n.  Every power x^v with v > n shifts p to zero, so
+    terms x^0..x^(n-1) of each prefix sum are all that can add anything,
+    and the passes with k < n cover them.
     """
-    y = sum(a * (p >> (i + 1) * shift)
-            for i, a in enumerate(eulerian_polynomial(s - 1)))
+    coeffs = eulerian_polynomial(s - 1)
+    y = 0
+    for i in range(len(coeffs), 0, -1):
+        y += coeffs[i - 1] * (p >> i * shift)
     for _ in range(s):
         k = 1
         while k < n:
@@ -181,8 +189,32 @@ def _power_run(p: int, s: int, shift: int, n: int) -> int:
 
 
 # a run of n at or above this multiple of s = t[-1] sums a step by
-# _power_run: about s log2(n) shift-adds beat n multiply-shifts there
+# _power_run.  Timed with the looped short runs (best of 7-11, 2-vCPU
+# x86-64, Python 3.11): factors 12 and 16 took 3-8 % longer than 8 on the
+# order-120 corpus sweep and 5-9 % longer on (4,1,1,2,2) at order 600, and
+# no less on (4,4,4) at order 1000; 4 and 6 lay within the noise of 8
 _RUN_FACTOR = 8
+
+# slots of at most this many bytes are unpacked through one array of
+# unsigned 64-bit words (the C type has at least 64 bits on every platform)
+_WORD = array("Q").itemsize
+
+
+def _unpack(packed: bytes, count: int, width: int) -> list[int]:
+    """The count big-endian slots of width bytes in packed, as ints.  A slot
+    of at most _WORD bytes is right-aligned in a machine word, one strided
+    copy per byte position for all slots at once, and the words are read in
+    C; a wider slot takes one int.from_bytes."""
+    if width > _WORD:
+        return [int.from_bytes(packed[i:i + width], "big")
+                for i in range(0, count * width, width)]
+    words = bytearray(_WORD * count)
+    for j in range(width):
+        words[_WORD - width + j::_WORD] = packed[j::width]
+    slots = array("Q", words)
+    if sys.byteorder == "little":
+        slots.byteswap()
+    return slots.tolist()
 
 
 def _sigma_lists(comps: Iterable[Parts],
@@ -190,22 +222,25 @@ def _sigma_lists(comps: Iterable[Parts],
     """(comp, sigma coefficient list) for many nonempty compositions at once.
 
     Every prefix t of a composition is a node holding one non-negative
-    integer partial[t]: the packed row of the chains of t whose elements all
-    lie above the sweep line, the coefficient of q^m in slot order - m of
+    integer row: the packed row of the chains of t whose elements all lie
+    above the sweep line, the coefficient of q^m in slot order - m of
     _slot_bytes bytes (Kronecker substitution, q^0 in the highest slot).
-    partial[()] is the row of the empty chain, 1 at q^0.  The line runs
-    down, u = order//2 .. 1, and at step u every node takes the chains whose
-    smallest element is u:
+    The nodes sit in one list, longest first, with the unit row of the
+    empty chain (1 at q^0) appended as the parent of the length-1 nodes; a
+    plan entry names a node's row, its parent's row, its last part and
+    whether it has length 1, so a step hashes no prefix.  The line runs
+    down, u = order//2 .. 1, and at step u every node takes the chains
+    whose smallest element is u:
 
-        partial[t] += sum_v v^(t[-1]-1) * (partial[t[:-1]] >> u*v*slot)
+        row[t] += sum_v v^(t[-1]-1) * (row[t[:-1]] >> u*v*slot)
 
     where the right shift by u*v slots multiplies by q^(uv) and drops every
     power past q^order.  Nodes are visited longest first, so t[:-1] still
     holds the chains above u.  Compositions sharing a prefix share its node,
-    and memory is one row per node.  The row p = partial[t[:-1]] starts
-    late, as a chain of j elements above u weighs more than j u: its lowest
-    power q^m sits in its top slot order - m = (p.bit_length() - 1) // bits,
-    so the run is v = 1..n, n = (order - m) // u, and the node idles while
+    and memory is one row per node.  The row p = row[t[:-1]] starts late,
+    as a chain of j elements above u weighs more than j u: its lowest power
+    q^m sits in its top slot order - m = (p.bit_length() - 1) // bits, so
+    the run is v = 1..n, n = (order - m) // u, and the node idles while
     n = 0.  A step takes one of three paths:
 
     * a node of length 1 (t[:-1] = ()) writes v^(s-1), s = t[0], straight
@@ -213,7 +248,17 @@ def _sigma_lists(comps: Iterable[Parts],
       reads it as one integer, instead of shifting the unit row;
     * a long run, n >= 8 s with s = t[-1], sums through _power_run: s - 1
       shifts by the Eulerian coefficients, then s log-step prefix sums;
-    * a shorter run sums its n multiply-shifts directly.
+    * a shorter run sums its n multiply-shifts in a loop from v = n down,
+      so the sum grows from its shortest term.
+
+    Idle steps are skipped without a look at the row.  A node t of length l
+    acts at step u only if a chain of t has smallest element u: its other
+    l - 1 elements are distinct and above u, so they weigh at least
+    (u+1) + ... + (u+l-1) = (l-1) u + l(l-1)/2, and with u itself at least
+    l u + l(l-1)/2 <= order, that is u <= (order - l(l-1)/2) // l.  That
+    bound falls as l grows, so at each step the nodes that can act are a
+    suffix of the plan, and the inner loop starts there; the n < 1 test
+    still skips the steps inside the bound where the parent row is empty.
 
     No pass follows the line: a chain above h = order//2 has one element
     (two weigh at least 2h + 3 > order), u > h, with v = 1, so the length-1
@@ -230,12 +275,15 @@ def _sigma_lists(comps: Iterable[Parts],
     so this is the one place the work cap is enforced: a sweep whose nodes
     (the prefixes of comps) times order exceed max_cells raises ResourceCap
     at the first next(), before any allocation.  A row is unpacked when it
-    is asked for, and its node dropped as it is yielded; nothing is cached.
+    is asked for (_unpack: in C for slots of at most 8 bytes, by one
+    int.from_bytes per slot for wider ones), and its node dropped before it
+    is yielded; nothing is cached.
     """
     comps = set(comps)
     if not comps:
         return
-    nodes = {c[:i] for c in comps for i in range(1, len(c) + 1)}
+    nodes = sorted({c[:i] for c in comps for i in range(1, len(c) + 1)},
+                   key=len, reverse=True)
     cells, cap = len(nodes) * order, get_config().max_cells
     if cells > cap:
         raise ResourceCap(f"{len(nodes)} prefix rows x order {order} = "
@@ -248,35 +296,44 @@ def _sigma_lists(comps: Iterable[Parts],
     slot_powers = {s: [(v ** (s - 1)).to_bytes(width, "big")
                        for v in range(order + 1)]
                    for s in {t[0] for t in nodes if len(t) == 1}}
-    plan = [(t, t[:-1], t[-1]) for t in sorted(nodes, key=len, reverse=True)]
+    where = {t: i for i, t in enumerate(nodes)}
+    unit = len(nodes)
+    plan = [(i, where.get(t[:-1], unit), t[-1], len(t) == 1)
+            for i, t in enumerate(nodes)]
+    # by plan position, the last step at which that node can act (see
+    # above): non-decreasing, as the plan is longest first
+    last_step = [(order - len(t) * (len(t) - 1) // 2) // len(t) for t in nodes]
     half = order // 2
     tail = ((1 << (order - half) * bits) - 1) // ((1 << bits) - 1)
-    partial = {t: tail if len(t) == 1 else 0 for t in nodes}
-    partial[()] = 1 << (order * bits)
+    rows = [tail if len(t) == 1 else 0 for t in nodes]
+    rows.append(1 << (order * bits))
     for u in range(half, 0, -1):
         step = u * bits
         gap = bytes((u - 1) * width)
-        for t, above, s in plan:
-            p = partial[above]
+        for i, above, s, first in plan[bisect_left(last_step, u):]:
+            p = rows[above]
             n = (p.bit_length() - 1) // bits // u
             if n < 1:
                 continue
-            if not above:
-                partial[t] += int.from_bytes(
+            if first:
+                rows[i] += int.from_bytes(
                     gap.join(slot_powers[s][1:n + 1]), "big") << (
                         (order - u * n) * bits)
             elif n >= _RUN_FACTOR * s:
-                partial[t] += _power_run(p, s, step, n)
+                rows[i] += _power_run(p, s, step, n)
             else:
                 pows = powers[s]
-                partial[t] += sum(pows[v] * (p >> (step * v))
-                                  for v in range(n, 0, -1))
+                run = 0
+                for v in range(n, 0, -1):
+                    run += pows[v] * (p >> step * v)
+                rows[i] += run
 
     size = (order + 1) * width
     for t in comps:
-        packed = partial.pop(t).to_bytes(size, "big")
-        yield t, [int.from_bytes(packed[i:i + width], "big")
-                  for i in range(0, size, width)]
+        i = where[t]
+        packed = rows[i].to_bytes(size, "big")
+        rows[i] = 0
+        yield t, _unpack(packed, order + 1, width)
 
 
 def _denominator(comp: Parts) -> int:

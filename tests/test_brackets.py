@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -234,6 +235,34 @@ def test_power_run_is_the_truncated_eulerian_series(step):
                     for i in range(0, len(got), bits // 8)] == want, (s, n)
 
 
+@pytest.mark.parametrize("width", range(1, 11))
+def test_unpack_reads_every_slot(width):
+    # widths 1-8 go through the word array, 9 and 10 slot by slot; one
+    # slot and 61, with the least and the greatest value a slot holds
+    rng = random.Random(width)
+    top = (1 << 8 * width) - 1
+    many = [0, top] + [rng.randint(0, top) for _ in range(59)]
+    rng.shuffle(many)
+    for slots in [[0], [top], [rng.randint(0, top)], many]:
+        packed = b"".join(x.to_bytes(width, "big") for x in slots)
+        want = [int.from_bytes(packed[i:i + width], "big")
+                for i in range(0, len(packed), width)]
+        assert brackets._unpack(packed, len(slots), width) == want == slots
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_idle_step_bound(length):
+    # a node of length l acts only at steps u <= (order - l(l-1)/2) // l;
+    # around order l(l+1)/2 the chain of ones starts exactly at its bound,
+    # u = 1, or never acts, next to nodes that act at every step
+    least = length * (length + 1) // 2
+    comps = [(1,) * length, (2, 1, 1), (3,)]
+    for order in range(max(1, least - 1), least + 2):
+        row = _sweep_matches_oracle(comps, order)[(1,) * length]
+        assert row[:least] == [0] * min(least, order + 1)
+        assert row[least:least + 1] == ([1] if order >= least else [])
+
+
 @given(st.sampled_from([c for c in compositions_up_to(8) if 0 < len(c) <= 5]),
        st.integers(min_value=1, max_value=60))
 @settings(max_examples=40, deadline=None)
@@ -340,6 +369,14 @@ def test_generator_slot_widths(space, weight, order, width):
     assert _slot_bytes(_prefixes(*generators(space, weight)), order) == width
 
 
+def test_golden_sweeps_straddle_the_unpack_switch():
+    # the golden series 2,2,2,2 at order 300 sweeps in 8-byte slots, the
+    # widest that _unpack reads as machine words, and the golden mda
+    # weight-9 table (order 178) in 9-byte slots, read one by one
+    assert _slot_bytes(_prefixes((2, 2, 2, 2)), 300) == brackets._WORD == 8
+    assert _slot_bytes(_prefixes(*generators("mda", 9)), 178) == 9
+
+
 # (warm-up, measured call, bound on the tracemalloc peak in bytes)
 SWEEP_MEMORY_CASES = {
     # a cold (4, 4, 4) at order 400: 20.9 MB with the earlier list-of-lists
@@ -352,6 +389,12 @@ SWEEP_MEMORY_CASES = {
     "packed rows": (lambda: linalg._packed_rows(generators("mda", 3), 10),
                     lambda: linalg._packed_rows(generators("mda", 9), 178),
                     1_500_000),
+    # the 127 mda rows of weight <= 8 that dims packs at order 108, in
+    # 7-byte slots unpacked through the word array: 0.23-0.25 MB when every
+    # slot took its own int.from_bytes
+    "packed rows, narrow slots": (
+        lambda: linalg._packed_rows(generators("mda", 3), 10),
+        lambda: linalg._packed_rows(generators("mda", 8), 108), 500_000),
 }
 
 

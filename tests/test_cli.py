@@ -711,6 +711,11 @@ GOLDEN_SHA256 = {
         "2d5fe22bdcc56cb040cd4844931528a85066566fd0bb90be31fab951b9b48962",
     "--format json dims --space md --max-weight 6":
         "682293dae54f25c11e0d32fa5cf0fdb59c31db22867adb96cd2bceb2e434691a",
+    # a sweep in 8-byte slots, the widest that brackets._unpack reads as
+    # machine words; the mda weight-9 table above sweeps in 9-byte slots,
+    # one past that switch
+    "--format json series 2,2,2,2 --order 300":
+        "201da799c34a8138c0c8dd46f0326b36934021acc9756208ba1cf0c8fe6654c9",
 }
 
 
